@@ -27,7 +27,10 @@ fn bench(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("validate_850_points_jacobi2d_1024", |b| {
         b.iter(|| {
-            black_box(validate_one(&lab, &device, &StencilKind::Jacobi2D.into(), &size, &space).rmse_top20)
+            black_box(
+                validate_one(&lab, &device, &StencilKind::Jacobi2D.into(), &size, &space)
+                    .rmse_top20,
+            )
         })
     });
     g.finish();

@@ -1,7 +1,8 @@
 //! Simulator hot-path benchmarks: the closed-form steady-state kernel
 //! scheduler vs the exact O(total-blocks) dealing loop, the pooled
-//! wavefront-parallel executor vs the sequential fast path, and a full
-//! `simulate` call over a real tiling plan. Companion to
+//! wavefront-parallel executor vs the sequential fast path, and full
+//! `simulate` calls over real tiling plans (one with hundreds of
+//! wavefronts). Companion to
 //! `experiments --bench-exec --parallel-exec`, which times the same
 //! paths on larger workloads and persists `BENCH_exec.json`.
 
@@ -50,6 +51,28 @@ fn bench_kernel_scheduling(c: &mut Criterion) {
     });
     g.bench_function("simulate_full_plan", |b| {
         b.iter(|| black_box(simulate(&device, &wl).expect("launches").total_time))
+    });
+
+    // Hundreds of kernels sharing a few class vectors: the register
+    // demand must be computed once per simulation, not once per lowered
+    // class (which walked every kernel, O(N_w × classes)).
+    let spec = StencilKind::Jacobi2D.spec();
+    let size = ProblemSize::new_2d(4096, 4096, 1024);
+    let plan = TilingPlan::build(
+        &spec,
+        &size,
+        TileSizes::new_2d(4, 32, 128),
+        LaunchConfig::new_2d(4, 32),
+    )
+    .expect("plan builds");
+    assert!(
+        plan.kernel_count() >= 256,
+        "{} kernels",
+        plan.kernel_count()
+    );
+    let many = SimWorkload::from_plan(&plan);
+    g.bench_function("simulate_many_wavefronts", |b| {
+        b.iter(|| black_box(simulate(&device, &many).expect("launches").total_time))
     });
     g.finish();
 }

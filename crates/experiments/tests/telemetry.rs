@@ -8,9 +8,10 @@ use experiments::context::{ExperimentScale, Lab};
 use gpu_sim::{simulate, SimWorkload};
 use hhc_tiling::{run_tiled_with, ExecOptions, LaunchConfig, TileSizes, TilingPlan};
 use serde::Value;
+use std::collections::HashSet;
 use std::sync::{Arc, Mutex, MutexGuard};
 use stencil_core::{init, ProblemSize, StencilKind};
-use tile_opt::strategy::{study, StrategyContext};
+use tile_opt::strategy::{study, DataPoint, Strategy, StrategyContext};
 use tile_opt::SpaceConfig;
 
 /// The obs recorder is process-global; tests that install one serialize
@@ -145,6 +146,39 @@ fn study_counters_match_outcomes() {
     assert_eq!(
         snap.counter("opt.eval_lookups"),
         snap.counter("opt.eval_cache_hits") + snap.counter("opt.eval_simulated")
+    );
+    // Replay the study's evaluate_points calls against a model of the
+    // cache: hits are points seen by an earlier call, every other point
+    // is simulated, and each call builds one plan per distinct tile
+    // among its misses.
+    let chosen = |s: Strategy| {
+        st.outcomes
+            .iter()
+            .find(|o| o.strategy == s)
+            .map(|o| o.chosen.point)
+    };
+    let calls: Vec<Vec<DataPoint>> = vec![
+        chosen(Strategy::HhcDefault).into_iter().collect(),
+        st.baseline.iter().map(|e| e.point).collect(),
+        chosen(Strategy::TalgMin).into_iter().collect(),
+        st.within.iter().map(|e| e.point).collect(),
+    ];
+    let mut seen = HashSet::new();
+    let (mut lookups, mut simulated, mut plans) = (0, 0, 0);
+    for call in &calls {
+        let misses: Vec<&DataPoint> = call.iter().filter(|p| !seen.contains(*p)).collect();
+        lookups += call.len() as u64;
+        simulated += misses.len() as u64;
+        plans += misses.iter().map(|p| p.tiles).collect::<HashSet<_>>().len() as u64;
+        seen.extend(call.iter().copied());
+    }
+    assert_eq!(snap.counter("opt.eval_lookups"), lookups);
+    assert_eq!(snap.counter("opt.eval_simulated"), simulated);
+    assert_eq!(snap.counter("opt.eval_plans"), plans);
+    // The baseline's ten thread counts per tile share one plan.
+    assert!(
+        plans * 5 < simulated,
+        "{plans} plans for {simulated} points"
     );
     // The space counters must balance too.
     assert_eq!(

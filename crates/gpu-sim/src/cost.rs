@@ -33,6 +33,8 @@
 use crate::device::DeviceConfig;
 use crate::workload::SimWorkload;
 use hhc_tiling::plan::{AxisClass, BlockClass};
+use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Which pipe a segment occupies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,11 +106,14 @@ fn axis_active(axis: &[AxisClass], r: usize) -> u64 {
 }
 
 /// Points each thread covers in the widest row of the workload — the
-/// unroll depth of the generated body.
+/// unroll depth of the generated body. Kernels sharing a class vector
+/// (interior wavefronts share one `Arc`) are visited once.
 pub fn points_per_thread(wl: &SimWorkload) -> u64 {
     let [n1, n2, n3] = wl.threads_dims;
+    let mut seen = HashSet::new();
     wl.kernels
         .iter()
+        .filter(|k| seen.insert(Arc::as_ptr(&k.classes)))
         .flat_map(|k| k.classes.iter())
         .map(|c| {
             (0..c.row_count())
@@ -145,7 +150,14 @@ pub fn unrolled_regs_per_thread(wl: &SimWorkload) -> u32 {
 /// fits the compiler's allocation ceiling, growing linearly with the
 /// spilled fraction beyond it.
 pub fn spill_factor(device: &DeviceConfig, wl: &SimWorkload) -> f64 {
-    let demand = unrolled_regs_per_thread(wl) as f64;
+    spill_for_demand(device, unrolled_regs_per_thread(wl))
+}
+
+/// [`spill_factor`] of a known register demand per thread. The engine
+/// computes the demand once per simulation and lowers every block class
+/// with the resulting factor.
+pub(crate) fn spill_for_demand(device: &DeviceConfig, demand: u32) -> f64 {
+    let demand = demand as f64;
     let cap = device.reg_alloc_target as f64;
     if demand <= cap {
         1.0
@@ -189,9 +201,18 @@ pub fn transfer_time(device: &DeviceConfig, wl: &SimWorkload, words: u64, batche
 /// per row and sub-tile, thread rounds × issue groups × per-iteration
 /// cost × penalty factors, plus a barrier per active (sub-tile, row).
 pub fn block_compute_time(device: &DeviceConfig, wl: &SimWorkload, class: &BlockClass) -> f64 {
+    block_compute_time_spilled(device, wl, class, spill_factor(device, wl))
+}
+
+/// [`block_compute_time`] with the workload's spill factor given.
+pub(crate) fn block_compute_time_spilled(
+    device: &DeviceConfig,
+    wl: &SimWorkload,
+    class: &BlockClass,
+    spill: f64,
+) -> f64 {
     let citer = device.iter_cost(wl.flops_per_iter, wl.shared_accesses_per_iter, wl.rank);
     let diverge = divergence_factor(device, wl.inner_threads);
-    let spill = spill_factor(device, wl);
     let warps = wl.threads.max(1).div_ceil(device.warp_size);
     let issue_groups = (warps * device.warp_size).div_ceil(device.n_v) as f64;
     let [n1, n2, n3] = wl.threads_dims;
@@ -216,10 +237,20 @@ pub fn block_compute_time(device: &DeviceConfig, wl: &SimWorkload, class: &Block
 /// preserving both the totals and the alternation the two-pipe engine
 /// interleaves across co-resident blocks.
 pub fn lower_block(device: &DeviceConfig, wl: &SimWorkload, class: &BlockClass) -> BlockSegments {
+    lower_block_spilled(device, wl, class, spill_factor(device, wl))
+}
+
+/// [`lower_block`] with the workload's spill factor given.
+pub(crate) fn lower_block_spilled(
+    device: &DeviceConfig,
+    wl: &SimWorkload,
+    class: &BlockClass,
+    spill: f64,
+) -> BlockSegments {
     let n_sub = class.subtiles_per_block();
     let load = transfer_time(device, wl, class.load_words_per_block(), n_sub.max(1));
     let store = transfer_time(device, wl, class.store_words_per_block(), n_sub.max(1));
-    let comp = block_compute_time(device, wl, class);
+    let comp = block_compute_time_spilled(device, wl, class, spill);
     let chunks = n_sub.clamp(1, MAX_CHUNKS);
     let mut segments = Vec::with_capacity(3 * chunks as usize);
     for _ in 0..chunks {

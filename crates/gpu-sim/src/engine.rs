@@ -26,7 +26,7 @@
 
 use crate::cost::{self, BlockSegments, Pipe};
 use crate::device::DeviceConfig;
-use crate::occupancy::{occupancy, LaunchError};
+use crate::occupancy::{occupancy_for_demand, LaunchError};
 use crate::report::SimReport;
 use crate::workload::SimWorkload;
 use hhc_tiling::plan::BlockClass;
@@ -70,7 +70,12 @@ fn simulate_core(
     wl: &SimWorkload,
     detailed: bool,
 ) -> Result<(SimReport, Vec<KernelBreakdown>), LaunchError> {
-    let occ = occupancy(device, wl)?;
+    // The register demand, and with it the spill factor every block class
+    // is lowered with, is a property of the whole workload: compute it
+    // once per simulation.
+    let demand = cost::unrolled_regs_per_thread(wl);
+    let occ = occupancy_for_demand(device, wl, demand)?;
+    let spill = cost::spill_for_demand(device, demand);
     let mut cache: HashMap<usize, KernelStats> = HashMap::new();
     let mut total = 0.0f64;
     let mut mem_busy = 0.0f64;
@@ -85,7 +90,7 @@ fn simulate_core(
         let key = Arc::as_ptr(&kernel.classes) as usize;
         let stats = cache
             .entry(key)
-            .or_insert_with(|| kernel_time(device, wl, &kernel.classes, occ.k));
+            .or_insert_with(|| kernel_time_spilled(device, wl, &kernel.classes, occ.k, spill));
         total += stats.makespan + device.t_launch;
         mem_busy += stats.mem_busy;
         comp_busy += stats.comp_busy;
@@ -146,7 +151,7 @@ fn simulate_core(
         mem_busy,
         comp_busy,
         launch_overhead,
-        spill_factor: cost::spill_factor(device, wl),
+        spill_factor: spill,
         divergence_factor: cost::divergence_factor(device, wl.inner_threads),
     };
     Ok((report, kernels))
@@ -184,17 +189,19 @@ pub struct KernelBreakdown {
     pub comp_busy: f64,
 }
 
-/// Lower every class once and compute the launch-wide aggregates that
-/// both scheduling paths share. The pipe-busy sums iterate the classes
-/// in declaration order so both paths fold identically.
+/// Lower every class once (with the workload's `spill` factor) and
+/// compute the launch-wide aggregates that both scheduling paths share.
+/// The pipe-busy sums iterate the classes in declaration order so both
+/// paths fold identically.
 fn lower_classes(
     device: &DeviceConfig,
     wl: &SimWorkload,
     classes: &[BlockClass],
+    spill: f64,
 ) -> (Vec<(u64, BlockSegments)>, u64, f64, f64) {
     let lowered: Vec<(u64, BlockSegments)> = classes
         .iter()
-        .map(|c| (c.count, cost::lower_block(device, wl, c)))
+        .map(|c| (c.count, cost::lower_block_spilled(device, wl, c, spill)))
         .collect();
     let total_blocks: u64 = lowered.iter().map(|(c, _)| c).sum();
     let mem_busy: f64 = lowered.iter().map(|(c, b)| *c as f64 * b.mem_time).sum();
@@ -215,7 +222,19 @@ pub fn kernel_time(
     classes: &[BlockClass],
     k: usize,
 ) -> KernelStats {
-    let (lowered, total_blocks, mem_busy, comp_busy) = lower_classes(device, wl, classes);
+    kernel_time_spilled(device, wl, classes, k, cost::spill_factor(device, wl))
+}
+
+/// [`kernel_time`] with the workload's spill factor given: [`simulate`]
+/// computes it once, not once per kernel.
+fn kernel_time_spilled(
+    device: &DeviceConfig,
+    wl: &SimWorkload,
+    classes: &[BlockClass],
+    k: usize,
+    spill: f64,
+) -> KernelStats {
+    let (lowered, total_blocks, mem_busy, comp_busy) = lower_classes(device, wl, classes, spill);
     if total_blocks == 0 {
         return KernelStats {
             makespan: 0.0,
@@ -265,7 +284,8 @@ pub fn kernel_time_dealing(
     classes: &[BlockClass],
     k: usize,
 ) -> KernelStats {
-    let (lowered, total_blocks, mem_busy, comp_busy) = lower_classes(device, wl, classes);
+    let spill = cost::spill_factor(device, wl);
+    let (lowered, total_blocks, mem_busy, comp_busy) = lower_classes(device, wl, classes, spill);
     if total_blocks == 0 {
         return KernelStats {
             makespan: 0.0,

@@ -91,6 +91,16 @@ pub struct Occupancy {
 
 /// Compute the occupancy of `wl` on `device`, or why it cannot launch.
 pub fn occupancy(device: &DeviceConfig, wl: &SimWorkload) -> Result<Occupancy, LaunchError> {
+    occupancy_for_demand(device, wl, unrolled_regs_per_thread(wl))
+}
+
+/// [`occupancy`] of a workload whose register demand per thread
+/// ([`unrolled_regs_per_thread`]) is already known.
+pub(crate) fn occupancy_for_demand(
+    device: &DeviceConfig,
+    wl: &SimWorkload,
+    demand: u32,
+) -> Result<Occupancy, LaunchError> {
     if wl.threads > device.max_threads_per_block {
         return Err(LaunchError::TooManyThreads {
             needed: wl.threads,
@@ -106,7 +116,6 @@ pub fn occupancy(device: &DeviceConfig, wl: &SimWorkload) -> Result<Occupancy, L
     // Register demand of the unrolled body, capped at the compiler's
     // allocation ceiling; the overflow becomes spill traffic, not a
     // launch failure (as with nvcc's local-memory spilling).
-    let demand = unrolled_regs_per_thread(wl);
     let alloc = demand
         .min(device.reg_alloc_target)
         .min(device.max_regs_per_thread);

@@ -186,43 +186,43 @@ impl WavefrontPlan {
     }
 }
 
-/// A complete lowered schedule for one (stencil, size, tile, launch)
-/// configuration.
+/// The launch-independent part of a [`TilingPlan`]: everything the
+/// (stencil, size, tile) triple determines. Building it walks the hexagon
+/// geometry once; [`PlanGeometry::with_launch`] then pairs it with any
+/// number of launch configurations, sharing the wavefront class vectors
+/// by `Arc`. Tile-size searches build one geometry per distinct tile and
+/// sweep its thread counts from it.
 #[derive(Debug, Clone)]
-pub struct TilingPlan {
+pub struct PlanGeometry {
     /// The stencil being executed.
     pub spec: StencilSpec,
     /// Problem extents.
     pub size: ProblemSize,
     /// Tile-size parameters.
     pub tiles: TileSizes,
-    /// Threads-per-block configuration.
-    pub launch: LaunchConfig,
     /// The outer-dimension hexagonal tiling.
     pub hex: HexTiling,
     /// One entry per kernel launch, in execution order.
     pub wavefronts: Vec<WavefrontPlan>,
-    /// Shared-memory words a block's tile buffer occupies (the paper's
-    /// `M_tile`, in 4-byte words): double buffer of the widest row plus
-    /// halo, times the skewed inner extents.
+    /// Shared-memory words of a block's tile buffer (see
+    /// [`TilingPlan::mtile_words`]).
     pub mtile_words: u64,
     /// Estimated registers per thread (stand-in for nvcc's allocation).
     pub regs_per_thread: u32,
 }
 
-impl TilingPlan {
-    /// Lower a configuration to an executable plan.
+impl PlanGeometry {
+    /// Lower (stencil, size, tiles) to block classes per wavefront.
     ///
-    /// Fails (with a human-readable message) if the tile sizes or launch
-    /// configuration are malformed for the stencil's dimensionality.
+    /// Fails (with a human-readable message) if the tile sizes are
+    /// malformed for the stencil's dimensionality or the problem does not
+    /// match the stencil.
     pub fn build(
         spec: &StencilSpec,
         size: &ProblemSize,
         tiles: TileSizes,
-        launch: LaunchConfig,
-    ) -> Result<TilingPlan, String> {
+    ) -> Result<PlanGeometry, String> {
         tiles.validate(spec.dim)?;
-        launch.validate(spec.dim)?;
         if size.dim != spec.dim {
             return Err(format!(
                 "problem is {}D but stencil is {}D",
@@ -274,16 +274,78 @@ impl TilingPlan {
             mtile *= (tiles.t_s[d] + slope * tiles.t_t + slope) as u64;
         }
 
-        Ok(TilingPlan {
+        Ok(PlanGeometry {
             spec: spec.clone(),
             size: *size,
             tiles,
-            launch,
             hex,
             wavefronts,
             mtile_words: mtile,
             regs_per_thread: regs::regs_per_thread(spec),
         })
+    }
+
+    /// Pair this geometry with a launch configuration. Cheap: validates
+    /// the launch and clones the per-wavefront `Arc`s.
+    pub fn with_launch(&self, launch: LaunchConfig) -> Result<TilingPlan, String> {
+        launch.validate(self.spec.dim)?;
+        Ok(self.clone().into_plan(launch))
+    }
+
+    fn into_plan(self, launch: LaunchConfig) -> TilingPlan {
+        TilingPlan {
+            spec: self.spec,
+            size: self.size,
+            tiles: self.tiles,
+            launch,
+            hex: self.hex,
+            wavefronts: self.wavefronts,
+            mtile_words: self.mtile_words,
+            regs_per_thread: self.regs_per_thread,
+        }
+    }
+}
+
+/// A complete lowered schedule for one (stencil, size, tile, launch)
+/// configuration.
+#[derive(Debug, Clone)]
+pub struct TilingPlan {
+    /// The stencil being executed.
+    pub spec: StencilSpec,
+    /// Problem extents.
+    pub size: ProblemSize,
+    /// Tile-size parameters.
+    pub tiles: TileSizes,
+    /// Threads-per-block configuration.
+    pub launch: LaunchConfig,
+    /// The outer-dimension hexagonal tiling.
+    pub hex: HexTiling,
+    /// One entry per kernel launch, in execution order.
+    pub wavefronts: Vec<WavefrontPlan>,
+    /// Shared-memory words a block's tile buffer occupies (the paper's
+    /// `M_tile`, in 4-byte words): double buffer of the widest row plus
+    /// halo, times the skewed inner extents.
+    pub mtile_words: u64,
+    /// Estimated registers per thread (stand-in for nvcc's allocation).
+    pub regs_per_thread: u32,
+}
+
+impl TilingPlan {
+    /// Lower a configuration to an executable plan: a [`PlanGeometry`]
+    /// paired with `launch`.
+    ///
+    /// Fails (with a human-readable message) if the tile sizes or launch
+    /// configuration are malformed for the stencil's dimensionality.
+    pub fn build(
+        spec: &StencilSpec,
+        size: &ProblemSize,
+        tiles: TileSizes,
+        launch: LaunchConfig,
+    ) -> Result<TilingPlan, String> {
+        // Tiles first, then the launch: the order the errors report in.
+        tiles.validate(spec.dim)?;
+        launch.validate(spec.dim)?;
+        Ok(PlanGeometry::build(spec, size, tiles)?.into_plan(launch))
     }
 
     /// Number of kernel launches (`N_w`).
@@ -447,21 +509,27 @@ impl PlanBuilder {
 
         // Input footprint: distinct producers (t−1, s1+a) outside the
         // tile with s1+a inside the space domain, attributed to the
-        // earliest consuming row.
+        // earliest consuming row. Each row reads its own time step, so
+        // producers are distinct per row.
         let mut mi = vec![0u64; nrows];
-        let mut seen = std::collections::HashSet::new();
+        let mut producers: Vec<i64> = Vec::new();
         for (r, row) in rows.iter().enumerate() {
+            producers.clear();
             for s in row.lo..=row.hi {
-                for off in &self.offsets {
-                    let (pt, ps) = (row.t - 1, s + off[0]);
-                    if ps < 0 || ps >= self.s1 as i64 {
-                        continue; // boundary constant, not a load
-                    }
-                    if hex.tile_containing(pt, ps) != id && seen.insert((pt, ps)) {
-                        mi[r] += 1;
-                    }
-                }
+                // Out-of-domain neighbors are the boundary constant, not loads.
+                producers.extend(
+                    self.offsets
+                        .iter()
+                        .map(|off| s + off[0])
+                        .filter(|ps| (0..self.s1 as i64).contains(ps)),
+                );
             }
+            producers.sort_unstable();
+            producers.dedup();
+            mi[r] = producers
+                .iter()
+                .filter(|&&ps| hex.tile_containing(row.t - 1, ps) != id)
+                .count() as u64;
         }
 
         // Output footprint: points consumed by other tiles, or points of
@@ -560,6 +628,32 @@ mod tests {
         let a1 = &plan.wavefronts[2];
         let a2 = &plan.wavefronts[4];
         assert!(Arc::ptr_eq(&a1.classes, &a2.classes));
+    }
+
+    #[test]
+    fn one_geometry_serves_every_launch() {
+        let spec = StencilKind::Heat3D.spec();
+        let size = ProblemSize::new_3d(24, 24, 24, 9);
+        let tiles = TileSizes::new_3d(4, 3, 4, 8);
+        let geometry = PlanGeometry::build(&spec, &size, tiles).unwrap();
+        for launch in LaunchConfig::candidates(spec.dim) {
+            let built = TilingPlan::build(&spec, &size, tiles, launch).unwrap();
+            let relaunched = geometry.with_launch(launch).unwrap();
+            assert_eq!(relaunched.launch, launch);
+            assert_eq!(relaunched.mtile_words, built.mtile_words);
+            assert_eq!(relaunched.regs_per_thread, built.regs_per_thread);
+            assert_eq!(relaunched.kernel_count(), built.kernel_count());
+            for (a, b) in relaunched.wavefronts.iter().zip(&built.wavefronts) {
+                assert_eq!(a.classes, b.classes);
+            }
+            for (a, b) in relaunched.wavefronts.iter().zip(&geometry.wavefronts) {
+                assert!(Arc::ptr_eq(&a.classes, &b.classes), "classes are shared");
+            }
+        }
+        // An invalid launch is rejected by the cheap step, as by `build`.
+        let bad = LaunchConfig::new_3d(2, 32, 32); // 2048 threads
+        assert!(geometry.with_launch(bad).is_err());
+        assert!(TilingPlan::build(&spec, &size, tiles, bad).is_err());
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use crate::space::{feasible_space, feasible_tiles, SpaceConfig};
 use crate::sweep::{model_sweep, talg_min, within_fraction};
 use gpu_sim::{simulate, DeviceConfig, SimReport, SimWorkload, Workload};
-use hhc_tiling::{LaunchConfig, TileSizes, TilingPlan};
+use hhc_tiling::{LaunchConfig, PlanGeometry, TileSizes};
 use parking_lot::Mutex;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -292,8 +292,31 @@ pub fn simulate_point(
     size: &ProblemSize,
     point: &DataPoint,
 ) -> Option<SimReport> {
-    let plan = TilingPlan::build(spec, size, point.tiles, point.launch).ok()?;
-    simulate(device, &SimWorkload::from_plan(&plan)).ok()
+    simulate_tile(device, spec, size, point.tiles, &[point.launch])
+        .pop()
+        .flatten()
+}
+
+/// Simulate `launches` on one tile: the launch-independent plan geometry
+/// is built once and shared by every launch, then dropped. One report per
+/// launch, in order; `None` where the plan or the launch is invalid.
+fn simulate_tile(
+    device: &DeviceConfig,
+    spec: &StencilSpec,
+    size: &ProblemSize,
+    tiles: TileSizes,
+    launches: &[LaunchConfig],
+) -> Vec<Option<SimReport>> {
+    let Ok(geometry) = PlanGeometry::build(spec, size, tiles) else {
+        return vec![None; launches.len()];
+    };
+    launches
+        .iter()
+        .map(|&launch| {
+            let plan = geometry.with_launch(launch).ok()?;
+            simulate(device, &SimWorkload::from_plan(&plan)).ok()
+        })
+        .collect()
 }
 
 /// Evaluate (model + machine) a set of points in parallel, memoized
@@ -301,7 +324,9 @@ pub fn simulate_point(
 ///
 /// Results are returned in input order and are identical to an uncached
 /// evaluation (the evaluation is a pure function of the point); only the
-/// already-seen points skip the simulator.
+/// already-seen points skip the simulator. The misses are grouped by
+/// tile, so each distinct tile's plan is built once for all its thread
+/// counts; the groups run in parallel.
 pub fn evaluate_points(ctx: &StrategyContext<'_>, points: &[DataPoint]) -> Vec<Evaluated> {
     let flops = reference::total_flops(&ctx.spec, ctx.size());
     // Resolve prior results under one short lock…
@@ -315,44 +340,68 @@ pub fn evaluate_points(ctx: &StrategyContext<'_>, points: &[DataPoint]) -> Vec<E
         .lookups
         .fetch_add(points.len() as u64, Ordering::Relaxed);
 
-    // …evaluate only the misses, in parallel…
-    let misses: Vec<DataPoint> = points
-        .iter()
-        .zip(&cached)
-        .filter_map(|(p, c)| c.is_none().then_some(*p))
-        .collect();
+    // …group the misses by tile, in order of first appearance…
+    let mut groups: Vec<(TileSizes, Vec<LaunchConfig>)> = Vec::new();
+    let mut group_of: HashMap<TileSizes, usize> = HashMap::new();
+    let mut misses = 0usize;
+    for (p, _) in points.iter().zip(&cached).filter(|(_, c)| c.is_none()) {
+        let g = *group_of.entry(p.tiles).or_insert_with(|| {
+            groups.push((p.tiles, Vec::new()));
+            groups.len() - 1
+        });
+        groups[g].1.push(p.launch);
+        misses += 1;
+    }
     if obs::active() {
         obs::counter("opt.eval_lookups", points.len() as u64);
         obs::counter("opt.eval_cache_hits", hits as u64);
-        obs::counter("opt.eval_simulated", misses.len() as u64);
+        obs::counter("opt.eval_simulated", misses as u64);
+        obs::counter("opt.eval_plans", groups.len() as u64);
     }
-    let computed: Vec<Evaluated> = misses
+    // …evaluate each group in parallel…
+    let computed: Vec<Vec<Evaluated>> = groups
         .par_iter()
-        .map(|p| {
-            let predicted = predict(ctx.params, ctx.size(), &p.tiles).talg;
-            let measured =
-                simulate_point(ctx.device(), &ctx.spec, ctx.size(), p).map(|r| r.total_time);
-            Evaluated {
-                point: *p,
-                predicted,
-                measured,
-                gflops: measured.map(|t| flops as f64 / t / 1e9),
-            }
+        .map(|(tiles, launches)| {
+            let predicted = predict(ctx.params, ctx.size(), tiles).talg;
+            let reports = simulate_tile(ctx.device(), &ctx.spec, ctx.size(), *tiles, launches);
+            launches
+                .iter()
+                .zip(reports)
+                .map(|(&launch, report)| {
+                    let measured = report.map(|r| r.total_time);
+                    Evaluated {
+                        point: DataPoint {
+                            tiles: *tiles,
+                            launch,
+                        },
+                        predicted,
+                        measured,
+                        gflops: measured.map(|t| flops as f64 / t / 1e9),
+                    }
+                })
+                .collect()
         })
         .collect();
     {
         let mut map = ctx.cache.map.lock();
-        for e in &computed {
+        for e in computed.iter().flatten() {
             map.insert(e.point, *e);
         }
     }
 
-    // …and splice hits and fresh evaluations back in input order.
-    let mut fresh = computed.into_iter();
+    // …and splice hits and fresh evaluations back in input order: each
+    // miss takes the next result of its tile's group.
+    let mut fresh: Vec<_> = computed.into_iter().map(Vec::into_iter).collect();
     points
         .iter()
         .zip(cached)
-        .map(|(_, c)| c.unwrap_or_else(|| fresh.next().expect("one result per miss")))
+        .map(|(p, c)| {
+            c.unwrap_or_else(|| {
+                fresh[group_of[&p.tiles]]
+                    .next()
+                    .expect("one result per miss")
+            })
+        })
         .collect()
 }
 

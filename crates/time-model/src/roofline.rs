@@ -111,15 +111,15 @@ pub fn measure_compute_ceiling(spec: &StencilSpec) -> f64 {
     let src: Vec<f32> = (0..cells).map(|i| (i % 97) as f32 * 0.01).collect();
     let mut dst = vec![0.0f32; cells];
     // Sweep one interior row span per repetition; spans sit away from
-    // the buffer ends so every tap stays in range.
-    let margin = kernel
-        .off_min()
-        .iter()
-        .chain(kernel.off_max().iter())
-        .map(|o| o.unsigned_abs() as usize)
-        .max()
-        .unwrap_or(0)
-        .max(sizes[1] * sizes[2] + sizes[2] + 1);
+    // the buffer ends by the flat reach of the taps,
+    // `Σ_d max(|off_min_d|, off_max_d) · stride_d`, so every tap stays in
+    // range (never less than one unit step per axis, the radius-1 reach).
+    let strides = [sizes[1] * sizes[2], sizes[2], 1];
+    let (off_min, off_max) = (kernel.off_min(), kernel.off_max());
+    let reach: usize = (0..3)
+        .map(|d| off_min[d].unsigned_abs().max(off_max[d].unsigned_abs()) as usize * strides[d])
+        .sum();
+    let margin = reach.max(strides.iter().sum());
     let (lo, hi) = (margin, cells - margin - 1);
     assert!(lo < hi, "calibration buffer too small for stencil reach");
     let span = (hi - lo + 1) as u64;
@@ -228,6 +228,35 @@ mod tests {
         assert_eq!(parse("0.5, 0.9"), Some((0.5, 0.9)));
         assert_eq!(parse("2.0,1.0"), None, "inverted band rejected");
         assert_eq!(parse("nope"), None);
+    }
+
+    #[test]
+    fn wide_stencils_measure_in_range() {
+        // Radius 2 reaches 2·32 + 2 flat cells on the 32×32 calibration
+        // buffer, radius 3 (3D) reaches 3·1024 + 3·32 + 3.
+        let lap4 = stencil_core::StencilDescriptor::lap4_2d().spec();
+        assert!(measure_compute_ceiling(&lap4) > 1e6);
+        let mut offsets = vec![[0i64; 3]];
+        for d in 0..3 {
+            for r in [-3i64, -1, 2, 3] {
+                let mut o = [0i64; 3];
+                o[d] = r;
+                offsets.push(o);
+            }
+        }
+        let wide = stencil_core::StencilDescriptor::new(
+            "wide3d_r3",
+            stencil_core::StencilDim::D3,
+            3,
+            stencil_core::Footprint::Custom(offsets),
+            vec![0.1; 13],
+            0.0,
+            0,
+        )
+        .expect("valid radius-3 descriptor");
+        let spec = wide.spec();
+        assert_eq!(spec.order(), 3);
+        assert!(measure_compute_ceiling(&spec) > 1e6);
     }
 
     #[test]
