@@ -135,6 +135,9 @@ pub struct Advisor {
     /// store is immutable while serving, so this is stable for the
     /// process lifetime and safe inside cache keys.
     calib_rev: Option<String>,
+    /// FNV-64 of the serialized enumerated space, the `space=` field of
+    /// every canonical key; the config never changes after `new`.
+    space_fp: u64,
     /// Measured `(L, τ_sync, T_sync, Citer)` per (device fingerprint,
     /// stencil fingerprint): the micro-benchmarks are deterministic for
     /// a fixed config, so one measurement serves every query against
@@ -149,6 +152,11 @@ impl Advisor {
             mem: ShardedCache::new(cfg.mem_capacity),
             disk: cfg.disk_dir.as_ref().map(DiskCache::new),
             calib_rev: cfg.calib.as_ref().map(|c| c.revision()),
+            space_fp: cache::fnv64(
+                serde_json::to_string(&cfg.space)
+                    .expect("space serializes")
+                    .as_bytes(),
+            ),
             measured: Mutex::new(HashMap::new()),
             cfg,
         }
@@ -182,11 +190,7 @@ impl Advisor {
             q.validate,
             self.cfg.citer_samples,
             self.cfg.seed,
-            cache::fnv64(
-                serde_json::to_string(&self.cfg.space)
-                    .expect("space serializes")
-                    .as_bytes()
-            ),
+            self.space_fp,
             self.calib_rev.as_deref().unwrap_or("none"),
         );
         if self.cfg.citer_scale != 1.0 {
@@ -218,44 +222,56 @@ impl Advisor {
 
     /// [`advise`](Self::advise) with an explicit absolute deadline.
     pub fn advise_at(&self, q: &Query, deadline: Option<Instant>) -> Advice {
-        let _span = obs::span("advisor.query", "advisor");
         let t0 = Instant::now();
-        let latency = |outcome: &str| {
-            obs::histogram(
-                &format!("advisor.latency_ms.{outcome}"),
-                t0.elapsed().as_secs_f64() * 1e3,
-            );
+        self.advise_keyed(q, &self.canonical_key(q), t0, deadline)
+    }
+
+    /// The store or memory-tier answer under canonical key `key`: the
+    /// one hit path, shared by [`advise_at`](Self::advise_at)
+    /// and the socket server's reader. A hit counts `advisor.queries`
+    /// and its tier's hit counter and records its latency since `t0`;
+    /// a miss records nothing (the caller goes on to the colder tiers).
+    pub(crate) fn warm(&self, key: &str, t0: Instant) -> Option<Warm<'_>> {
+        let (hit, counter, outcome) = match self.cfg.store.as_ref().and_then(|s| s.entry(key)) {
+            Some(entry) => (Warm::Store(entry), "advisor.store_hits", "store"),
+            None => (
+                Warm::Mem(self.mem.get(key)?),
+                "advisor.cache_hits_mem",
+                "cache_mem",
+            ),
         };
         if obs::active() {
             obs::counter("advisor.queries", 1);
+            obs::counter(counter, 1);
+            record_latency(outcome, t0);
         }
-        let key = self.canonical_key(q);
-        if let Some(store) = &self.cfg.store {
-            if let Some(mut hit) = store.get(&key) {
-                if obs::active() {
-                    obs::counter("advisor.store_hits", 1);
-                }
-                hit.id = q.id.clone();
-                latency("store");
-                return hit;
-            }
+        Some(hit)
+    }
+
+    /// [`advise_at`](Self::advise_at) for a query whose canonical key
+    /// the caller already holds, timed from `t0`.
+    pub(crate) fn advise_keyed(
+        &self,
+        q: &Query,
+        key: &str,
+        t0: Instant,
+        deadline: Option<Instant>,
+    ) -> Advice {
+        let _span = obs::span("advisor.query", "advisor");
+        if let Some(hit) = self.warm(key, t0) {
+            return hit.advice(q.id.clone());
         }
-        if let Some(mut hit) = self.mem.get(&key) {
-            if obs::active() {
-                obs::counter("advisor.cache_hits_mem", 1);
-            }
-            hit.id = q.id.clone();
-            latency("cache_mem");
-            return hit;
+        if obs::active() {
+            obs::counter("advisor.queries", 1);
         }
         if let Some(disk) = &self.disk {
-            if let Some(mut hit) = disk.load(&key) {
+            if let Some(mut hit) = disk.load(key) {
                 if obs::active() {
                     obs::counter("advisor.cache_hits_disk", 1);
                 }
-                self.mem.put(key, hit.clone());
+                self.mem.put(key.to_string(), hit.clone());
                 hit.id = q.id.clone();
-                latency("cache_disk");
+                record_latency("cache_disk", t0);
                 return hit;
             }
         }
@@ -264,13 +280,13 @@ impl Advisor {
             if obs::active() {
                 obs::counter("advisor.degraded", 1);
             }
-            latency("degraded");
+            record_latency("degraded", t0);
         } else {
-            self.mem.put(key.clone(), answer.clone());
+            self.mem.put(key.to_string(), answer.clone());
             if let Some(disk) = &self.disk {
-                disk.store(&key, &answer, self.cfg.seed);
+                disk.store(key, &answer, self.cfg.seed);
             }
-            latency("ok");
+            record_latency("ok", t0);
         }
         answer
     }
@@ -493,6 +509,48 @@ impl Advisor {
     }
 }
 
+/// A warm-tier answer (see [`Advisor::warm`]). It lives for one call,
+/// so the size gap between the variants costs nothing worth a box.
+#[allow(clippy::large_enum_variant)]
+pub(crate) enum Warm<'a> {
+    /// Pre-serialized in the answer store.
+    Store(&'a store::Entry),
+    /// A clone out of the in-memory LRU.
+    Mem(Advice),
+}
+
+impl Warm<'_> {
+    /// The answer with `id` echoed.
+    fn advice(self, id: Option<String>) -> Advice {
+        let mut a = match self {
+            Warm::Store(e) => e.advice.clone(),
+            Warm::Mem(a) => a,
+        };
+        a.id = id;
+        a
+    }
+
+    /// The answer line with `id` echoed, byte-identical to
+    /// `self.advice(id).to_json_line()`.
+    pub(crate) fn line(self, id: Option<&str>) -> String {
+        match self {
+            Warm::Store(e) => e.line(id),
+            mem => mem.advice(id.map(str::to_string)).to_json_line(),
+        }
+    }
+}
+
+/// One sample on `advisor.latency_ms.{outcome}`, whose name is built
+/// only when a recorder is installed.
+fn record_latency(outcome: &str, t0: Instant) {
+    if obs::active() {
+        obs::histogram(
+            &format!("advisor.latency_ms.{outcome}"),
+            t0.elapsed().as_secs_f64() * 1e3,
+        );
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -552,6 +610,33 @@ mod tests {
         let mut e = heat_query("a");
         e.validate = true;
         assert_ne!(advisor.canonical_key(&a), advisor.canonical_key(&e));
+    }
+
+    #[test]
+    fn canonical_keys_are_pinned() {
+        // Disk caches and answer-store files are keyed by these exact
+        // strings; the literals were produced by an earlier build.
+        let advisor = Advisor::with_defaults();
+        let preset = Query::parse_line(
+            "{\"id\": \"k\", \"device\": \"GTX 980\", \"stencil\": \"Heat2D\", \
+             \"size\": [128, 128], \"time\": 16}",
+        )
+        .unwrap();
+        assert_eq!(
+            advisor.canonical_key(&preset),
+            "v2|dev=000855145ac7beae|st=Heat2D|s=128x128x1|t=16|within=3fb999999999999a|\
+             top=10|val=false|mb=16x24301|space=d222d0e0df078a12|cal=none"
+        );
+        let inline = Query::parse_line(
+            "{\"device\": \"Titan X\", \"stencil\": {\"name\": \"mean5\", \"dim\": 2, \
+             \"coefficients\": [0.2, 0.2, 0.2, 0.2, 0.2]}, \"size\": [512, 512], \"time\": 64}",
+        )
+        .unwrap();
+        assert_eq!(
+            advisor.canonical_key(&inline),
+            "v2|dev=2541a2bb513ece3a|st=custom-f1c9177e872b4e47|s=512x512x1|t=64|\
+             within=3fb999999999999a|top=10|val=false|mb=16x24301|space=d222d0e0df078a12|cal=none"
+        );
     }
 
     #[test]

@@ -2,24 +2,36 @@
 //! advisor.
 //!
 //! `experiments serve --listen ADDR` runs this server. Each accepted
-//! connection gets a reader thread (parses lines, admits work) and a
-//! writer thread (delivers answers back **in input order**); a shared
-//! worker pool drains one bounded queue in small batches. The moving
-//! parts, and the load-shedding story:
+//! connection gets a reader thread (reads and parses lines, answers
+//! warm hits, admits misses) and a writer thread (delivers answers back
+//! **in input order**); a shared worker pool drains one bounded queue
+//! of misses in small batches. The moving parts, and the load-shedding
+//! story:
 //!
+//! * **Hits answered on the reader** — the reader computes each query's
+//!   canonical key and probes the answer store and the in-memory cache
+//!   itself. A hit is answered on the spot: a store hit is the echoed
+//!   `id` spliced onto the entry's pre-serialized bytes, with no queue,
+//!   no worker hand-off and no coalescing window. Only misses become
+//!   queued requests, carrying the key the reader already computed.
 //! * **Bounded admission** — the global queue and a per-connection
 //!   outstanding-line cap are both hard bounds. A line that would
 //!   exceed either is *shed* immediately with an explicit
 //!   `{"error":"overloaded", ...}` response (counted on
 //!   `advisor.shed`) instead of buffering without bound; the client
-//!   sees backpressure as data, not as silence.
-//! * **Cross-client coalescing** — a worker pops a batch (everything
-//!   queued, topped up for at most `batch_window`), groups it by
-//!   canonical key, and evaluates each distinct key **once**, whoever
-//!   sent the duplicates. Duplicate members are answered from the
-//!   group's single computation (counted on `advisor.coalesced`) and
-//!   are byte-identical to a serially computed answer, bar the echoed
-//!   `id`.
+//!   sees backpressure as data, not as silence. The per-connection cap
+//!   applies to hits too.
+//! * **Bounded lines** — a line longer than [`MAX_LINE_BYTES`] gets
+//!   `{"error":"line too long"}` in its slot (counted on
+//!   `advisor.line_too_long`); the rest of it is discarded unread into
+//!   memory and the connection survives.
+//! * **Cross-client coalescing of misses** — a worker pops a batch
+//!   (everything queued, topped up for at most `batch_window`), groups
+//!   it by canonical key, and evaluates each distinct key **once**,
+//!   whoever sent the duplicates. Duplicate members are answered from
+//!   the group's single computation (counted on `advisor.coalesced`,
+//!   which therefore counts coalesced misses only) and are
+//!   byte-identical to a serially computed answer, bar the echoed `id`.
 //! * **Deadlines from arrival** — a query's `timeout_ms` clock starts
 //!   when the line is parsed, so time spent waiting in the queue
 //!   counts against it: under load a deadlined validation query
@@ -35,11 +47,15 @@
 use crate::serve::{error_line, overloaded_line, parse_slot};
 use crate::{Advisor, Query};
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
+
+/// Longest input line the server reads, in bytes (terminator
+/// excluded); a longer line is answered with an error and skipped.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// Tuning knobs of one server instance.
 #[derive(Debug, Clone)]
@@ -70,9 +86,11 @@ impl Default for ServerConfig {
     }
 }
 
-/// One admitted query waiting for a worker.
+/// One admitted miss waiting for a worker.
 struct Request {
     query: Query,
+    /// The query's canonical key, computed once on the reader.
+    key: String,
     /// Absolute deadline, anchored at parse time (queue wait counts).
     deadline: Option<Instant>,
     conn: Arc<Conn>,
@@ -264,6 +282,7 @@ impl Server {
             let stop = Arc::clone(&stop);
             let queue = Arc::clone(&queue);
             let conns = Arc::clone(&conns);
+            let advisor = Arc::clone(&advisor);
             let cfg = cfg.clone();
             std::thread::spawn(move || {
                 let mut next_id = 0u64;
@@ -281,11 +300,12 @@ impl Server {
                             .unwrap_or_else(|e| e.into_inner())
                             .insert(id, handle);
                     }
+                    let advisor = Arc::clone(&advisor);
                     let queue = Arc::clone(&queue);
                     let cfg = cfg.clone();
                     let conns = Arc::clone(&conns);
                     std::thread::spawn(move || {
-                        serve_connection(stream, &queue, &cfg);
+                        serve_connection(stream, &advisor, &queue, &cfg);
                         conns.lock().unwrap_or_else(|e| e.into_inner()).remove(&id);
                     });
                 }
@@ -333,7 +353,7 @@ impl Server {
 
 /// Reader + writer of one connection. Runs on the reader's thread; the
 /// writer is spawned here and joined before returning.
-fn serve_connection(stream: TcpStream, queue: &Arc<Queue>, cfg: &ServerConfig) {
+fn serve_connection(stream: TcpStream, advisor: &Advisor, queue: &Queue, cfg: &ServerConfig) {
     let _span = obs::span("advisor.connection", "advisor");
     let conn = Conn::new();
     let write_stream = match stream.try_clone() {
@@ -345,46 +365,114 @@ fn serve_connection(stream: TcpStream, queue: &Arc<Queue>, cfg: &ServerConfig) {
         std::thread::spawn(move || write_loop(&conn, write_stream))
     };
 
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
     let mut seq = 0u64;
-    for line in BufReader::new(stream).lines() {
-        let Ok(line) = line else { break };
-        let Some(parsed) = parse_slot(&line) else {
-            continue; // blank line
-        };
-        match parsed {
-            Err(msg) => {
-                conn.outstanding.fetch_add(1, Ordering::SeqCst);
-                conn.complete(seq, error_line(&msg));
+    loop {
+        let parsed = match read_line(&mut reader, &mut buf) {
+            Ok(Line::Eof) | Err(_) => break,
+            Ok(Line::TooLong) => {
+                obs::counter("advisor.line_too_long", 1);
+                Err("line too long".to_string())
             }
-            Ok(query) => {
-                // Backpressure, both bounds checked before admission.
-                if conn.outstanding.load(Ordering::SeqCst) >= cfg.conn_queue_cap {
-                    obs::counter("advisor.shed", 1);
-                    conn.outstanding.fetch_add(1, Ordering::SeqCst);
-                    conn.complete(seq, overloaded_line(query.id.as_deref()));
-                } else {
-                    let deadline = query
-                        .timeout_ms
-                        .map(|ms| Instant::now() + Duration::from_millis(ms));
-                    conn.outstanding.fetch_add(1, Ordering::SeqCst);
-                    let request = Request {
-                        query,
-                        deadline,
-                        conn: Arc::clone(&conn),
-                        seq,
-                    };
-                    if let Err(rejected) = queue.try_push(request) {
-                        obs::counter("advisor.shed", 1);
-                        let line = overloaded_line(rejected.query.id.as_deref());
-                        rejected.conn.complete(rejected.seq, line);
-                    }
+            Ok(Line::Read) => match std::str::from_utf8(&buf) {
+                Ok(text) => match parse_slot(text) {
+                    Some(parsed) => parsed,
+                    None => continue, // blank line
+                },
+                Err(_) => {
+                    obs::counter("advisor.query_errors", 1);
+                    Err("line is not valid UTF-8".to_string())
                 }
+            },
+        };
+        // Backpressure: the per-connection bound is checked before
+        // admission, the queue's at the push.
+        let over_cap = conn.outstanding.load(Ordering::SeqCst) >= cfg.conn_queue_cap;
+        conn.outstanding.fetch_add(1, Ordering::SeqCst);
+        match parsed {
+            Err(msg) => conn.complete(seq, error_line(&msg)),
+            Ok(query) if over_cap => {
+                obs::counter("advisor.shed", 1);
+                conn.complete(seq, overloaded_line(query.id.as_deref()));
             }
+            Ok(query) => admit(advisor, queue, &conn, seq, query),
         }
         seq += 1;
     }
     conn.finish(seq);
     let _ = writer.join();
+}
+
+/// Answer a warm hit on the spot; queue a miss for the workers, or shed
+/// it when the queue is full.
+fn admit(advisor: &Advisor, queue: &Queue, conn: &Arc<Conn>, seq: u64, query: Query) {
+    let t0 = Instant::now();
+    let key = advisor.canonical_key(&query);
+    if let Some(hit) = advisor.warm(&key, t0) {
+        conn.complete(seq, hit.line(query.id.as_deref()));
+        return;
+    }
+    let deadline = query.timeout_ms.map(|ms| t0 + Duration::from_millis(ms));
+    let request = Request {
+        query,
+        key,
+        deadline,
+        conn: Arc::clone(conn),
+        seq,
+    };
+    if let Err(rejected) = queue.try_push(request) {
+        obs::counter("advisor.shed", 1);
+        let line = overloaded_line(rejected.query.id.as_deref());
+        rejected.conn.complete(rejected.seq, line);
+    }
+}
+
+/// What [`read_line`] found.
+enum Line {
+    /// A line of at most [`MAX_LINE_BYTES`], now in the buffer.
+    Read,
+    /// A longer line, discarded through its terminator.
+    TooLong,
+    /// End of input.
+    Eof,
+}
+
+/// Read the next line, without its `\n`, into `buf`, holding at most
+/// [`MAX_LINE_BYTES`] + 1 bytes of it in memory.
+fn read_line(r: &mut impl BufRead, buf: &mut Vec<u8>) -> std::io::Result<Line> {
+    buf.clear();
+    let n = r
+        .by_ref()
+        .take(MAX_LINE_BYTES as u64 + 1)
+        .read_until(b'\n', buf)?;
+    if n == 0 {
+        return Ok(Line::Eof);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        return Ok(Line::Read);
+    }
+    if buf.len() <= MAX_LINE_BYTES {
+        return Ok(Line::Read); // the last line, unterminated
+    }
+    loop {
+        let chunk = r.fill_buf()?;
+        if chunk.is_empty() {
+            break;
+        }
+        match chunk.iter().position(|&b| b == b'\n') {
+            Some(i) => {
+                r.consume(i + 1);
+                break;
+            }
+            None => {
+                let len = chunk.len();
+                r.consume(len);
+            }
+        }
+    }
+    Ok(Line::TooLong)
 }
 
 /// Drain completed answers to the socket in input order. Every ready
@@ -431,8 +519,8 @@ fn write_loop(conn: &Conn, stream: TcpStream) {
     }
 }
 
-/// One worker: pop a batch, coalesce by canonical key, answer each
-/// distinct key once, fan the answer out to every member.
+/// One worker: pop a batch of misses, coalesce by canonical key,
+/// answer each distinct key once, fan the answer out to every member.
 fn worker_loop(advisor: &Advisor, queue: &Queue, cfg: &ServerConfig) {
     loop {
         let batch = queue.pop_batch(cfg.max_batch, cfg.batch_window);
@@ -441,19 +529,18 @@ fn worker_loop(advisor: &Advisor, queue: &Queue, cfg: &ServerConfig) {
         }
         let total = batch.len();
         // Group members by canonical key, preserving first-seen order.
-        let mut groups: Vec<(String, Vec<Request>)> = Vec::new();
+        let mut groups: Vec<Vec<Request>> = Vec::new();
         for r in batch {
-            let key = advisor.canonical_key(&r.query);
-            match groups.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, members)) => members.push(r),
-                None => groups.push((key, vec![r])),
+            match groups.iter_mut().find(|g| g[0].key == r.key) {
+                Some(members) => members.push(r),
+                None => groups.push(vec![r]),
             }
         }
         let coalesced = total - groups.len();
         if coalesced > 0 && obs::active() {
             obs::counter("advisor.coalesced", coalesced as u64);
         }
-        for (_, members) in groups {
+        for members in groups {
             // Most permissive deadline in the group: an answer computed
             // for the patient member is free for the hurried one.
             let deadline = if members.iter().any(|m| m.deadline.is_none()) {
@@ -461,7 +548,8 @@ fn worker_loop(advisor: &Advisor, queue: &Queue, cfg: &ServerConfig) {
             } else {
                 members.iter().filter_map(|m| m.deadline).max()
             };
-            let answer = advisor.advise_at(&members[0].query, deadline);
+            let first = &members[0];
+            let answer = advisor.advise_keyed(&first.query, &first.key, Instant::now(), deadline);
             // Serialize once; a member only pays for its own
             // serialization when its echoed id differs (candidate
             // float formatting dominates the response cost).

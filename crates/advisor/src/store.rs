@@ -8,8 +8,10 @@
 //! advisory pipeline and writes the answers to a compact JSONL table;
 //! the server loads that table at startup and answers steady-state
 //! traffic with a pure hash lookup — **zero model evaluations**, no
-//! locks, no allocation beyond the response clone (asserted by the
-//! `advisor.store_hits` vs `advisor.model_evals` counters).
+//! locks (asserted by the `advisor.store_hits` vs `advisor.model_evals`
+//! counters). Each entry is serialized once, when it is inserted: a hit
+//! is the echoed `id` spliced onto the stored bytes
+//! ([`line`](AnswerStore::line)), never a re-serialization.
 //!
 //! File format (one JSON object per line):
 //!
@@ -36,11 +38,30 @@ use std::collections::HashMap;
 use std::io::{BufRead, BufWriter, Write};
 use std::path::Path;
 
+/// How an id-less answer line starts; an [`Entry`] keeps what follows.
+const ID_NULL: &str = "{\"id\":null";
+
+/// One stored answer, serialized once at insert.
+#[derive(Debug)]
+pub(crate) struct Entry {
+    pub(crate) advice: Advice,
+    /// The answer line after [`ID_NULL`].
+    tail: String,
+}
+
+impl Entry {
+    /// The answer line with `id` echoed.
+    pub(crate) fn line(&self, id: Option<&str>) -> String {
+        let id = serde_json::to_string(&id).expect("id serializes");
+        format!("{{\"id\":{id}{}", self.tail)
+    }
+}
+
 /// The in-memory answer table: read-only after load, shared behind an
 /// `Arc`, safe to probe from every worker with no lock at all.
 #[derive(Debug)]
 pub struct AnswerStore {
-    map: HashMap<String, Advice>,
+    map: HashMap<String, Entry>,
     git_rev: String,
     seed: u64,
     citer_samples: u64,
@@ -86,17 +107,35 @@ impl AnswerStore {
         &self.git_rev
     }
 
-    /// Pure lookup: the steady-state serving path. Stored answers carry
-    /// no `id`; the caller echoes the query's own.
+    /// Pure lookup. Stored answers carry no `id`; the caller echoes the
+    /// query's own.
     pub fn get(&self, key: &str) -> Option<Advice> {
-        self.map.get(key).cloned()
+        self.map.get(key).map(|e| e.advice.clone())
+    }
+
+    /// The steady-state serving path: the answer line for `key` with
+    /// `id` echoed, byte-identical to `get(key)` with that `id` set and
+    /// rendered by [`Advice::to_json_line`].
+    pub fn line(&self, key: &str, id: Option<&str>) -> Option<String> {
+        self.entry(key).map(|e| e.line(id))
+    }
+
+    pub(crate) fn entry(&self, key: &str) -> Option<&Entry> {
+        self.map.get(key)
     }
 
     /// Add one precomputed answer under its canonical key. The `id` is
     /// stripped so the stored bytes are query-independent.
     pub fn insert(&mut self, key: String, mut advice: Advice) {
         advice.id = None;
-        self.map.insert(key, advice);
+        let line = advice.to_json_line();
+        // `Advice` serializes `id` first, so everything after the null
+        // id is the same for every id a query may echo.
+        let tail = line
+            .strip_prefix(ID_NULL)
+            .expect("advice serializes its id first")
+            .to_string();
+        self.map.insert(key, Entry { advice, tail });
     }
 
     /// Compute and insert the answers for `queries` through `advisor`
@@ -148,7 +187,7 @@ impl AnswerStore {
             for key in keys {
                 let entry = Value::Map(vec![
                     ("key".into(), Value::Str(key.clone())),
-                    ("advice".into(), self.map[key].to_value()),
+                    ("advice".into(), self.map[key].advice.to_value()),
                 ]);
                 writeln!(w, "{}", serde_json::to_string(&entry).expect("entry"))?;
             }
@@ -224,29 +263,34 @@ impl AnswerStore {
             get(h, "citer_samples").ok_or("store header missing 'citer_samples'")?,
             "citer_samples",
         )?;
-        let mut map = HashMap::new();
-        for (i, line) in lines.enumerate() {
-            let line = line.map_err(|e| format!("{}: {e}", path.display()))?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let value = serde_json::from_str(&line)
-                .map_err(|e| format!("{}: entry {}: {e}", path.display(), i + 1))?;
-            let m = as_map(&value, "store entry")?;
-            let key = as_str(get(m, "key").ok_or("store entry missing 'key'")?, "key")?;
-            let advice =
-                Advice::from_value(get(m, "advice").ok_or("store entry missing 'advice'")?)
-                    .map_err(|e| format!("{}: entry {}: {e}", path.display(), i + 1))?;
-            map.insert(key.to_string(), advice);
-        }
-        Ok(AnswerStore {
-            map,
+        let mut store = AnswerStore {
+            map: HashMap::new(),
             git_rev,
             seed,
             citer_samples,
             calib_rev,
-        })
+        };
+        for (i, line) in lines.enumerate() {
+            let line = line.map_err(|e| format!("{}: entry {}: {e}", path.display(), i + 1))?;
+            if line.trim().is_empty() {
+                continue;
+            }
+            let (key, advice) = parse_entry(&line)
+                .map_err(|e| format!("{}: entry {}: {e}", path.display(), i + 1))?;
+            store.insert(key, advice);
+        }
+        Ok(store)
     }
+}
+
+/// One `{"key":...,"advice":{...}}` line of a store file. A line cut
+/// off mid-entry (a crash during append) fails here as invalid JSON.
+fn parse_entry(line: &str) -> Result<(String, Advice), String> {
+    let value = serde_json::from_str(line).map_err(|e| e.to_string())?;
+    let m = as_map(&value, "store entry")?;
+    let key = as_str(get(m, "key").ok_or("store entry missing 'key'")?, "key")?;
+    let advice = Advice::from_value(get(m, "advice").ok_or("store entry missing 'advice'")?)?;
+    Ok((key.to_string(), advice))
 }
 
 /// The precompute grid: every (device, stencil, space-extent bucket,
@@ -327,6 +371,50 @@ mod tests {
             assert_eq!(stored.to_json_line(), direct.to_json_line());
         }
         assert!(back.get("v2|no-such-key").is_none());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn torn_final_line_is_an_error_naming_the_entry() {
+        let advisor = Advisor::new(AdvisorConfig::default());
+        let queries = grid_queries(
+            &[DeviceConfig::gtx980()],
+            &[StencilKind::Heat2D.into()],
+            &[96, 128],
+            &[8],
+            0.10,
+            5,
+        )
+        .unwrap();
+        let mut store = AnswerStore::empty(0x5EED, 16);
+        store.precompute(&advisor, &queries);
+        let path = temp_path("torn");
+        store.write(&path).unwrap();
+        let whole = std::fs::read(&path).unwrap();
+        // The file ends "...}\n"; the last entry starts after the
+        // second-to-last newline.
+        let last = whole[..whole.len() - 1]
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .unwrap()
+            + 1;
+        // Cuts strictly inside the last entry, as after a crash during
+        // append (with or without a trailing newline), down to the one
+        // that loses only its closing brace. A stride keeps the number
+        // of loads (each asks git for the revision) small.
+        let cuts = (last + 1..whole.len() - 1)
+            .step_by(37)
+            .chain([whole.len() - 2]);
+        for cut in cuts {
+            for tail in [&b""[..], &b"\n"[..]] {
+                let mut torn = whole[..cut].to_vec();
+                torn.extend_from_slice(tail);
+                std::fs::write(&path, &torn).unwrap();
+                let err =
+                    AnswerStore::load(&path, false, None).expect_err("a torn entry must not load");
+                assert!(err.contains("entry 2:"), "cut at {cut}: {err}");
+            }
+        }
         let _ = std::fs::remove_file(&path);
     }
 

@@ -1,15 +1,19 @@
 //! Integration tests of the concurrent socket server: round-trip byte
 //! identity against the direct API, malformed-line survival,
 //! cross-client coalescing, store-backed zero-model-eval serving,
-//! backpressure shedding, and arrival-anchored deadlines.
+//! input-order answers when hits overtake misses, spliced store answers
+//! for any echoed id, oversized-line rejection, backpressure shedding,
+//! and arrival-anchored deadlines.
 //!
 //! Tests that install a telemetry recorder share one process-global
 //! lock — the obs recorder slot is process-wide.
 
+use advisor::server::MAX_LINE_BYTES;
 use advisor::{Advisor, AdvisorConfig, AnswerStore, Query, Server, ServerConfig};
+use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 fn lock_obs() -> MutexGuard<'static, ()> {
@@ -32,10 +36,17 @@ fn start_server(advisor: Advisor, cfg: ServerConfig) -> Server {
 /// Send `lines` over one connection, shut down the write half, and
 /// collect every response line.
 fn roundtrip(server: &Server, lines: &[String]) -> Vec<String> {
-    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    let mut bytes = Vec::new();
     for line in lines {
-        writeln!(stream, "{line}").expect("send");
+        writeln!(bytes, "{line}").unwrap();
     }
+    roundtrip_bytes(server, &bytes)
+}
+
+/// [`roundtrip`] for raw input bytes.
+fn roundtrip_bytes(server: &Server, bytes: &[u8]) -> Vec<String> {
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream.write_all(bytes).expect("send");
     stream
         .shutdown(std::net::Shutdown::Write)
         .expect("half-close");
@@ -308,4 +319,136 @@ fn deadline_is_anchored_at_arrival_so_queue_wait_degrades() {
         "model ranking still served: {}",
         responses[0]
     );
+}
+
+/// A store holding the answer to each of `lines`, precomputed by
+/// `advisor`.
+fn store_of(advisor: &Advisor, lines: &[String]) -> AnswerStore {
+    let queries: Vec<Query> = lines
+        .iter()
+        .map(|l| Query::parse_line(l).unwrap())
+        .collect();
+    let mut store = AnswerStore::empty(0x5EED, 16);
+    assert_eq!(store.precompute(advisor, &queries), queries.len());
+    store
+}
+
+#[test]
+fn hits_overtaking_misses_keep_input_order_and_bytes() {
+    let _g = lock_obs();
+    let oracle = Advisor::with_defaults();
+    let b = "{\"device\": \"GTX 980\", \"stencil\": \"Heat2D\", \"size\": [128, 128], \"time\": 8}";
+    let store = store_of(&oracle, &[b.to_string()]);
+
+    let rec = Arc::new(obs::MemoryRecorder::new(obs::Level::Quiet));
+    obs::install(rec.clone());
+    // A long window holds the cold miss in the queue while the hits
+    // behind it are answered on the reader.
+    let server = start_server(
+        Advisor::new(AdvisorConfig {
+            store: Some(Arc::new(store)),
+            ..AdvisorConfig::default()
+        }),
+        ServerConfig {
+            workers: 1,
+            batch_window: Duration::from_millis(50),
+            ..ServerConfig::default()
+        },
+    );
+    let lines = [
+        query_line("a1", "Jacobi2D", 96),    // cold miss
+        b.to_string(),                       // store hit, no id
+        "{\"device\": ".to_string(),         // malformed
+        b.replace("{", "{\"id\": \"b2\", "), // store hit, with an id
+        query_line("a2", "Jacobi2D", 96),    // the miss again
+    ];
+    let responses = roundtrip(&server, &lines);
+    server.shutdown();
+    obs::uninstall();
+
+    assert_eq!(responses.len(), 5);
+    for i in [0, 1, 3, 4] {
+        let serial = oracle.advise(&Query::parse_line(&lines[i]).unwrap());
+        assert_eq!(responses[i], serial.to_json_line(), "line {i}");
+    }
+    assert!(responses[2].starts_with("{\"error\":"), "{}", responses[2]);
+    let snap = rec.snapshot();
+    assert_eq!(snap.counter("advisor.model_evals"), 1);
+    assert_eq!(snap.counter("advisor.store_hits"), 2);
+    assert_eq!(snap.counter("advisor.query_errors"), 1);
+}
+
+#[test]
+fn oversized_line_gets_an_error_and_the_next_query_its_answer() {
+    let _g = lock_obs();
+    let rec = Arc::new(obs::MemoryRecorder::new(obs::Level::Quiet));
+    obs::install(rec.clone());
+    let server = start_server(Advisor::with_defaults(), ServerConfig::default());
+    // 1 MiB of a JSON string: it would parse if it were read whole.
+    let long = format!("{{\"id\": \"{}\"}}", "x".repeat(1 << 20));
+    let ok = query_line("after", "Heat2D", 96);
+    let responses = roundtrip(&server, &[long, ok.clone()]);
+    server.shutdown();
+    obs::uninstall();
+
+    assert_eq!(responses.len(), 2);
+    assert_eq!(responses[0], "{\"error\":\"line too long\"}");
+    let direct = Advisor::with_defaults().advise(&Query::parse_line(&ok).unwrap());
+    assert_eq!(responses[1], direct.to_json_line());
+    let snap = rec.snapshot();
+    assert_eq!(snap.counter("advisor.line_too_long"), 1);
+    assert_eq!(snap.counter("advisor.query_errors"), 0);
+}
+
+#[test]
+fn line_edges_a_line_at_the_cap_is_read_and_bad_utf8_is_an_error() {
+    let _g = lock_obs();
+    let server = start_server(Advisor::with_defaults(), ServerConfig::default());
+    // Leading blanks bring the line to exactly the cap; one more blank
+    // (a line that would otherwise be skipped as blank) is over it.
+    let q = query_line("cap", "Heat2D", 96);
+    let mut input = " ".repeat(MAX_LINE_BYTES - q.len()).into_bytes();
+    input.extend_from_slice(format!("{q}\n").as_bytes());
+    input.extend_from_slice(" ".repeat(MAX_LINE_BYTES + 1).as_bytes());
+    input.extend_from_slice(b"\n{\"id\": \"\xff\xfe\"}\n");
+    input.extend_from_slice(query_line("end", "Heat2D", 96).as_bytes()); // unterminated
+    let responses = roundtrip_bytes(&server, &input);
+    server.shutdown();
+    assert_eq!(responses.len(), 4);
+    assert!(responses[0].contains("\"id\":\"cap\""), "{}", responses[0]);
+    assert_eq!(responses[1], "{\"error\":\"line too long\"}");
+    assert_eq!(responses[2], "{\"error\":\"line is not valid UTF-8\"}");
+    assert!(responses[3].contains("\"id\":\"end\""), "{}", responses[3]);
+}
+
+/// Characters an echoed id may hold that JSON must escape, or that are
+/// multi-byte in UTF-8.
+const ID_CHARS: &[char] = &[
+    'a', 'Z', '7', ' ', '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{1f}', '\u{7f}', 'é', '€',
+    '\u{2028}', '😀',
+];
+
+fn ids() -> impl Strategy<Value = Option<String>> {
+    (0u8..6, prop::collection::vec(0..ID_CHARS.len(), 0..10)).prop_map(|(tag, chars)| {
+        (tag > 0).then(|| chars.into_iter().map(|i| ID_CHARS[i]).collect())
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn spliced_store_lines_equal_serialized_answers(id in ids()) {
+        static SETUP: OnceLock<(Advisor, AnswerStore, Query)> = OnceLock::new();
+        let (advisor, store, q) = SETUP.get_or_init(|| {
+            let advisor = Advisor::with_defaults();
+            let line = query_line("x", "Heat2D", 64);
+            let store = store_of(&advisor, std::slice::from_ref(&line));
+            (advisor, store, Query::parse_line(&line).unwrap())
+        });
+        let mut q = q.clone();
+        q.id = id;
+        let spliced = store.line(&advisor.canonical_key(&q), q.id.as_deref()).unwrap();
+        prop_assert_eq!(spliced, advisor.advise(&q).to_json_line());
+    }
 }

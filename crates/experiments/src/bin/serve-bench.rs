@@ -223,7 +223,7 @@ fn print_help() {
            --workers N           server worker threads\n\
            --queue-cap N         shared admission queue bound\n\
            --conn-queue-cap N    per-connection outstanding-line bound\n\
-           --window-us N         batch coalescing window, microseconds\n\
+           --window-us N         miss coalescing window, microseconds\n\
            --max-batch N         max requests per worker batch\n\n\
          EXTERNAL MODE:\n\
            --addr HOST:PORT      replay against an already-running server\n\

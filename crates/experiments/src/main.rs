@@ -506,8 +506,9 @@ fn print_serve_help() {
          to end-of-input, answers the whole batch — duplicate queries are\n\
          computed once — and writes one answer line per query on stdout, in\n\
          input order. With --listen, runs the concurrent socket server\n\
-         instead: many JSON-lines connections on a worker pool, with\n\
-         cross-client coalescing, bounded queues (explicit 'overloaded'\n\
+         instead: many JSON-lines connections, store and memory-cache hits\n\
+         answered on each connection's reader, misses coalesced across\n\
+         clients on a worker pool, bounded queues (explicit 'overloaded'\n\
          shedding), and optional precomputed-answer serving. See README.md,\n\
          sections \"Advisor service\" and \"Serving at scale\".\n\n\
          FLAGS:\n\
@@ -526,7 +527,7 @@ fn print_serve_help() {
            --workers N           socket worker threads (default: core count)\n\
            --queue-cap N         shared admission queue bound (default: 1024)\n\
            --conn-queue-cap N    per-connection outstanding-line bound (default: 128)\n\
-           --window-us N         batch coalescing window in us (default: 500)\n\
+           --window-us N         miss coalescing window in us (default: 500)\n\
            --max-batch N         max requests per worker batch (default: 64)\n\
            --cache-dir DIR       on-disk answer cache (default: {}/advisor_cache);\n\
                                  entries are invalidated by any git revision change\n\
