@@ -9,7 +9,7 @@
 #   crates/time-model  — the DimSpec formula tables (Eqns 2-30)
 #
 # Every other crate consumes the dimension-generic surface (Workload,
-# DimSpec, from_coords/from_extents, benchmarks_for, rank()). A D[0-9]
+# DimSpec, from_coords/from_extents, StencilDescriptor::paper, rank()). A D[0-9]
 # match arm anywhere else means per-dimension logic is leaking back out
 # of the dispatch home — fail the build and point at the offender.
 set -euo pipefail
@@ -28,35 +28,8 @@ if [ -n "$offenders" ]; then
   echo >&2
   echo "Route the logic through stencil-core's dimension-generic API" >&2
   echo "(Workload, TileSizes::from_coords, LaunchConfig::from_extents," >&2
-  echo " StencilKind::benchmarks_for, dim.rank()) or time-model::DimSpec." >&2
+  echo " StencilDescriptor::paper, dim.rank()) or time-model::DimSpec." >&2
   exit 1
 fi
 
-# Per-kind dispatch guard.
-#
-# After the descriptor refactor, stencil semantics (footprint, halo,
-# coefficients, FLOPs) derive from StencilDescriptor. `match` over
-# `StencilKind` — and per-kind `StencilKind::X =>` arms generally — are
-# allowed only inside crates/core, where the presets and their
-# descriptor elaboration live. Everywhere else, matching on the kind
-# enum means a layer is special-casing paper benchmarks instead of
-# consuming the descriptor surface, and a new zoo stencil would silently
-# take a different code path.
-kind_offenders=$(grep -rnE '(match[[:space:]].*StencilKind|StencilKind::[A-Z][A-Za-z0-9]*[[:space:]]*(\|[[:space:]]*StencilKind::[A-Z][A-Za-z0-9]*[[:space:]]*)*=>)' \
-  --include='*.rs' \
-  src tests examples crates shims 2>/dev/null \
-  | grep -vE '^crates/core/' || true)
-
-if [ -n "$kind_offenders" ]; then
-  echo "error: per-kind StencilKind dispatch outside crates/core:" >&2
-  echo >&2
-  echo "$kind_offenders" >&2
-  echo >&2
-  echo "Derive the behaviour from StencilDescriptor (footprint, radius," >&2
-  echo "coefficients, flops_per_point, fingerprint) so presets and zoo" >&2
-  echo "stencils share one code path." >&2
-  exit 1
-fi
-
-echo "dispatch guard: OK (no per-dimension match arms outside crates/core, crates/time-model;"
-echo "                    no per-kind StencilKind dispatch outside crates/core)"
+echo "dispatch guard: OK (no per-dimension match arms outside crates/core, crates/time-model)"

@@ -554,14 +554,14 @@ fn record_latency(outcome: &str, t0: Instant) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stencil_core::{ProblemSize, StencilKind};
+    use stencil_core::{ProblemSize, StencilDescriptor};
 
     fn heat_query(id: &str) -> Query {
         Query {
             id: Some(id.into()),
             workload: gpu_sim::Workload::new(
                 DeviceConfig::gtx980(),
-                StencilKind::Heat2D,
+                StencilDescriptor::heat2d(),
                 ProblemSize::new_2d(128, 128, 16),
             )
             .unwrap(),

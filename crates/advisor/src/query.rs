@@ -300,21 +300,11 @@ fn parse_inline_stencil(entries: &[(String, Value)]) -> Result<StencilDescriptor
     let coeffs_v = get(entries, "coefficients").ok_or("missing stencil field 'coefficients'")?;
     let mut coefficients = Vec::new();
     for c in as_seq(coeffs_v, "stencil.coefficients")? {
-        let x = as_f64(c, "stencil coefficient")?;
-        if !x.is_finite() {
-            return Err("stencil coefficients must be finite".into());
-        }
-        coefficients.push(x as f32);
+        coefficients.push(as_f64(c, "stencil coefficient")? as f32);
     }
     let constant = match get(entries, "constant") {
         None => 0.0,
-        Some(v) => {
-            let x = as_f64(v, "stencil.constant")?;
-            if !x.is_finite() {
-                return Err("stencil.constant must be finite".into());
-            }
-            x as f32
-        }
+        Some(v) => as_f64(v, "stencil.constant")? as f32,
     };
     let extra_flops = match get(entries, "extra_flops") {
         None => 0,
@@ -364,10 +354,7 @@ mod tests {
         .unwrap();
         assert_eq!(q.id, None);
         assert_eq!(q.workload.device.name, "GTX 980");
-        assert_eq!(
-            q.workload.stencil.preset_kind(),
-            Some(stencil_core::StencilKind::Heat2D)
-        );
+        assert_eq!(q.workload.stencil, StencilDescriptor::heat2d());
         assert_eq!(q.workload.size, ProblemSize::new_2d(512, 512, 64));
         assert!(q.workload.validate().is_ok());
         assert_eq!(q.within, 0.10);
@@ -417,7 +404,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(q.workload.stencil, StencilDescriptor::lap4_2d());
-        assert_eq!(q.workload.stencil.preset_kind(), None);
     }
 
     #[test]
@@ -505,5 +491,28 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("'star' or 'box'"), "{err}");
+    }
+
+    #[test]
+    fn extreme_inline_values_are_errors_not_panics() {
+        let inline = |stencil: &str| {
+            Query::parse_line(&format!(
+                r#"{{"device": "gtx980", "stencil": {stencil}, "size": [512], "time": 64}}"#
+            ))
+            .unwrap_err()
+        };
+        // Negating i64::MIN overflows; validation must not negate it.
+        let err = inline(
+            r#"{"name": "far", "dim": 1, "offsets": [[-9223372036854775808]],
+                "coefficients": [1.0]}"#,
+        );
+        assert!(err.contains("invalid stencil descriptor"), "{err}");
+        // Finite as f64, infinite once stored as f32.
+        let err = inline(r#"{"name": "huge", "dim": 1, "coefficients": [0.5, 1e39, 0.5]}"#);
+        assert!(err.contains("coefficient #1 is inf"), "{err}");
+        let err = inline(
+            r#"{"name": "huge", "dim": 1, "coefficients": [0.5, 0.25, 0.25], "constant": -1e39}"#,
+        );
+        assert!(err.contains("constant is -inf"), "{err}");
     }
 }

@@ -335,7 +335,7 @@ mod tests {
     use super::*;
     use crate::AdvisorConfig;
     use gpu_sim::DeviceConfig;
-    use stencil_core::StencilKind;
+    use stencil_core::StencilDescriptor;
 
     fn temp_path(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!(
@@ -350,7 +350,7 @@ mod tests {
         let advisor = Advisor::new(AdvisorConfig::default());
         let queries = grid_queries(
             &[DeviceConfig::gtx980()],
-            &[StencilKind::Heat2D.into()],
+            &[StencilDescriptor::heat2d()],
             &[96, 128],
             &[8],
             0.10,
@@ -379,7 +379,7 @@ mod tests {
         let advisor = Advisor::new(AdvisorConfig::default());
         let queries = grid_queries(
             &[DeviceConfig::gtx980()],
-            &[StencilKind::Heat2D.into()],
+            &[StencilDescriptor::heat2d()],
             &[96, 128],
             &[8],
             0.10,

@@ -113,9 +113,11 @@ fn malformed_inline_descriptors_error_without_dropping_the_connection() {
     let rec = Arc::new(obs::MemoryRecorder::new(obs::Level::Quiet));
     obs::install(rec.clone());
     let server = start_server(Advisor::with_defaults(), ServerConfig::default());
-    // An inline descriptor with the wrong coefficient count, then one
-    // with an unknown footprint, then a well-formed inline star —
-    // proving the connection survives descriptor validation failures.
+    // An inline descriptor with the wrong coefficient count, one with an
+    // unknown footprint, one whose offset is i64::MIN (negating it
+    // overflows), one whose coefficient is finite as f64 but infinite as
+    // f32, then a well-formed inline star — proving the connection
+    // survives descriptor validation failures.
     let bad_coeffs = "{\"id\": \"bc\", \"device\": \"GTX 980\", \"stencil\": \
          {\"name\": \"broken\", \"dim\": 2, \"coefficients\": [0.25, 0.25]}, \
          \"size\": [96, 96], \"time\": 8}";
@@ -123,20 +125,24 @@ fn malformed_inline_descriptors_error_without_dropping_the_connection() {
          {\"name\": \"hex\", \"dim\": 2, \"footprint\": \"hexagon\", \
           \"coefficients\": [0.2, 0.2, 0.2, 0.2, 0.2]}, \
          \"size\": [96, 96], \"time\": 8}";
+    let far = "{\"id\": \"far\", \"device\": \"GTX 980\", \"stencil\": \
+         {\"name\": \"far\", \"dim\": 1, \"offsets\": [[-9223372036854775808]], \
+          \"coefficients\": [1.0]}, \
+         \"size\": [96], \"time\": 8}";
+    let huge = "{\"id\": \"huge\", \"device\": \"GTX 980\", \"stencil\": \
+         {\"name\": \"huge\", \"dim\": 2, \
+          \"coefficients\": [0.2, 0.2, 1e39, 0.2, 0.2]}, \
+         \"size\": [96, 96], \"time\": 8}";
     let good = "{\"id\": \"inl\", \"device\": \"GTX 980\", \"stencil\": \
          {\"name\": \"mean5\", \"dim\": 2, \
           \"coefficients\": [0.2, 0.2, 0.2, 0.2, 0.2]}, \
          \"size\": [96, 96], \"time\": 8}";
-    let lines = [
-        bad_coeffs.to_string(),
-        bad_footprint.to_string(),
-        good.to_string(),
-    ];
+    let lines = [bad_coeffs, bad_footprint, far, huge, good].map(String::from);
     let responses = roundtrip(&server, &lines);
     server.shutdown();
     obs::uninstall();
 
-    assert_eq!(responses.len(), 3, "one response per line");
+    assert_eq!(responses.len(), 5, "one response per line");
     assert!(responses[0].starts_with("{\"error\":"), "{}", responses[0]);
     assert!(
         responses[0].contains("invalid stencil descriptor"),
@@ -145,13 +151,21 @@ fn malformed_inline_descriptors_error_without_dropping_the_connection() {
     );
     assert!(responses[1].starts_with("{\"error\":"), "{}", responses[1]);
     assert!(responses[1].contains("'star' or 'box'"), "{}", responses[1]);
+    assert!(responses[2].starts_with("{\"error\":"), "{}", responses[2]);
     assert!(
-        responses[2].contains("\"id\":\"inl\"") && responses[2].contains("\"candidates\":"),
-        "valid inline descriptor answered after the errors: {}",
+        responses[2].contains("Chebyshev radius"),
+        "{}",
         responses[2]
     );
+    assert!(responses[3].starts_with("{\"error\":"), "{}", responses[3]);
+    assert!(responses[3].contains("is inf as f32"), "{}", responses[3]);
+    assert!(
+        responses[4].contains("\"id\":\"inl\"") && responses[4].contains("\"candidates\":"),
+        "valid inline descriptor answered after the errors: {}",
+        responses[4]
+    );
     let snap = rec.snapshot();
-    assert_eq!(snap.counter("advisor.query_errors"), 2);
+    assert_eq!(snap.counter("advisor.query_errors"), 4);
     assert_eq!(snap.counter("advisor.queries"), 1);
 }
 

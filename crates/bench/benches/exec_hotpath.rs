@@ -9,13 +9,13 @@ use gpu_sim::DeviceConfig;
 use hhc_tiling::{run_tiled_with, ExecOptions, TileSizes};
 use microbench::measured_params_sampled;
 use std::hint::black_box;
-use stencil_core::{init, ProblemSize, StencilKind};
+use stencil_core::{init, ProblemSize, StencilDescriptor};
 use tile_opt::strategy::{baseline_points, evaluate_points, StrategyContext};
 use tile_opt::SpaceConfig;
 use time_model::ModelParams;
 
 fn bench_exec_paths(c: &mut Criterion) {
-    let spec = StencilKind::Jacobi2D.spec();
+    let spec = StencilDescriptor::jacobi2d().spec();
     let size = ProblemSize::new_2d(256, 256, 32);
     let tiles = TileSizes::new_2d(8, 32, 128);
     let grid = init::random(size.space_extents(), 0x42);
@@ -63,12 +63,13 @@ fn bench_exec_paths(c: &mut Criterion) {
 
 fn bench_strategy_memoization(c: &mut Criterion) {
     let device = DeviceConfig::gtx980();
-    let kind = StencilKind::Jacobi2D;
+    let stencil = StencilDescriptor::jacobi2d();
     let size = ProblemSize::new_2d(512, 512, 128);
-    let measured = measured_params_sampled(&device, &kind.into(), 8, 3);
+    let measured = measured_params_sampled(&device, &stencil, 8, 3);
     let params = ModelParams::from_measured(&device, &measured);
     let space = SpaceConfig::default();
-    let workload = gpu_sim::Workload::new(device, kind, size).expect("Jacobi2D is 2-dimensional");
+    let workload =
+        gpu_sim::Workload::new(device, stencil, size).expect("Jacobi2D is 2-dimensional");
     let points = baseline_points(&workload.device, workload.dim(), &space);
 
     let mut g = c.benchmark_group("strategy_eval");

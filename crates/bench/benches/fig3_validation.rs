@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use experiments::figures::validate_one;
 use std::hint::black_box;
-use stencil_core::{ProblemSize, StencilKind};
+use stencil_core::{ProblemSize, StencilDescriptor};
 use tile_opt::SpaceConfig;
 
 fn bench(c: &mut Criterion) {
@@ -13,7 +13,7 @@ fn bench(c: &mut Criterion) {
     let device = lab.devices[0].clone();
     let size = ProblemSize::new_2d(1024, 1024, 256);
     let space = SpaceConfig::default();
-    let r = validate_one(&lab, &device, &StencilKind::Jacobi2D.into(), &size, &space);
+    let r = validate_one(&lab, &device, &StencilDescriptor::jacobi2d(), &size, &space);
     println!(
         "[fig3] {} {} {}: RMSE(all) = {:.1}%, top-20%: n = {}, RMSE = {:.1}%",
         r.device,
@@ -28,7 +28,7 @@ fn bench(c: &mut Criterion) {
     g.bench_function("validate_850_points_jacobi2d_1024", |b| {
         b.iter(|| {
             black_box(
-                validate_one(&lab, &device, &StencilKind::Jacobi2D.into(), &size, &space)
+                validate_one(&lab, &device, &StencilDescriptor::jacobi2d(), &size, &space)
                     .rmse_top20,
             )
         })

@@ -18,10 +18,10 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use hhc_tiling::{run_tiled_with, ExecOptions, TileSizes};
 use std::hint::black_box;
 use std::sync::Arc;
-use stencil_core::{init, ProblemSize, StencilKind};
+use stencil_core::{init, ProblemSize, StencilDescriptor};
 
 fn bench_exec_with_and_without_telemetry(c: &mut Criterion) {
-    let spec = StencilKind::Jacobi2D.spec();
+    let spec = StencilDescriptor::jacobi2d().spec();
     let size = ProblemSize::new_2d(256, 256, 32);
     let tiles = TileSizes::new_2d(8, 32, 128);
     let grid = init::random(size.space_extents(), 0x42);

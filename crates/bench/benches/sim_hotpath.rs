@@ -13,11 +13,11 @@ use hhc_tiling::{
     TileSizes, TilingPlan,
 };
 use std::hint::black_box;
-use stencil_core::{init, ProblemSize, StencilKind};
+use stencil_core::{init, ProblemSize, StencilDescriptor};
 
 fn jacobi2d_workload() -> (DeviceConfig, SimWorkload) {
     let device = DeviceConfig::gtx980();
-    let spec = StencilKind::Jacobi2D.spec();
+    let spec = StencilDescriptor::jacobi2d().spec();
     let size = ProblemSize::new_2d(1024, 1024, 128);
     // (8, 32, 256) overflows gtx980 shared memory per block; 128 fits.
     let tiles = TileSizes::new_2d(8, 32, 128);
@@ -56,7 +56,7 @@ fn bench_kernel_scheduling(c: &mut Criterion) {
     // Hundreds of kernels sharing a few class vectors: the register
     // demand must be computed once per simulation, not once per lowered
     // class (which walked every kernel, O(N_w × classes)).
-    let spec = StencilKind::Jacobi2D.spec();
+    let spec = StencilDescriptor::jacobi2d().spec();
     let size = ProblemSize::new_2d(4096, 4096, 1024);
     let plan = TilingPlan::build(
         &spec,
@@ -78,7 +78,7 @@ fn bench_kernel_scheduling(c: &mut Criterion) {
 }
 
 fn bench_parallel_executor(c: &mut Criterion) {
-    let spec = StencilKind::Jacobi2D.spec();
+    let spec = StencilDescriptor::jacobi2d().spec();
     let size = ProblemSize::new_2d(256, 256, 32);
     let tiles = TileSizes::new_2d(8, 32, 128);
     let grid = init::random(size.space_extents(), 0x42);

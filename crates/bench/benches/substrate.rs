@@ -8,11 +8,11 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use gpu_sim::{simulate, DeviceConfig, SimWorkload};
 use hhc_tiling::{exec, HexTiling, LaunchConfig, TileSizes, TilingPlan};
 use std::hint::black_box;
-use stencil_core::{reference, Grid, ProblemSize, StencilKind};
+use stencil_core::{reference, Grid, ProblemSize, StencilDescriptor};
 use time_model::{predict, MeasuredParams, ModelParams};
 
 fn bench(c: &mut Criterion) {
-    let spec = StencilKind::Jacobi2D.spec();
+    let spec = StencilDescriptor::jacobi2d().spec();
     let device = DeviceConfig::gtx980();
 
     let mut g = c.benchmark_group("substrate");

@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use gpu_sim::DeviceConfig;
 use std::hint::black_box;
-use stencil_core::StencilKind;
+use stencil_core::StencilDescriptor;
 
 fn bench(c: &mut Criterion) {
     let lab = hhc_bench::bench_lab();
@@ -24,7 +24,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             black_box(microbench::measure_citer(
                 &device,
-                &StencilKind::Jacobi2D.into(),
+                &StencilDescriptor::jacobi2d(),
                 8,
                 1,
             ))

@@ -1,26 +1,25 @@
 //! Descriptor-driven stencil definitions: the open "stencil zoo".
 //!
-//! [`StencilKind`] is a closed enum of the paper's benchmarks. A
-//! [`StencilDescriptor`] is the open generalization — rank, radius,
-//! star-vs-box footprint, coefficient table, FLOP accounting — from
-//! which every layer of the workspace derives: the reference executor
-//! and row kernels (via [`StencilDescriptor::spec`]), the halo
-//! geometry in `time_model::DimSpec` (via [`StencilDescriptor::radius`]),
-//! the `Citer` microbench RNG streams (via
+//! A [`StencilDescriptor`] is the paper's Eqn (1) as data — rank,
+//! radius, star/box/custom footprint, coefficient table, constant and
+//! FLOP accounting — and the only way to name a stencil. Every layer of
+//! the workspace derives from it: the reference executor and row
+//! kernels (via [`StencilDescriptor::spec`]), the halo geometry in
+//! `time_model::DimSpec` (via [`StencilDescriptor::radius`]), the
+//! `Citer` microbench RNG streams (via
 //! [`StencilDescriptor::rng_stream`]), the tile-size feasible space,
-//! and advisor queries (preset names or inline descriptors, keyed by
+//! and advisor queries (names or inline descriptors, keyed by
 //! [`StencilDescriptor::fingerprint`]).
 //!
-//! The four paper benchmarks (plus the expository Jacobi variants) are
-//! *presets*: descriptors whose elaborated [`StencilSpec`] is
-//! bit-identical to the legacy `StencilKind::spec()` table, which is
-//! kept as the oracle and pinned by tests here and in
-//! `tests/descriptor_equivalence.rs`.
+//! The named stencils are one private table: the paper's benchmarks
+//! plus its expository Jacobi 1D/3D variants, then the zoo stencils.
+//! `tests/presets.rs` pins every row bit for bit against a fixture
+//! generated when the paper stencils were still a hand-written enum.
 
-use crate::stencil::{Neighbor, StencilDim, StencilKind, StencilSpec};
+use crate::stencil::{Neighbor, StencilDim, StencilSpec};
 
-/// Maximum supported stencil radius (matches the order bound of
-/// [`StencilSpec::convolution`]: hexagon slopes scale with the order).
+/// Maximum supported stencil radius (hexagon slopes scale with the
+/// order, so absurd orders are rejected).
 pub const MAX_RADIUS: i64 = 8;
 
 /// The shape of a stencil neighborhood, before coefficients.
@@ -44,7 +43,7 @@ pub enum Footprint {
     /// Explicit offset list, used verbatim. Unused dimensions must be
     /// zero and the maximum Chebyshev norm must equal the descriptor's
     /// radius. This is how presets with historical neighbor orders
-    /// (Jacobi1D, Gradient2D) reproduce the legacy tables bit-for-bit.
+    /// (Jacobi1D, Gradient2D) keep their accumulation order.
     Custom(Vec<[i64; 3]>),
 }
 
@@ -123,10 +122,9 @@ pub struct StencilDescriptor {
     /// Extra per-point FLOPs beyond the convolution (scaling, gradient
     /// magnitude, …) — feeds `Citer` microbenches and GFLOPS numbers.
     pub extra_flops: u32,
-    /// `Some(kind)` when this descriptor *is* a paper benchmark: the
-    /// elaborated spec carries the kind tag and the microbench RNG
-    /// stream matches the legacy per-kind seed exactly.
-    preset: Option<StencilKind>,
+    /// `Some(row)` when this descriptor *is* a paper stencil: its row
+    /// in the preset table, which is also its microbench RNG stream.
+    paper_row: Option<usize>,
 }
 
 impl StencilDescriptor {
@@ -148,7 +146,7 @@ impl StencilDescriptor {
             coefficients,
             constant,
             extra_flops,
-            preset: None,
+            paper_row: None,
         };
         d.validate()?;
         Ok(d)
@@ -181,8 +179,20 @@ impl StencilDescriptor {
                 want
             ));
         }
+        if let Some(i) = self.coefficients.iter().position(|c| !c.is_finite()) {
+            return Err(format!(
+                "coefficient #{i} is {} as f32; coefficients must be finite",
+                self.coefficients[i]
+            ));
+        }
+        if !self.constant.is_finite() {
+            return Err(format!(
+                "constant is {} as f32; it must be finite",
+                self.constant
+            ));
+        }
         if let Footprint::Custom(offsets) = &self.footprint {
-            let mut max_cheb = 0i64;
+            let mut max_cheb = 0u64;
             for off in offsets {
                 for (d, &o) in off.iter().enumerate() {
                     if d >= self.dim.rank() && o != 0 {
@@ -191,10 +201,10 @@ impl StencilDescriptor {
                             d + 1
                         ));
                     }
-                    max_cheb = max_cheb.max(o.abs());
+                    max_cheb = max_cheb.max(o.unsigned_abs());
                 }
             }
-            if max_cheb != self.radius {
+            if max_cheb != self.radius.unsigned_abs() {
                 return Err(format!(
                     "declared radius {} but custom offsets have Chebyshev radius {max_cheb}",
                     self.radius
@@ -209,31 +219,25 @@ impl StencilDescriptor {
         Ok(())
     }
 
-    /// The paper-benchmark kind this descriptor is a preset of, if any.
-    #[inline]
-    pub fn preset_kind(&self) -> Option<StencilKind> {
-        self.preset
-    }
-
     /// Elaborate into the [`StencilSpec`] every executor, plan, and
-    /// model consumes. For presets this is bit-identical (including the
-    /// `kind` tag and neighbor order) to the legacy
-    /// `StencilKind::spec()` table.
+    /// model consumes — the only way to build one. Neighbors follow the
+    /// footprint's enumeration order, which is also the accumulation
+    /// order of every executor.
     pub fn spec(&self) -> StencilSpec {
-        let offsets = self.footprint.offsets(self.dim, self.radius);
-        debug_assert_eq!(offsets.len(), self.coefficients.len());
-        let neighbors: Vec<Neighbor> = offsets
+        debug_assert_eq!(self.validate(), Ok(()));
+        let neighbors = self
+            .footprint
+            .offsets(self.dim, self.radius)
             .into_iter()
-            .zip(self.coefficients.iter())
+            .zip(&self.coefficients)
             .map(|(off, &w)| Neighbor::new(off, w))
             .collect();
-        let mut spec =
-            StencilSpec::convolution(self.dim, neighbors, self.constant, self.extra_flops)
-                .expect("validated descriptor elaborates");
-        if let Some(kind) = self.preset {
-            spec.kind = kind;
+        StencilSpec {
+            dim: self.dim,
+            neighbors,
+            constant: self.constant,
+            extra_flops: self.extra_flops,
         }
-        spec
     }
 
     /// Sum of the coefficient table (averaging stencils sum to 1).
@@ -283,107 +287,93 @@ impl StencilDescriptor {
         h
     }
 
-    /// The microbench RNG stream selector. Presets return the legacy
-    /// `kind as u64` discriminant so `measure_citer`'s
-    /// `seed ^ stream` reproduces the exact pre-descriptor random
-    /// sequence (Table 3/4 values pinned by tests); custom stencils get
-    /// a content-derived stream with the high bit set so it can never
-    /// collide with a preset discriminant.
+    /// The microbench RNG stream selector. Paper stencils return their
+    /// preset-table row, so `measure_citer`'s `seed ^ stream` keeps the
+    /// random sequence Table 3/4 values were measured with (pinned by
+    /// `tests/presets.rs`); every other stencil gets a content-derived
+    /// stream with the high bit set so it can never collide with a
+    /// paper row.
     pub fn rng_stream(&self) -> u64 {
-        match self.preset {
-            Some(kind) => kind as u64,
+        match self.paper_row {
+            Some(row) => row as u64,
             None => self.fingerprint() | (1 << 63),
         }
     }
 
-    /// A canonical-key token: the preset name for presets (stable across
-    /// processes and pre-descriptor cache entries), or
-    /// `custom-<fingerprint-hex>` for inline descriptors.
+    /// A canonical-key token: the table name for paper stencils (stable
+    /// across processes and existing cache entries), or
+    /// `custom-<fingerprint-hex>` for every other stencil.
     pub fn key_token(&self) -> String {
-        match self.preset {
-            Some(kind) => kind.name().to_string(),
+        match self.paper_row {
+            Some(row) => PRESETS[row].name.to_string(),
             None => format!("custom-{:016x}", self.fingerprint()),
         }
     }
 
-    // ---- presets -------------------------------------------------------
+    // ---- named stencils ------------------------------------------------
 
-    /// The descriptor preset for a paper benchmark. `spec()` of the
-    /// result is bit-identical to `kind.spec()`.
-    pub fn preset(kind: StencilKind) -> StencilDescriptor {
-        let alpha = 0.125f32; // diffusion coefficient for the Heat stencils
-        let (dim, radius, footprint, coefficients, extra) = match kind {
-            // Jacobi1D's historical neighbor order is −1, 0, +1 (not
-            // center-first), so it is a Custom footprint.
-            StencilKind::Jacobi1D => (
-                StencilDim::D1,
-                1,
-                Footprint::Custom(vec![[-1, 0, 0], [0, 0, 0], [1, 0, 0]]),
-                vec![1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0],
-                0,
-            ),
-            StencilKind::Jacobi2D => (StencilDim::D2, 1, Footprint::Star, vec![0.2; 5], 0),
-            StencilKind::Heat2D => (
-                StencilDim::D2,
-                1,
-                Footprint::Star,
-                vec![1.0 - 4.0 * alpha, alpha, alpha, alpha, alpha],
-                2,
-            ),
-            StencilKind::Laplacian2D => (
-                StencilDim::D2,
-                1,
-                Footprint::Star,
-                vec![0.5, 0.125, 0.125, 0.125, 0.125],
-                0,
-            ),
-            // Gradient2D's 9-point box enumerates center, axes, then
-            // diagonals — not row-major — so it is a Custom footprint.
-            StencilKind::Gradient2D => (
-                StencilDim::D2,
-                1,
-                Footprint::Custom(vec![
-                    [0, 0, 0],
-                    [-1, 0, 0],
-                    [1, 0, 0],
-                    [0, -1, 0],
-                    [0, 1, 0],
-                    [-1, -1, 0],
-                    [-1, 1, 0],
-                    [1, -1, 0],
-                    [1, 1, 0],
-                ]),
-                vec![0.2, 0.15, 0.15, 0.15, 0.15, 0.05, 0.05, 0.05, 0.05],
-                8,
-            ),
-            StencilKind::Jacobi3D => (StencilDim::D3, 1, Footprint::Star, vec![1.0 / 7.0; 7], 0),
-            StencilKind::Heat3D => (
-                StencilDim::D3,
-                1,
-                Footprint::Star,
-                vec![1.0 - 6.0 * alpha, alpha, alpha, alpha, alpha, alpha, alpha],
-                2,
-            ),
-            StencilKind::Laplacian3D => (
-                StencilDim::D3,
-                1,
-                Footprint::Star,
-                vec![0.4, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1],
-                0,
-            ),
-        };
+    /// The descriptor of one preset-table row. Paper rows remember
+    /// their row for [`Self::rng_stream`] and [`Self::key_token`].
+    fn preset(row: usize) -> StencilDescriptor {
+        let p = &PRESETS[row];
         let d = StencilDescriptor {
-            name: kind.name().to_string(),
-            dim,
-            radius,
-            footprint,
-            coefficients,
+            name: p.name.to_string(),
+            dim: p.dim,
+            radius: p.radius,
+            footprint: match p.offsets {
+                None => Footprint::Star,
+                Some(offsets) => Footprint::Custom(offsets.to_vec()),
+            },
+            coefficients: p.coefficients.to_vec(),
             constant: 0.0,
-            extra_flops: extra,
-            preset: Some(kind),
+            extra_flops: p.extra_flops,
+            paper_row: (row < PAPER_ROWS).then_some(row),
         };
-        debug_assert!(d.validate().is_ok());
+        debug_assert_eq!(d.validate(), Ok(()));
         d
+    }
+
+    /// 3-point 1D Jacobi average — the stencil the paper derives its
+    /// model on (Section 4.1, Figure 1).
+    pub fn jacobi1d() -> StencilDescriptor {
+        Self::preset(0)
+    }
+
+    /// 5-point 2D Jacobi average.
+    pub fn jacobi2d() -> StencilDescriptor {
+        Self::preset(1)
+    }
+
+    /// 5-point 2D heat equation (explicit Euler step).
+    pub fn heat2d() -> StencilDescriptor {
+        Self::preset(2)
+    }
+
+    /// 5-point 2D Laplacian smoothing step.
+    pub fn laplacian2d() -> StencilDescriptor {
+        Self::preset(3)
+    }
+
+    /// 9-point 2D gradient/Sobel-style smoothing, with roughly twice
+    /// the arithmetic of the 5-point stencils (Table 4's Gradient2D
+    /// `Citer` is ≈ 2× Jacobi2D's).
+    pub fn gradient2d() -> StencilDescriptor {
+        Self::preset(4)
+    }
+
+    /// 7-point 3D Jacobi average (model exposition, Section 4.3).
+    pub fn jacobi3d() -> StencilDescriptor {
+        Self::preset(5)
+    }
+
+    /// 7-point 3D heat equation.
+    pub fn heat3d() -> StencilDescriptor {
+        Self::preset(6)
+    }
+
+    /// 7-point 3D Laplacian smoothing step.
+    pub fn laplacian3d() -> StencilDescriptor {
+        Self::preset(7)
     }
 
     /// Radius-2 star 2D: a 4th-order-accurate Laplacian smoothing step
@@ -391,22 +381,7 @@ impl StencilDescriptor {
     /// first non-paper citizen of the stencil zoo — its larger halo is
     /// where hexagonal-tiling redundancy genuinely differs from Jacobi.
     pub fn lap4_2d() -> StencilDescriptor {
-        let alpha = 0.05f32;
-        let ax1 = alpha * (4.0 / 3.0); // ±1 axial taps
-        let ax2 = alpha * (-1.0 / 12.0); // ±2 axial taps
-        let d = StencilDescriptor {
-            name: "Lap4_2D".to_string(),
-            dim: StencilDim::D2,
-            radius: 2,
-            footprint: Footprint::Star,
-            // Star order: center, x ∓1, x ∓2, y ∓1, y ∓2.
-            coefficients: vec![1.0 - 5.0 * alpha, ax1, ax1, ax2, ax2, ax1, ax1, ax2, ax2],
-            constant: 0.0,
-            extra_flops: 0,
-            preset: None,
-        };
-        debug_assert!(d.validate().is_ok());
-        d
+        Self::preset(8)
     }
 
     /// 7-point 3D upwind-style advection-diffusion step with
@@ -414,54 +389,186 @@ impl StencilDescriptor {
     /// stencil, exercising non-symmetric tables through the whole
     /// pipeline.
     pub fn advect3d() -> StencilDescriptor {
-        let d = StencilDescriptor {
-            name: "Advect3D".to_string(),
-            dim: StencilDim::D3,
-            radius: 1,
-            footprint: Footprint::Star,
-            // Star order: center, −x, +x, −y, +y, −z, +z.
-            coefficients: vec![0.4, 0.15, 0.05, 0.12, 0.08, 0.14, 0.06],
-            constant: 0.0,
-            extra_flops: 2,
-            preset: None,
-        };
-        debug_assert!(d.validate().is_ok());
-        d
+        Self::preset(9)
+    }
+
+    /// The paper's benchmark suite for one dimensionality: the 2D and
+    /// 3D experiment suites of Section 5, and the expository Jacobi 1D.
+    pub fn paper(dim: StencilDim) -> Vec<StencilDescriptor> {
+        match dim {
+            StencilDim::D1 => vec![Self::jacobi1d()],
+            StencilDim::D2 => vec![
+                Self::jacobi2d(),
+                Self::heat2d(),
+                Self::laplacian2d(),
+                Self::gradient2d(),
+            ],
+            StencilDim::D3 => vec![Self::heat3d(), Self::laplacian3d()],
+        }
+    }
+
+    /// The six stencils with a `Citer` entry in the paper's Table 4: the
+    /// 2D suite, then the 3D suite.
+    pub fn table4() -> Vec<StencilDescriptor> {
+        let mut v = Self::paper(StencilDim::D2);
+        v.extend(Self::paper(StencilDim::D3));
+        v
     }
 
     /// The non-paper zoo stencils with committed Figure-3/Figure-6
     /// artifacts.
     pub fn zoo() -> Vec<StencilDescriptor> {
-        vec![Self::lap4_2d(), Self::advect3d()]
+        (PAPER_ROWS..PRESETS.len()).map(Self::preset).collect()
     }
 
-    /// Look up a descriptor by name: the eight paper presets plus the
-    /// zoo stencils, case-insensitively.
+    /// Look up a named stencil, case-insensitively.
     pub fn from_name(name: &str) -> Option<StencilDescriptor> {
-        for kind in StencilKind::ALL {
-            if kind.name().eq_ignore_ascii_case(name) {
-                return Some(Self::preset(kind));
-            }
-        }
-        Self::zoo()
-            .into_iter()
-            .find(|d| d.name.eq_ignore_ascii_case(name))
+        PRESETS
+            .iter()
+            .position(|p| p.name.eq_ignore_ascii_case(name))
+            .map(Self::preset)
     }
 
-    /// Every named descriptor: presets in `StencilKind::ALL` order,
-    /// then the zoo.
+    /// Every named stencil: the paper rows in table order, then the zoo.
     pub fn named() -> Vec<StencilDescriptor> {
-        let mut v: Vec<_> = StencilKind::ALL.into_iter().map(Self::preset).collect();
-        v.extend(Self::zoo());
-        v
+        (0..PRESETS.len()).map(Self::preset).collect()
     }
 }
 
-impl From<StencilKind> for StencilDescriptor {
-    fn from(kind: StencilKind) -> Self {
-        StencilDescriptor::preset(kind)
-    }
+/// One row of the named-stencil table.
+struct Preset {
+    name: &'static str,
+    dim: StencilDim,
+    radius: i64,
+    /// `None` is the star footprint; `Some` lists the offsets in their
+    /// historical (accumulation) order.
+    offsets: Option<&'static [[i64; 3]]>,
+    coefficients: &'static [f32],
+    extra_flops: u32,
 }
+
+/// The first `PAPER_ROWS` rows of [`PRESETS`] are the paper's stencils;
+/// a paper row's index is its microbench RNG stream.
+const PAPER_ROWS: usize = 8;
+
+/// Diffusion coefficient of the Heat stencils.
+const ALPHA: f32 = 0.125;
+/// Lap4_2D's smoothing weight and its ±1 / ±2 axial taps.
+const LAP4_ALPHA: f32 = 0.05;
+const LAP4_AX1: f32 = LAP4_ALPHA * (4.0 / 3.0);
+const LAP4_AX2: f32 = LAP4_ALPHA * (-1.0 / 12.0);
+
+/// Every named stencil. Row order is part of the contract: it fixes
+/// [`StencilDescriptor::named`] and the paper rows' RNG streams.
+const PRESETS: [Preset; 10] = [
+    Preset {
+        name: "Jacobi1D",
+        dim: StencilDim::D1,
+        radius: 1,
+        // Historical order −1, 0, +1 (not center-first).
+        offsets: Some(&[[-1, 0, 0], [0, 0, 0], [1, 0, 0]]),
+        coefficients: &[1.0 / 3.0; 3],
+        extra_flops: 0,
+    },
+    Preset {
+        name: "Jacobi2D",
+        dim: StencilDim::D2,
+        radius: 1,
+        offsets: None,
+        coefficients: &[0.2; 5],
+        extra_flops: 0,
+    },
+    Preset {
+        name: "Heat2D",
+        dim: StencilDim::D2,
+        radius: 1,
+        offsets: None,
+        coefficients: &[1.0 - 4.0 * ALPHA, ALPHA, ALPHA, ALPHA, ALPHA],
+        // Real heat loops also scale by dt/h²: two extra flops per point.
+        extra_flops: 2,
+    },
+    Preset {
+        name: "Laplacian2D",
+        dim: StencilDim::D2,
+        radius: 1,
+        offsets: None,
+        coefficients: &[0.5, 0.125, 0.125, 0.125, 0.125],
+        extra_flops: 0,
+    },
+    Preset {
+        name: "Gradient2D",
+        dim: StencilDim::D2,
+        radius: 1,
+        // Center, axes, then diagonals — not row-major, so not a Box.
+        offsets: Some(&[
+            [0, 0, 0],
+            [-1, 0, 0],
+            [1, 0, 0],
+            [0, -1, 0],
+            [0, 1, 0],
+            [-1, -1, 0],
+            [-1, 1, 0],
+            [1, -1, 0],
+            [1, 1, 0],
+        ]),
+        coefficients: &[0.2, 0.15, 0.15, 0.15, 0.15, 0.05, 0.05, 0.05, 0.05],
+        // Gradient magnitude (two directional sums, squares, a rational
+        // sqrt approximation) beyond the convolution itself.
+        extra_flops: 8,
+    },
+    Preset {
+        name: "Jacobi3D",
+        dim: StencilDim::D3,
+        radius: 1,
+        offsets: None,
+        coefficients: &[1.0 / 7.0; 7],
+        extra_flops: 0,
+    },
+    Preset {
+        name: "Heat3D",
+        dim: StencilDim::D3,
+        radius: 1,
+        offsets: None,
+        coefficients: &[1.0 - 6.0 * ALPHA, ALPHA, ALPHA, ALPHA, ALPHA, ALPHA, ALPHA],
+        extra_flops: 2,
+    },
+    Preset {
+        name: "Laplacian3D",
+        dim: StencilDim::D3,
+        radius: 1,
+        offsets: None,
+        coefficients: &[0.4, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1],
+        extra_flops: 0,
+    },
+    Preset {
+        name: "Lap4_2D",
+        dim: StencilDim::D2,
+        radius: 2,
+        offsets: None,
+        // Star order: center, x ∓1, x ∓2, y ∓1, y ∓2.
+        coefficients: &[
+            1.0 - 5.0 * LAP4_ALPHA,
+            LAP4_AX1,
+            LAP4_AX1,
+            LAP4_AX2,
+            LAP4_AX2,
+            LAP4_AX1,
+            LAP4_AX1,
+            LAP4_AX2,
+            LAP4_AX2,
+        ],
+        extra_flops: 0,
+    },
+    Preset {
+        name: "Advect3D",
+        dim: StencilDim::D3,
+        radius: 1,
+        offsets: None,
+        // Star order: center, −x, +x, −y, +y, −z, +z.
+        coefficients: &[0.4, 0.15, 0.05, 0.12, 0.08, 0.14, 0.06],
+        extra_flops: 2,
+    },
+];
 
 impl std::fmt::Display for StencilDescriptor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -472,45 +579,6 @@ impl std::fmt::Display for StencilDescriptor {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The tentpole bit-identity pin: every preset elaborates to the
-    /// exact legacy spec — kind tag, neighbor order, weight bits.
-    #[test]
-    fn presets_match_legacy_specs_bitwise() {
-        for kind in StencilKind::ALL {
-            let legacy = kind.spec();
-            let spec = StencilDescriptor::preset(kind).spec();
-            assert_eq!(spec.kind, legacy.kind, "{}", kind.name());
-            assert_eq!(spec.dim, legacy.dim, "{}", kind.name());
-            assert_eq!(spec.constant.to_bits(), legacy.constant.to_bits());
-            assert_eq!(spec.extra_flops, legacy.extra_flops, "{}", kind.name());
-            assert_eq!(
-                spec.neighbors.len(),
-                legacy.neighbors.len(),
-                "{}",
-                kind.name()
-            );
-            for (a, b) in spec.neighbors.iter().zip(&legacy.neighbors) {
-                assert_eq!(a.offset, b.offset, "{}", kind.name());
-                assert_eq!(a.weight.to_bits(), b.weight.to_bits(), "{}", kind.name());
-            }
-        }
-    }
-
-    #[test]
-    fn preset_metadata_matches_legacy() {
-        for kind in StencilKind::ALL {
-            let d = StencilDescriptor::preset(kind);
-            assert_eq!(d.name, kind.name());
-            assert_eq!(d.preset_kind(), Some(kind));
-            assert_eq!(d.rng_stream(), kind as u64);
-            assert_eq!(d.key_token(), kind.name());
-            assert_eq!(d.radius, 1);
-            assert_eq!(d.spec().order(), 1);
-            assert_eq!(d.flops_per_point(), kind.spec().flops_per_point());
-            assert_eq!(d.reads_per_point(), kind.spec().reads_per_point());
-        }
-    }
 
     #[test]
     fn star_enumeration_order_is_the_paper_order() {
@@ -558,7 +626,10 @@ mod tests {
         assert_eq!(lap4.spec().order(), 2);
         assert_eq!(lap4.reads_per_point(), 9);
         assert!((lap4.weight_sum() - 1.0).abs() < 1e-6);
-        assert!(lap4.preset_kind().is_none());
+        assert_eq!(
+            lap4.key_token(),
+            format!("custom-{:016x}", lap4.fingerprint())
+        );
         assert!(lap4.rng_stream() >= (1 << 63));
 
         let adv = StencilDescriptor::advect3d();
@@ -622,6 +693,17 @@ mod tests {
             2,
             Footprint::Custom(vec![[-1, 0, 0], [1, 0, 0]]),
             vec![0.5, 0.5],
+            0.0,
+            0
+        )
+        .is_err());
+        // An empty custom footprint.
+        assert!(StencilDescriptor::new(
+            "bad",
+            StencilDim::D1,
+            1,
+            Footprint::Custom(vec![]),
+            vec![],
             0.0,
             0
         )
@@ -692,10 +774,8 @@ mod tests {
     #[test]
     fn from_name_resolves_presets_and_zoo() {
         assert_eq!(
-            StencilDescriptor::from_name("heat2d")
-                .unwrap()
-                .preset_kind(),
-            Some(StencilKind::Heat2D)
+            StencilDescriptor::from_name("heat2d"),
+            Some(StencilDescriptor::heat2d())
         );
         assert_eq!(StencilDescriptor::from_name("Lap4_2D").unwrap().radius, 2);
         assert_eq!(
@@ -707,9 +787,68 @@ mod tests {
     }
 
     #[test]
-    fn from_kind_is_the_preset() {
-        let d: StencilDescriptor = StencilKind::Gradient2D.into();
-        assert_eq!(d.preset_kind(), Some(StencilKind::Gradient2D));
-        assert_eq!(d.spec(), StencilKind::Gradient2D.spec());
+    fn constructors_and_groups_name_their_rows() {
+        let names = |v: Vec<StencilDescriptor>| v.into_iter().map(|d| d.name).collect::<Vec<_>>();
+        let constructors = [
+            StencilDescriptor::jacobi1d(),
+            StencilDescriptor::jacobi2d(),
+            StencilDescriptor::heat2d(),
+            StencilDescriptor::laplacian2d(),
+            StencilDescriptor::gradient2d(),
+            StencilDescriptor::jacobi3d(),
+            StencilDescriptor::heat3d(),
+            StencilDescriptor::laplacian3d(),
+            StencilDescriptor::lap4_2d(),
+            StencilDescriptor::advect3d(),
+        ];
+        assert_eq!(constructors.to_vec(), StencilDescriptor::named());
+        assert_eq!(
+            names(StencilDescriptor::table4()),
+            [
+                "Jacobi2D",
+                "Heat2D",
+                "Laplacian2D",
+                "Gradient2D",
+                "Heat3D",
+                "Laplacian3D"
+            ]
+        );
+        assert_eq!(
+            names(StencilDescriptor::paper(StencilDim::D1)),
+            ["Jacobi1D"]
+        );
+        for dim in StencilDim::ALL {
+            assert!(StencilDescriptor::paper(dim).iter().all(|d| d.dim == dim));
+        }
+        assert_eq!(names(StencilDescriptor::zoo()), ["Lap4_2D", "Advect3D"]);
+    }
+
+    #[test]
+    fn extreme_offsets_and_non_finite_values_are_errors() {
+        let custom = |offsets: Vec<[i64; 3]>, coefficients: Vec<f32>, constant: f32| {
+            StencilDescriptor::new(
+                "bad",
+                StencilDim::D1,
+                1,
+                Footprint::Custom(offsets),
+                coefficients,
+                constant,
+                0,
+            )
+        };
+        // Negating i64::MIN overflows; the bound check must not.
+        let err = custom(vec![[i64::MIN, 0, 0]], vec![1.0], 0.0).unwrap_err();
+        assert!(
+            err.contains("Chebyshev radius 9223372036854775808"),
+            "{err}"
+        );
+        assert!(custom(vec![[i64::MAX, 0, 0]], vec![1.0], 0.0).is_err());
+        // 1e39 is finite as f64 but infinite once stored as f32.
+        let err = custom(vec![[-1, 0, 0], [1, 0, 0]], vec![0.5, 1e39f64 as f32], 0.0).unwrap_err();
+        assert!(err.contains("coefficient #1 is inf"), "{err}");
+        assert!(custom(vec![[1, 0, 0]], vec![f32::NAN], 0.0).is_err());
+        let err = custom(vec![[1, 0, 0]], vec![1.0], -1e39f64 as f32).unwrap_err();
+        assert!(err.contains("constant is -inf"), "{err}");
+        assert!(custom(vec![[1, 0, 0]], vec![1.0], f32::MAX).is_ok());
     }
 }

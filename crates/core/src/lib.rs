@@ -7,21 +7,22 @@
 //!
 //! This crate defines the *problem* layer of the stack:
 //!
-//! * [`StencilKind`] / [`StencilSpec`] — the six benchmark stencils of the
-//!   paper (four 2D: Jacobi, Heat, Laplacian, Gradient; two 3D: Heat,
-//!   Laplacian) plus the Jacobi 1D and Jacobi 3D stencils used in the
-//!   paper's model exposition. Each is a convolutional stencil in the
-//!   sense of the paper's Eqn (1):
+//! * [`StencilDescriptor`] — the one way to name a stencil: rank, radius,
+//!   star/box/custom footprint, coefficient table, constant and extra
+//!   FLOPs. The paper's six benchmark stencils (four 2D: Jacobi, Heat,
+//!   Laplacian, Gradient; two 3D: Heat, Laplacian), the Jacobi 1D and 3D
+//!   stencils of its model exposition, and the zoo stencils are named
+//!   rows of one preset table; arbitrary descriptors flow through the
+//!   same executors, model, and advisor. Each is a convolutional stencil
+//!   in the sense of the paper's Eqn (1):
 //!
 //!   ```text
 //!   A_t(s) = ( Σ_{a ∈ N} w_a · A_{t-1}(s + a) ) + c
 //!   ```
 //!
-//! * [`StencilDescriptor`] — the open "stencil zoo" generalization: rank,
-//!   radius, star-vs-box footprint, coefficient table. The paper benchmarks
-//!   are presets (bit-identical to the legacy `StencilKind::spec()` table);
-//!   arbitrary descriptors flow through the same executors, model, and
-//!   advisor.
+//! * [`StencilSpec`] — a descriptor elaborated into its neighbor list,
+//!   the form every executor, plan, simulator and model consumes; built
+//!   only by [`StencilDescriptor::spec`].
 //!
 //! * [`Grid`] — a dense rectangular array of `f32` cells with Dirichlet
 //!   (constant) boundary handling.
@@ -57,6 +58,6 @@ pub use descriptor::{Footprint, StencilDescriptor};
 pub use grid::Grid;
 pub use ispace::IterPoint;
 pub use problem::ProblemSize;
-pub use stencil::{Neighbor, RowKernel, StencilDim, StencilKind, StencilSpec};
+pub use stencil::{Neighbor, RowKernel, StencilDim, StencilSpec};
 pub use tiling::{LaunchConfig, TileSizes};
 pub use workload::Workload;

@@ -45,7 +45,7 @@ pub fn range(g: &Grid) -> (f32, f32) {
 mod tests {
     use super::*;
     use crate::problem::ProblemSize;
-    use crate::stencil::StencilKind;
+    use crate::StencilDescriptor;
     use crate::{init, reference};
 
     #[test]
@@ -62,7 +62,7 @@ mod tests {
 
     #[test]
     fn diffusion_dissipates_energy_and_respects_max_principle() {
-        let spec = StencilKind::Heat2D.spec();
+        let spec = StencilDescriptor::heat2d().spec();
         let size = ProblemSize::new_2d(32, 32, 8);
         let init = init::gaussian_bump(size.space_extents(), 3.0);
         let (lo0, hi0) = range(&init);
@@ -79,7 +79,7 @@ mod tests {
     fn checkerboard_damps_fastest() {
         // The highest-frequency mode decays faster than a smooth bump
         // under Jacobi averaging.
-        let spec = StencilKind::Jacobi2D.spec();
+        let spec = StencilDescriptor::jacobi2d().spec();
         let size = ProblemSize::new_2d(32, 32, 4);
         let rough = init::checkerboard(size.space_extents());
         let smooth = init::gaussian_bump(size.space_extents(), 8.0);

@@ -49,18 +49,18 @@ pub fn total_flops(spec: &StencilSpec, size: &ProblemSize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stencil::StencilKind;
+    use crate::StencilDescriptor;
 
     #[test]
     fn constant_field_is_fixed_point_of_averaging_stencils() {
         // With boundary == field value, averaging stencils keep a constant
         // field constant.
-        for kind in [
-            StencilKind::Jacobi1D,
-            StencilKind::Jacobi2D,
-            StencilKind::Heat3D,
+        for stencil in [
+            StencilDescriptor::jacobi1d(),
+            StencilDescriptor::jacobi2d(),
+            StencilDescriptor::heat3d(),
         ] {
-            let spec = kind.spec();
+            let spec = stencil.spec();
             let size = match spec.dim.rank() {
                 1 => ProblemSize::new_1d(16, 4),
                 2 => ProblemSize::new_2d(8, 8, 4),
@@ -71,15 +71,14 @@ mod tests {
             let out = run(&spec, &size, &init);
             assert!(
                 out.max_abs_diff(&Grid::filled(size.space_extents(), 2.0)) < 1e-5,
-                "{}",
-                kind.name()
+                "{stencil}"
             );
         }
     }
 
     #[test]
     fn zero_steps_is_identity() {
-        let spec = StencilKind::Jacobi2D.spec();
+        let spec = StencilDescriptor::jacobi2d().spec();
         let size = ProblemSize::new_2d(5, 7, 0);
         let init = Grid::from_fn(size.space_extents(), |a, b, _| (a + 2 * b) as f32);
         let out = run(&spec, &size, &init);
@@ -92,7 +91,7 @@ mod tests {
         //   out[0] = (0 + 3 + 6)/3 = 3
         //   out[1] = (3 + 6 + 9)/3 = 6
         //   out[2] = (6 + 9 + 0)/3 = 5
-        let spec = StencilKind::Jacobi1D.spec();
+        let spec = StencilDescriptor::jacobi1d().spec();
         let size = ProblemSize::new_1d(3, 1);
         let mut init = Grid::zeros(size.space_extents());
         init.set([0, 0, 0], 3.0);
@@ -106,7 +105,7 @@ mod tests {
 
     #[test]
     fn heat_diffuses_peak_monotonically() {
-        let spec = StencilKind::Heat2D.spec();
+        let spec = StencilDescriptor::heat2d().spec();
         let size = ProblemSize::new_2d(9, 9, 1);
         let mut init = Grid::zeros(size.space_extents());
         init.set([4, 4, 0], 1.0);
@@ -122,7 +121,7 @@ mod tests {
 
     #[test]
     fn total_flops_scales_with_domain() {
-        let spec = StencilKind::Jacobi2D.spec();
+        let spec = StencilDescriptor::jacobi2d().spec();
         let a = total_flops(&spec, &ProblemSize::new_2d(8, 8, 2));
         let b = total_flops(&spec, &ProblemSize::new_2d(8, 8, 4));
         assert_eq!(2 * a, b);
@@ -131,7 +130,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "source/destination shapes differ")]
     fn step_panics_on_shape_mismatch() {
-        let spec = StencilKind::Jacobi1D.spec();
+        let spec = StencilDescriptor::jacobi1d().spec();
         let src = Grid::zeros([4, 1, 1]);
         let mut dst = Grid::zeros([5, 1, 1]);
         step(&spec, &src, &mut dst);

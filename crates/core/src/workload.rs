@@ -10,11 +10,8 @@
 //!      core → time-model → tile-opt → gpu-sim/exec → advisor/experiments
 //! ```
 //!
-//! Since the stencil zoo opened, the stencil member is a full
-//! [`StencilDescriptor`] rather than the closed [`StencilKind`] enum;
-//! `Workload::new` still accepts a bare kind (via
-//! `From<StencilKind> for StencilDescriptor`), which yields the
-//! bit-identical preset descriptor.
+//! The stencil member is a [`StencilDescriptor`]: a named preset or any
+//! zoo member.
 //!
 //! The type is generic over the device description `D` because
 //! `stencil-core` sits below the device registry (`gpu-sim` owns
@@ -44,16 +41,9 @@ pub struct Workload<D> {
 
 impl<D> Workload<D> {
     /// Describe a workload with the stock HHC tile/launch configuration;
-    /// refine with [`Self::with_tiles`] / [`Self::with_launch`]. Accepts
-    /// either a [`StencilKind`](crate::StencilKind) (elaborated to its
-    /// preset descriptor) or a [`StencilDescriptor`]. Errors when the
-    /// stencil's dimensionality does not match the size's.
-    pub fn new(
-        device: D,
-        stencil: impl Into<StencilDescriptor>,
-        size: ProblemSize,
-    ) -> Result<Self, String> {
-        let stencil = stencil.into();
+    /// refine with [`Self::with_tiles`] / [`Self::with_launch`]. Errors
+    /// when the stencil's dimensionality does not match the size's.
+    pub fn new(device: D, stencil: StencilDescriptor, size: ProblemSize) -> Result<Self, String> {
         stencil.validate()?;
         let dim = stencil.dim;
         if dim != size.dim {
@@ -157,11 +147,15 @@ impl<D> Workload<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stencil::StencilKind;
 
     #[test]
     fn new_defaults_to_hhc_configuration() {
-        let w = Workload::new((), StencilKind::Heat2D, ProblemSize::new_2d(512, 512, 64)).unwrap();
+        let w = Workload::new(
+            (),
+            StencilDescriptor::heat2d(),
+            ProblemSize::new_2d(512, 512, 64),
+        )
+        .unwrap();
         assert_eq!(w.tiles, TileSizes::hhc_default(StencilDim::D2));
         assert_eq!(w.launch, LaunchConfig::hhc_default(StencilDim::D2));
         assert_eq!(w.rank(), 2);
@@ -184,43 +178,64 @@ mod tests {
 
     #[test]
     fn dimension_mismatch_rejected() {
-        let err =
-            Workload::new((), StencilKind::Heat3D, ProblemSize::new_2d(512, 512, 64)).unwrap_err();
+        let err = Workload::new(
+            (),
+            StencilDescriptor::heat3d(),
+            ProblemSize::new_2d(512, 512, 64),
+        )
+        .unwrap_err();
         assert!(err.contains("3-dimensional"), "{err}");
     }
 
     #[test]
     fn with_tiles_rederives_empirical_launch() {
-        let w = Workload::new((), StencilKind::Heat2D, ProblemSize::new_2d(512, 512, 64))
-            .unwrap()
-            .with_tiles(TileSizes::new_2d(8, 16, 128));
+        let w = Workload::new(
+            (),
+            StencilDescriptor::heat2d(),
+            ProblemSize::new_2d(512, 512, 64),
+        )
+        .unwrap()
+        .with_tiles(TileSizes::new_2d(8, 16, 128));
         assert_eq!(w.launch, LaunchConfig::empirical(StencilDim::D2, &w.tiles));
         assert!(w.validate().is_ok());
     }
 
     #[test]
     fn with_launch_keeps_tiles() {
-        let w = Workload::new((), StencilKind::Jacobi1D, ProblemSize::new_1d(1 << 16, 64))
-            .unwrap()
-            .with_tiles(TileSizes::new_1d(8, 64))
-            .with_launch(LaunchConfig::new_1d(256));
+        let w = Workload::new(
+            (),
+            StencilDescriptor::jacobi1d(),
+            ProblemSize::new_1d(1 << 16, 64),
+        )
+        .unwrap()
+        .with_tiles(TileSizes::new_1d(8, 64))
+        .with_launch(LaunchConfig::new_1d(256));
         assert_eq!(w.tiles, TileSizes::new_1d(8, 64));
         assert_eq!(w.launch, LaunchConfig::new_1d(256));
     }
 
     #[test]
     fn labels_compose() {
-        let w = Workload::new((), StencilKind::Heat2D, ProblemSize::new_2d(512, 512, 64))
-            .unwrap()
-            .with_tiles(TileSizes::new_2d(8, 16, 128));
+        let w = Workload::new(
+            (),
+            StencilDescriptor::heat2d(),
+            ProblemSize::new_2d(512, 512, 64),
+        )
+        .unwrap()
+        .with_tiles(TileSizes::new_2d(8, 16, 128));
         assert_eq!(w.label(), "Heat2D_512x512xT64_tT8_tS16x128");
     }
 
     #[test]
     fn map_device_retargets() {
-        let w = Workload::new(1u32, StencilKind::Heat2D, ProblemSize::new_2d(64, 64, 8)).unwrap();
+        let w = Workload::new(
+            1u32,
+            StencilDescriptor::heat2d(),
+            ProblemSize::new_2d(64, 64, 8),
+        )
+        .unwrap();
         let w2 = w.map_device(|d| d as u64 + 1);
         assert_eq!(w2.device, 2u64);
-        assert_eq!(w2.stencil.preset_kind(), Some(StencilKind::Heat2D));
+        assert_eq!(w2.stencil, StencilDescriptor::heat2d());
     }
 }

@@ -17,7 +17,7 @@ use hhc_tiling::{
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
-use stencil_core::{init, ProblemSize, StencilKind};
+use stencil_core::{init, ProblemSize, StencilDescriptor};
 use tile_opt::strategy::{baseline_points, evaluate_points, StrategyContext};
 use tile_opt::SpaceConfig;
 use time_model::roofline;
@@ -181,13 +181,13 @@ fn time_best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
 }
 
 fn bench_one(
-    kind: StencilKind,
+    stencil: StencilDescriptor,
     size: ProblemSize,
     tiles: TileSizes,
     reps: usize,
     cal: &roofline::RooflineCalibration,
 ) -> ExecBenchRow {
-    let spec = kind.spec();
+    let spec = stencil.spec();
     let grid = init::random(size.space_extents(), 0x42);
     let (baseline_s, (base_grid, base_stats)) = time_best_of(reps, || {
         run_tiled_with(&spec, &size, tiles, &grid, ExecOptions::BASELINE).expect("baseline run")
@@ -204,7 +204,7 @@ fn bench_one(
     assert!(
         identical,
         "{}: fast paths diverged from baseline",
-        kind.name()
+        stencil.name
     );
     assert_eq!(
         fast_stats.resident_planes,
@@ -214,7 +214,7 @@ fn bench_one(
     let pred = roofline::predict(cal, roofline::measure_compute_ceiling(&spec));
     let measured_pps = total / fast_s;
     ExecBenchRow {
-        benchmark: kind.name().to_string(),
+        benchmark: stencil.name.to_string(),
         size: size.label(),
         tiles,
         baseline_s,
@@ -235,12 +235,12 @@ fn bench_one(
 }
 
 fn bench_parallel_one(
-    kind: StencilKind,
+    stencil: StencilDescriptor,
     size: ProblemSize,
     tiles: TileSizes,
     reps: usize,
 ) -> ParallelBenchRow {
-    let spec = kind.spec();
+    let spec = stencil.spec();
     let grid = init::random(size.space_extents(), 0x42);
     let (seq_fast_s, (fast_grid, _)) = time_best_of(reps, || {
         run_tiled_with(&spec, &size, tiles, &grid, ExecOptions::FAST).expect("fast run")
@@ -258,10 +258,10 @@ fn bench_parallel_one(
     assert!(
         identical,
         "{}: parallel executor diverged from sequential fast path",
-        kind.name()
+        stencil.name
     );
     ParallelBenchRow {
-        benchmark: kind.name().to_string(),
+        benchmark: stencil.name.to_string(),
         size: size.label(),
         tiles,
         threads: rayon::current_num_threads(),
@@ -325,8 +325,8 @@ fn sim_row(
 /// O(total-blocks) dealing loop.
 fn bench_sim(lab: &Lab) -> Vec<SimBenchRow> {
     let device = DeviceConfig::gtx980();
-    let kind = StencilKind::Jacobi2D;
-    let spec = kind.spec();
+    let stencil = StencilDescriptor::jacobi2d();
+    let spec = stencil.spec();
     // The tile shape must fit in shared memory for the launch to be
     // schedulable at all.
     let tiles = TileSizes::new_2d(8, 32, 128);
@@ -347,7 +347,7 @@ fn bench_sim(lab: &Lab) -> Vec<SimBenchRow> {
         .classes
         .clone();
     let mut rows = vec![sim_row(
-        kind.name(),
+        &stencil.name,
         size.label(),
         &device,
         &wl,
@@ -392,17 +392,17 @@ fn bench_sim(lab: &Lab) -> Vec<SimBenchRow> {
 
 /// The executor workloads per scale. The 2D Jacobi row is the headline
 /// comparison; the 3D row exercises the strided-row kernel path.
-fn workloads(scale: ExperimentScale) -> Vec<(StencilKind, ProblemSize, TileSizes, usize)> {
+fn workloads(scale: ExperimentScale) -> Vec<(StencilDescriptor, ProblemSize, TileSizes, usize)> {
     match scale {
         ExperimentScale::Paper => vec![
             (
-                StencilKind::Jacobi2D,
+                StencilDescriptor::jacobi2d(),
                 ProblemSize::new_2d(2048, 2048, 128),
                 TileSizes::new_2d(8, 32, 256),
                 3,
             ),
             (
-                StencilKind::Heat3D,
+                StencilDescriptor::heat3d(),
                 ProblemSize::new_3d(128, 128, 128, 64),
                 TileSizes::new_3d(8, 8, 8, 64),
                 3,
@@ -410,20 +410,20 @@ fn workloads(scale: ExperimentScale) -> Vec<(StencilKind, ProblemSize, TileSizes
         ],
         ExperimentScale::Reduced => vec![
             (
-                StencilKind::Jacobi2D,
+                StencilDescriptor::jacobi2d(),
                 ProblemSize::new_2d(1024, 1024, 64),
                 TileSizes::new_2d(8, 32, 256),
                 3,
             ),
             (
-                StencilKind::Heat3D,
+                StencilDescriptor::heat3d(),
                 ProblemSize::new_3d(128, 128, 128, 24),
                 TileSizes::new_3d(8, 16, 16, 128),
                 3,
             ),
         ],
         ExperimentScale::Smoke => vec![(
-            StencilKind::Jacobi2D,
+            StencilDescriptor::jacobi2d(),
             ProblemSize::new_2d(256, 256, 32),
             TileSizes::new_2d(8, 32, 128),
             2,
@@ -434,11 +434,11 @@ fn workloads(scale: ExperimentScale) -> Vec<(StencilKind, ProblemSize, TileSizes
 /// Time cold vs memoized evaluation of the 850-point baseline set.
 fn bench_memo(lab: &Lab) -> MemoBenchRow {
     let device = &lab.devices[0];
-    let kind = StencilKind::Jacobi2D;
+    let stencil = StencilDescriptor::jacobi2d();
     let size = ProblemSize::new_2d(1024, 1024, 256);
-    let params = lab.model_params(device, &kind.into());
+    let params = lab.model_params(device, &stencil);
     let space = SpaceConfig::default();
-    let workload = gpu_sim::Workload::new(device.clone(), kind, size)
+    let workload = gpu_sim::Workload::new(device.clone(), stencil, size)
         .expect("benchmark and size dimensionalities agree");
     let ctx = StrategyContext::new(&workload, &params, &space);
     let points = baseline_points(device, workload.dim(), &space);
@@ -470,8 +470,8 @@ pub fn bench_exec(lab: &Lab, parallel_exec: bool) -> ExecBenchReport {
         roofline::BYTES_PER_POINT
     );
     let mut exec = Vec::new();
-    for (kind, size, tiles, reps) in workloads(lab.scale) {
-        let row = bench_one(kind, size, tiles, reps, &cal);
+    for (stencil, size, tiles, reps) in workloads(lab.scale) {
+        let row = bench_one(stencil, size, tiles, reps, &cal);
         println!(
             "  {:10} {:16} baseline {:8.3}s  scalar {:8.3}s  simd {:8.3}s  speedup {:5.2}x (simd {:4.2}x)  kernel {:.1}%  roofline {:.2} ({})",
             row.benchmark,
@@ -489,8 +489,8 @@ pub fn bench_exec(lab: &Lab, parallel_exec: bool) -> ExecBenchReport {
     }
     let mut parallel = Vec::new();
     if parallel_exec {
-        for (kind, size, tiles, reps) in workloads(lab.scale) {
-            let row = bench_parallel_one(kind, size, tiles, reps);
+        for (stencil, size, tiles, reps) in workloads(lab.scale) {
+            let row = bench_parallel_one(stencil, size, tiles, reps);
             println!(
                 "  {:10} {:16} seq-fast {:8.3}s  parallel {:8.3}s ({} threads{})  speedup {:5.2}x  batches {}  pool {}/{} warm, {}/{} cold",
                 row.benchmark,

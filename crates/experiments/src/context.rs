@@ -182,7 +182,7 @@ mod tests {
     fn measured_params_are_cached_and_deterministic() {
         let lab = Lab::new(ExperimentScale::Smoke);
         let d = &lab.devices[0];
-        let j2 = StencilDescriptor::from(stencil_core::StencilKind::Jacobi2D);
+        let j2 = StencilDescriptor::jacobi2d();
         let a = lab.measured(d, &j2);
         let b = lab.measured(d, &j2);
         assert_eq!(a, b);

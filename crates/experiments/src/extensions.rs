@@ -20,7 +20,7 @@ use crate::rmse;
 use gpu_sim::{simulate, DeviceConfig, SimWorkload, Workload};
 use hhc_tiling::{LaunchConfig, SpaceBlock, TileSizes, WavefrontSchedule};
 use serde::{Deserialize, Serialize};
-use stencil_core::{reference, StencilDescriptor, StencilKind};
+use stencil_core::{reference, StencilDescriptor};
 use tile_opt::strategy::{study, Strategy, StrategyContext};
 use tile_opt::{
     baseline_points, coordinate_descent, evaluate_points, feasible_space, model_sweep,
@@ -51,13 +51,13 @@ pub fn model_variant_ablation(lab: &Lab) -> Vec<VariantRow> {
     let space = SpaceConfig::default();
     let mut rows = Vec::new();
     for device in &lab.devices {
-        for (kind, size) in [
-            (StencilKind::Jacobi2D, lab.scale.sizes_2d()[0]),
-            (StencilKind::Gradient2D, lab.scale.sizes_2d()[0]),
-            (StencilKind::Heat3D, lab.scale.sizes_3d()[0]),
+        for (stencil, size) in [
+            (StencilDescriptor::jacobi2d(), lab.scale.sizes_2d()[0]),
+            (StencilDescriptor::gradient2d(), lab.scale.sizes_2d()[0]),
+            (StencilDescriptor::heat3d(), lab.scale.sizes_3d()[0]),
         ] {
-            let params = lab.model_params(device, &StencilDescriptor::preset(kind));
-            let workload = Workload::new(device.clone(), kind, size)
+            let params = lab.model_params(device, &stencil);
+            let workload = Workload::new(device.clone(), stencil.clone(), size)
                 .expect("benchmark and size dimensionalities agree");
             let ctx = StrategyContext::new(&workload, &params, &space);
             let points = baseline_points(device, workload.dim(), &space);
@@ -73,7 +73,7 @@ pub fn model_variant_ablation(lab: &Lab) -> Vec<VariantRow> {
                 .collect();
             rows.push(VariantRow {
                 device: device.name.clone(),
-                benchmark: kind.name().to_string(),
+                benchmark: stencil.name.to_string(),
                 size: size.label(),
                 rmse_printed: rmse::relative_rmse(&printed_pairs),
                 rmse_refined: rmse::relative_rmse(&refined_pairs),
@@ -112,13 +112,16 @@ pub fn solver_comparison(lab: &Lab) -> Vec<SolverRow> {
     let cfg = SpaceConfig::default();
     let mut rows = Vec::new();
     for device in &lab.devices {
-        for (kind, size) in [
-            (StencilKind::Jacobi2D, lab.scale.sizes_2d()[0]),
-            (StencilKind::Heat2D, *lab.scale.sizes_2d().last().unwrap()),
-            (StencilKind::Heat3D, lab.scale.sizes_3d()[0]),
+        for (stencil, size) in [
+            (StencilDescriptor::jacobi2d(), lab.scale.sizes_2d()[0]),
+            (
+                StencilDescriptor::heat2d(),
+                *lab.scale.sizes_2d().last().unwrap(),
+            ),
+            (StencilDescriptor::heat3d(), lab.scale.sizes_3d()[0]),
         ] {
-            let params = lab.model_params(device, &StencilDescriptor::preset(kind));
-            let workload = Workload::new(device.clone(), kind, size)
+            let params = lab.model_params(device, &stencil);
+            let workload = Workload::new(device.clone(), stencil.clone(), size)
                 .expect("benchmark and size dimensionalities agree");
             let space = feasible_space(&workload, &cfg);
             let sweep = model_sweep(&params, &size, &space);
@@ -134,7 +137,7 @@ pub fn solver_comparison(lab: &Lab) -> Vec<SolverRow> {
             let sa = simulated_annealing(device, &params, &size, &cfg, 3, 80, 17);
             rows.push(SolverRow {
                 device: device.name.clone(),
-                benchmark: kind.name().to_string(),
+                benchmark: stencil.name.to_string(),
                 size: size.label(),
                 sweep_min: best.talg,
                 cd_min: cd.talg,
@@ -177,8 +180,11 @@ pub fn time_tiling_comparison(lab: &Lab) -> Vec<TimeTilingRow> {
     let space = SpaceConfig::default();
     let mut rows = Vec::new();
     for device in &lab.devices {
-        for kind in [StencilKind::Jacobi2D, StencilKind::Gradient2D] {
-            let spec = kind.spec();
+        for stencil in [
+            StencilDescriptor::jacobi2d(),
+            StencilDescriptor::gradient2d(),
+        ] {
+            let spec = stencil.spec();
             let size = lab.scale.sizes_2d()[0];
             let flops = reference::total_flops(&spec, &size);
 
@@ -204,8 +210,8 @@ pub fn time_tiling_comparison(lab: &Lab) -> Vec<TimeTilingRow> {
             let (naive_time, naive_mb) = naive.expect("some naive config launches");
 
             // Best HHC schedule: the paper's Within-10 % selection.
-            let params = lab.model_params(device, &StencilDescriptor::preset(kind));
-            let workload = Workload::new(device.clone(), kind, size)
+            let params = lab.model_params(device, &stencil);
+            let workload = Workload::new(device.clone(), stencil.clone(), size)
                 .expect("benchmark and size dimensionalities agree");
             let ctx = StrategyContext::new(&workload, &params, &space);
             let st = study(&ctx, false);
@@ -218,7 +224,7 @@ pub fn time_tiling_comparison(lab: &Lab) -> Vec<TimeTilingRow> {
 
             rows.push(TimeTilingRow {
                 device: device.name.clone(),
-                benchmark: kind.name().to_string(),
+                benchmark: stencil.name.to_string(),
                 size: size.label(),
                 naive_time,
                 naive_gflops: flops as f64 / naive_time / 1e9,
@@ -247,7 +253,7 @@ pub struct EffectRow {
 /// validation experiment: the full-space error collapses as the effects
 /// the paper's model deliberately ignores are removed.
 pub fn machine_effect_ablation(lab: &Lab) -> Vec<EffectRow> {
-    let kind = StencilKind::Jacobi2D;
+    let stencil = StencilDescriptor::jacobi2d();
     let size = lab.scale.sizes_2d()[0];
     let space = SpaceConfig::default();
     let base = lab.devices[0].clone();
@@ -284,12 +290,12 @@ pub fn machine_effect_ablation(lab: &Lab) -> Vec<EffectRow> {
         // methodology is part of what is being ablated.
         let measured = microbench::measured_params_sampled(
             &device,
-            &StencilDescriptor::preset(kind),
+            &stencil,
             lab.scale.citer_samples(),
             0x5EED,
         );
         let params = time_model::ModelParams::from_measured(&device, &measured);
-        let workload = Workload::new(device.clone(), kind, size)
+        let workload = Workload::new(device.clone(), stencil.clone(), size)
             .expect("benchmark and size dimensionalities agree");
         let ctx = StrategyContext::new(&workload, &params, &space);
         let points = baseline_points(&device, workload.dim(), &space);

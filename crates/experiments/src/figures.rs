@@ -5,7 +5,7 @@ use crate::rmse;
 use gpu_sim::{DeviceConfig, Workload};
 use hhc_tiling::TileSizes;
 use serde::{Deserialize, Serialize};
-use stencil_core::{ProblemSize, StencilDescriptor, StencilDim, StencilKind};
+use stencil_core::{ProblemSize, StencilDescriptor, StencilDim};
 use tile_opt::strategy::{study, DataPoint, Strategy, StrategyContext, Study};
 use tile_opt::{baseline_points, evaluate_points, Evaluated, SpaceConfig};
 
@@ -143,9 +143,7 @@ pub fn summarize_validation(
 pub fn figure3(lab: &Lab, dims: &[StencilDim]) -> (Vec<ValidationResult>, Vec<PooledValidation>) {
     let mut stencils = Vec::new();
     for &dim in dims {
-        for &kind in StencilKind::benchmarks_for(dim) {
-            stencils.push(StencilDescriptor::preset(kind));
-        }
+        stencils.extend(StencilDescriptor::paper(dim));
     }
     figure3_for(lab, &stencils)
 }
@@ -204,7 +202,7 @@ pub struct SurfaceResult {
 /// Regenerate Figure 4.
 pub fn figure4(lab: &Lab) -> SurfaceResult {
     let device = &lab.devices[0]; // GTX 980
-    let stencil = StencilDescriptor::preset(StencilKind::Heat2D);
+    let stencil = StencilDescriptor::heat2d();
     let size = lab
         .scale
         .sizes_2d()
@@ -262,7 +260,7 @@ pub struct Fig5Result {
 /// Regenerate Figure 5.
 pub fn figure5(lab: &Lab) -> Fig5Result {
     let device = &lab.devices[0]; // GTX 980
-    let stencil = StencilDescriptor::preset(StencilKind::Gradient2D);
+    let stencil = StencilDescriptor::gradient2d();
     let size = lab.scale.fig5_size();
     let params = lab.model_params(device, &stencil);
     let space = SpaceConfig::default();
@@ -340,10 +338,7 @@ pub struct Fig6Detail {
 /// Regenerate Figure 6 for the 2D benchmarks (the paper's figure), with
 /// optional exhaustive search.
 pub fn figure6(lab: &Lab, exhaustive: bool) -> (Vec<Fig6Row>, Vec<Fig6Detail>) {
-    let stencils: Vec<StencilDescriptor> = StencilKind::BENCH_2D
-        .into_iter()
-        .map(StencilDescriptor::preset)
-        .collect();
+    let stencils = StencilDescriptor::paper(StencilDim::D2);
     figure6_for(lab, &stencils, &lab.scale.sizes_2d(), exhaustive)
 }
 
@@ -449,7 +444,7 @@ mod tests {
         let r = validate_one(
             &lab,
             &device,
-            &StencilDescriptor::preset(StencilKind::Jacobi2D),
+            &StencilDescriptor::jacobi2d(),
             &size,
             &SpaceConfig::default(),
         );

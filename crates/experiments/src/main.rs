@@ -46,7 +46,7 @@ use gpu_sim::{DeviceConfig, SimWorkload};
 use hhc_tiling::TilingPlan;
 use std::io::Write as _;
 use std::sync::Arc;
-use stencil_core::{ProblemSize, StencilDim, StencilKind};
+use stencil_core::{ProblemSize, StencilDescriptor, StencilDim};
 use tile_opt::strategy::{DataPoint, Strategy};
 
 struct Args {
@@ -286,7 +286,7 @@ fn print_help() {
 /// to replay its simulated schedule into the Chrome trace.
 struct SimTracePayload {
     device: DeviceConfig,
-    kind: StencilKind,
+    stencil: StencilDescriptor,
     size: ProblemSize,
     point: DataPoint,
 }
@@ -306,10 +306,9 @@ fn fig6_sim_payload(lab: &Lab, details: &[Fig6Detail]) -> Option<SimTracePayload
         .iter()
         .find(|d| d.name == detail.device)?
         .clone();
-    let kind = StencilKind::BENCH_2D
-        .iter()
-        .copied()
-        .find(|k| k.name() == detail.benchmark)?;
+    let stencil = StencilDescriptor::paper(StencilDim::D2)
+        .into_iter()
+        .find(|s| s.name == detail.benchmark)?;
     let size = lab
         .scale
         .sizes_2d()
@@ -317,7 +316,7 @@ fn fig6_sim_payload(lab: &Lab, details: &[Fig6Detail]) -> Option<SimTracePayload
         .find(|s| s.label() == detail.size)?;
     Some(SimTracePayload {
         device,
-        kind,
+        stencil,
         size,
         point: outcome.point,
     })
@@ -331,7 +330,7 @@ fn export_workload_trace(
     pid: u32,
     p: &SimTracePayload,
 ) -> usize {
-    let spec = p.kind.spec();
+    let spec = p.stencil.spec();
     let Ok(plan) = TilingPlan::build(&spec, &p.size, p.point.tiles, p.point.launch) else {
         return 0;
     };
@@ -342,7 +341,7 @@ fn export_workload_trace(
         let Ok(trace) = gpu_sim::trace_kernel(&p.device, &wl, index) else {
             continue;
         };
-        let label = format!("{} k{index}", p.kind.name());
+        let label = format!("{} k{index}", p.stencil.name);
         trace.add_chrome_events(out, pid, offset_us, &label);
         offset_us += trace.makespan * 1e6;
         traced += 1;
@@ -1229,10 +1228,8 @@ fn main() {
                 obs::AccuracyLog::open(std::path::Path::new(&args.out).join("accuracy_log.jsonl"))
                     .expect("open accuracy log");
             for row in &report.exec {
-                let dim = StencilKind::ALL
-                    .iter()
-                    .find(|k| k.name() == row.benchmark)
-                    .map_or(0, |k| k.spec().dim.rank() as u32);
+                let dim =
+                    StencilDescriptor::from_name(&row.benchmark).map_or(0, |s| s.dim.rank() as u32);
                 acc.record(
                     &obs::accuracy::Pair {
                         source: "roofline".into(),
@@ -1475,7 +1472,7 @@ fn main() {
         println!(
             "\n=== Stencil zoo: non-paper descriptors through the full pipeline (scale: {scale}) ==="
         );
-        let zoo = stencil_core::StencilDescriptor::zoo();
+        let zoo = StencilDescriptor::zoo();
         for s in &zoo {
             println!(
                 "  {:12} rank={} radius={} points={} flops/pt={}",
@@ -1667,7 +1664,7 @@ fn main() {
                 1,
                 &format!(
                     "gpu-sim: {} {} on {}",
-                    p.kind.name(),
+                    p.stencil.name,
                     p.size.label(),
                     p.device.name
                 ),

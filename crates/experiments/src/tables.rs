@@ -2,7 +2,7 @@
 
 use crate::context::Lab;
 use serde::{Deserialize, Serialize};
-use stencil_core::{StencilDescriptor, StencilKind};
+use stencil_core::StencilDescriptor;
 
 /// One device column of Table 2 (GPU configuration).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -106,8 +106,7 @@ pub fn paper_citer(benchmark: &str, device: &str) -> Option<f64> {
 /// benchmark × device combination.
 pub fn table4(lab: &Lab) -> Vec<Table4Row> {
     let mut rows = Vec::new();
-    for kind in StencilKind::TABLE4 {
-        let stencil = StencilDescriptor::preset(kind);
+    for stencil in StencilDescriptor::table4() {
         for d in &lab.devices {
             let m = lab.measured(d, &stencil);
             rows.push(Table4Row {

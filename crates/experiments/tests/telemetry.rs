@@ -10,7 +10,7 @@ use hhc_tiling::{run_tiled_with, ExecOptions, LaunchConfig, TileSizes, TilingPla
 use serde::Value;
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex, MutexGuard};
-use stencil_core::{init, ProblemSize, StencilKind};
+use stencil_core::{init, ProblemSize, StencilDescriptor};
 use tile_opt::strategy::{study, DataPoint, Strategy, StrategyContext};
 use tile_opt::SpaceConfig;
 
@@ -34,7 +34,7 @@ fn record<T>(f: impl FnOnce() -> T) -> (T, obs::Snapshot) {
 fn sim_counters_match_simreport() {
     let _g = obs_lock();
     let device = gpu_sim::DeviceConfig::gtx980();
-    let spec = StencilKind::Jacobi2D.spec();
+    let spec = StencilDescriptor::jacobi2d().spec();
     let size = ProblemSize::new_2d(512, 512, 128);
     let plan = TilingPlan::build(
         &spec,
@@ -97,7 +97,7 @@ fn sim_counters_match_simreport() {
 #[test]
 fn exec_counters_match_execstats() {
     let _g = obs_lock();
-    let spec = StencilKind::Jacobi2D.spec();
+    let spec = StencilDescriptor::jacobi2d().spec();
     let size = ProblemSize::new_2d(256, 256, 32);
     let grid = init::random(size.space_extents(), 0x42);
     let ((_, stats), snap) = record(|| {
@@ -131,11 +131,11 @@ fn study_counters_match_outcomes() {
     let _g = obs_lock();
     let lab = Lab::new(ExperimentScale::Smoke);
     let device = lab.devices[0].clone();
-    let kind = StencilKind::Jacobi2D;
+    let stencil = StencilDescriptor::jacobi2d();
     let size = lab.scale.sizes_2d()[0];
-    let params = lab.model_params(&device, &kind.into());
+    let params = lab.model_params(&device, &stencil);
     let space = SpaceConfig::default();
-    let workload = gpu_sim::Workload::new(device.clone(), kind, size)
+    let workload = gpu_sim::Workload::new(device.clone(), stencil, size)
         .expect("benchmark and size dimensionalities agree");
     let (st, snap) = record(|| {
         let ctx = StrategyContext::new(&workload, &params, &space);

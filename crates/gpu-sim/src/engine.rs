@@ -38,9 +38,9 @@ use std::sync::Arc;
 /// ```
 /// use gpu_sim::{simulate, DeviceConfig, SimWorkload};
 /// use hhc_tiling::{LaunchConfig, TileSizes, TilingPlan};
-/// use stencil_core::{ProblemSize, StencilKind};
+/// use stencil_core::{ProblemSize, StencilDescriptor};
 ///
-/// let spec = StencilKind::Jacobi2D.spec();
+/// let spec = StencilDescriptor::jacobi2d().spec();
 /// let size = ProblemSize::new_2d(1024, 1024, 128);
 /// let plan = TilingPlan::build(&spec, &size, TileSizes::new_2d(8, 8, 128),
 ///                              LaunchConfig::new_2d(1, 128)).unwrap();

@@ -176,11 +176,11 @@ impl SimWorkload {
 mod tests {
     use super::*;
     use hhc_tiling::{LaunchConfig, TileSizes};
-    use stencil_core::{ProblemSize, StencilKind};
+    use stencil_core::{ProblemSize, StencilDescriptor};
 
     #[test]
     fn from_plan_extracts_launch_metadata() {
-        let spec = StencilKind::Jacobi2D.spec();
+        let spec = StencilDescriptor::jacobi2d().spec();
         let size = ProblemSize::new_2d(64, 64, 8);
         let plan = TilingPlan::build(
             &spec,

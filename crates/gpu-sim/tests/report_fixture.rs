@@ -10,7 +10,7 @@
 
 use gpu_sim::{simulate, DeviceConfig, SimReport, SimWorkload};
 use hhc_tiling::{LaunchConfig, TileSizes, TilingPlan};
-use stencil_core::{ProblemSize, StencilDescriptor, StencilKind, StencilSpec};
+use stencil_core::{ProblemSize, StencilDescriptor, StencilSpec};
 
 fn plan(
     spec: StencilSpec,
@@ -34,7 +34,7 @@ fn cases() -> Vec<(&'static str, SimWorkload)> {
         (
             "jacobi2d_512_t128",
             plan(
-                StencilKind::Jacobi2D.spec(),
+                StencilDescriptor::jacobi2d().spec(),
                 ProblemSize::new_2d(512, 512, 128),
                 TileSizes::new_2d(8, 32, 128),
                 LaunchConfig::new_2d(4, 32),
@@ -43,7 +43,7 @@ fn cases() -> Vec<(&'static str, SimWorkload)> {
         (
             "jacobi2d_spilling",
             plan(
-                StencilKind::Jacobi2D.spec(),
+                StencilDescriptor::jacobi2d().spec(),
                 ProblemSize::new_2d(512, 512, 64),
                 TileSizes::new_2d(8, 64, 64),
                 LaunchConfig::new_2d(1, 32),
@@ -52,7 +52,7 @@ fn cases() -> Vec<(&'static str, SimWorkload)> {
         (
             "heat2d_many_wavefronts",
             plan(
-                StencilKind::Heat2D.spec(),
+                StencilDescriptor::heat2d().spec(),
                 ProblemSize::new_2d(1024, 1024, 256),
                 TileSizes::new_2d(2, 16, 64),
                 LaunchConfig::new_2d(1, 64),
@@ -70,7 +70,7 @@ fn cases() -> Vec<(&'static str, SimWorkload)> {
         (
             "heat3d_64_t16",
             plan(
-                StencilKind::Heat3D.spec(),
+                StencilDescriptor::heat3d().spec(),
                 ProblemSize::new_3d(64, 64, 64, 16),
                 TileSizes::new_3d(4, 4, 8, 32),
                 LaunchConfig::new_3d(1, 4, 32),

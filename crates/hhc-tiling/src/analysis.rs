@@ -76,10 +76,10 @@ pub fn analyze(plan: &TilingPlan) -> PlanStats {
 mod tests {
     use super::*;
     use crate::config::{LaunchConfig, TileSizes};
-    use stencil_core::{ProblemSize, StencilKind};
+    use stencil_core::{ProblemSize, StencilDescriptor};
 
     fn plan(tiles: TileSizes, s: usize, t: usize) -> TilingPlan {
-        let spec = StencilKind::Jacobi2D.spec();
+        let spec = StencilDescriptor::jacobi2d().spec();
         let size = ProblemSize::new_2d(s, s, t);
         TilingPlan::build(&spec, &size, tiles, LaunchConfig::new_2d(1, 32)).unwrap()
     }

@@ -653,7 +653,7 @@ fn compute_point(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stencil_core::{reference, StencilKind};
+    use stencil_core::{reference, StencilDescriptor, StencilDim};
 
     fn random_grid(sizes: [usize; 3], seed: u64) -> Grid {
         // Small deterministic LCG; avoids a dev-dependency here.
@@ -666,8 +666,8 @@ mod tests {
         })
     }
 
-    fn check(kind: StencilKind, size: ProblemSize, tiles: TileSizes) {
-        let spec = kind.spec();
+    fn check(stencil: StencilDescriptor, size: ProblemSize, tiles: TileSizes) {
+        let spec = stencil.spec();
         let init = random_grid(size.space_extents(), 42);
         let expect = reference::run(&spec, &size, &init);
         let got = run_tiled_checked(&spec, &size, tiles, &init);
@@ -675,7 +675,7 @@ mod tests {
             expect.max_abs_diff(&got),
             0.0,
             "{} {} {:?}",
-            kind.name(),
+            stencil.name,
             size.label(),
             tiles
         );
@@ -689,15 +689,19 @@ mod tests {
             (10, 25, TileSizes::new_1d(8, 2)),
             (7, 3, TileSizes::new_1d(2, 1)),
         ] {
-            check(StencilKind::Jacobi1D, ProblemSize::new_1d(s, t), tiles);
+            check(
+                StencilDescriptor::jacobi1d(),
+                ProblemSize::new_1d(s, t),
+                tiles,
+            );
         }
     }
 
     #[test]
     fn all_2d_stencils_match_reference() {
-        for kind in StencilKind::BENCH_2D {
+        for stencil in StencilDescriptor::paper(StencilDim::D2) {
             check(
-                kind,
+                stencil,
                 ProblemSize::new_2d(21, 17, 9),
                 TileSizes::new_2d(4, 5, 6),
             );
@@ -706,15 +710,15 @@ mod tests {
 
     #[test]
     fn all_3d_stencils_match_reference() {
-        for kind in StencilKind::BENCH_3D {
+        for stencil in StencilDescriptor::paper(StencilDim::D3) {
             check(
-                kind,
+                stencil,
                 ProblemSize::new_3d(9, 8, 7, 6),
                 TileSizes::new_3d(4, 3, 4, 3),
             );
         }
         check(
-            StencilKind::Jacobi3D,
+            StencilDescriptor::jacobi3d(),
             ProblemSize::new_3d(6, 6, 6, 5),
             TileSizes::new_3d(2, 2, 3, 4),
         );
@@ -723,7 +727,7 @@ mod tests {
     #[test]
     fn tile_larger_than_domain() {
         check(
-            StencilKind::Jacobi2D,
+            StencilDescriptor::jacobi2d(),
             ProblemSize::new_2d(5, 5, 3),
             TileSizes::new_2d(16, 32, 64),
         );
@@ -731,7 +735,7 @@ mod tests {
 
     #[test]
     fn unchecked_matches_checked() {
-        let spec = StencilKind::Heat2D.spec();
+        let spec = StencilDescriptor::heat2d().spec();
         let size = ProblemSize::new_2d(17, 13, 8);
         let tiles = TileSizes::new_2d(4, 4, 8);
         let init = random_grid(size.space_extents(), 7);
@@ -742,7 +746,7 @@ mod tests {
 
     #[test]
     fn nonzero_boundary_values_propagate_identically() {
-        let spec = StencilKind::Jacobi2D.spec();
+        let spec = StencilDescriptor::jacobi2d().spec();
         let size = ProblemSize::new_2d(9, 11, 6);
         let tiles = TileSizes::new_2d(4, 3, 4);
         let mut init = random_grid(size.space_extents(), 3);
@@ -755,12 +759,12 @@ mod tests {
     #[test]
     fn one_cell_domain() {
         check(
-            StencilKind::Jacobi2D,
+            StencilDescriptor::jacobi2d(),
             ProblemSize::new_2d(1, 1, 5),
             TileSizes::new_2d(2, 1, 1),
         );
         check(
-            StencilKind::Jacobi1D,
+            StencilDescriptor::jacobi1d(),
             ProblemSize::new_1d(1, 7),
             TileSizes::new_1d(4, 3),
         );
@@ -769,7 +773,7 @@ mod tests {
     #[test]
     fn single_time_step() {
         check(
-            StencilKind::Heat2D,
+            StencilDescriptor::heat2d(),
             ProblemSize::new_2d(13, 9, 1),
             TileSizes::new_2d(8, 4, 4),
         );
@@ -779,7 +783,7 @@ mod tests {
     fn rolling_window_bounds_resident_planes() {
         // Long T: the fast path must allocate O(t_t) planes, not O(T), and
         // still match the reference bit for bit.
-        let spec = StencilKind::Jacobi2D.spec();
+        let spec = StencilDescriptor::jacobi2d().spec();
         let size = ProblemSize::new_2d(19, 15, 40);
         let tiles = TileSizes::new_2d(4, 5, 6);
         let init = random_grid(size.space_extents(), 13);
@@ -806,7 +810,7 @@ mod tests {
     #[test]
     fn window_clamps_to_short_time_axis() {
         // t_t + 1 > T + 1: the ring must clamp to the logical plane count.
-        let spec = StencilKind::Jacobi1D.spec();
+        let spec = StencilDescriptor::jacobi1d().spec();
         let size = ProblemSize::new_1d(33, 3);
         let tiles = TileSizes::new_1d(16, 8);
         assert_eq!(rolling_window_depth(tiles, &size), 4);
@@ -818,9 +822,9 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_matches_reference_for_all_kinds() {
-        for kind in StencilKind::ALL {
-            let (size, tiles) = match kind.spec().dim.rank() {
+    fn fast_path_matches_reference_for_all_named_stencils() {
+        for stencil in StencilDescriptor::named() {
+            let (size, tiles) = match stencil.spec().dim.rank() {
                 1 => (ProblemSize::new_1d(37, 11), TileSizes::new_1d(4, 5)),
                 2 => (ProblemSize::new_2d(17, 14, 9), TileSizes::new_2d(4, 5, 6)),
                 _ => (
@@ -828,17 +832,17 @@ mod tests {
                     TileSizes::new_3d(4, 3, 4, 3),
                 ),
             };
-            let spec = kind.spec();
+            let spec = stencil.spec();
             let init = random_grid(size.space_extents(), 17);
             let expect = reference::run(&spec, &size, &init);
             let got = run_tiled_unchecked(&spec, &size, tiles, &init);
-            assert_eq!(expect.max_abs_diff(&got), 0.0, "{}", kind.name());
+            assert_eq!(expect.max_abs_diff(&got), 0.0, "{}", stencil.name);
         }
     }
 
     #[test]
     fn baseline_options_match_fast_options() {
-        let spec = StencilKind::Heat3D.spec();
+        let spec = StencilDescriptor::heat3d().spec();
         let size = ProblemSize::new_3d(7, 6, 8, 7);
         let tiles = TileSizes::new_3d(4, 3, 3, 4);
         let init = random_grid(size.space_extents(), 29);
@@ -857,7 +861,7 @@ mod tests {
 
     #[test]
     fn stats_count_rows_and_plane_copies() {
-        let spec = StencilKind::Jacobi2D.spec();
+        let spec = StencilDescriptor::jacobi2d().spec();
         let size = ProblemSize::new_2d(19, 15, 6);
         let tiles = TileSizes::new_2d(4, 5, 6);
         let init = random_grid(size.space_extents(), 31);
@@ -878,7 +882,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "full space-time history")]
     fn checked_rolling_window_is_rejected() {
-        let spec = StencilKind::Jacobi1D.spec();
+        let spec = StencilDescriptor::jacobi1d().spec();
         let size = ProblemSize::new_1d(9, 4);
         let init = random_grid(size.space_extents(), 1);
         let opts = ExecOptions {
@@ -895,7 +899,7 @@ mod tests {
         // The 9-point Gradient2D exercises diagonal producers — the
         // hexagon slopes must still satisfy them.
         check(
-            StencilKind::Gradient2D,
+            StencilDescriptor::gradient2d(),
             ProblemSize::new_2d(19, 23, 11),
             TileSizes::new_2d(6, 4, 8),
         );
@@ -905,45 +909,53 @@ mod tests {
 #[cfg(test)]
 mod higher_order_tests {
     use super::*;
-    use stencil_core::{init, reference, Neighbor, StencilDim, StencilSpec};
+    use stencil_core::{init, reference, Footprint, StencilDescriptor, StencilDim, StencilSpec};
 
     /// Fourth-order-accurate 1D Laplacian smoothing step: a 5-point,
     /// order-2 stencil.
     fn order2_1d() -> StencilSpec {
-        StencilSpec::convolution(
+        StencilDescriptor::new(
+            "order2_1d",
             StencilDim::D1,
-            vec![
-                Neighbor::new([-2, 0, 0], -1.0 / 12.0),
-                Neighbor::new([-1, 0, 0], 4.0 / 12.0),
-                Neighbor::new([0, 0, 0], 6.0 / 12.0),
-                Neighbor::new([1, 0, 0], 4.0 / 12.0),
-                Neighbor::new([2, 0, 0], -1.0 / 12.0),
-            ],
+            2,
+            Footprint::Custom(vec![
+                [-2, 0, 0],
+                [-1, 0, 0],
+                [0, 0, 0],
+                [1, 0, 0],
+                [2, 0, 0],
+            ]),
+            vec![-1.0 / 12.0, 4.0 / 12.0, 6.0 / 12.0, 4.0 / 12.0, -1.0 / 12.0],
             0.0,
             2,
         )
         .unwrap()
+        .spec()
     }
 
     /// An order-2, 2D stencil (9-point cross).
     fn order2_2d() -> StencilSpec {
-        StencilSpec::convolution(
+        StencilDescriptor::new(
+            "order2_2d",
             StencilDim::D2,
-            vec![
-                Neighbor::new([0, 0, 0], 0.4),
-                Neighbor::new([-1, 0, 0], 0.1),
-                Neighbor::new([1, 0, 0], 0.1),
-                Neighbor::new([0, -1, 0], 0.1),
-                Neighbor::new([0, 1, 0], 0.1),
-                Neighbor::new([-2, 0, 0], 0.05),
-                Neighbor::new([2, 0, 0], 0.05),
-                Neighbor::new([0, -2, 0], 0.05),
-                Neighbor::new([0, 2, 0], 0.05),
-            ],
+            2,
+            Footprint::Custom(vec![
+                [0, 0, 0],
+                [-1, 0, 0],
+                [1, 0, 0],
+                [0, -1, 0],
+                [0, 1, 0],
+                [-2, 0, 0],
+                [2, 0, 0],
+                [0, -2, 0],
+                [0, 2, 0],
+            ]),
+            vec![0.4, 0.1, 0.1, 0.1, 0.1, 0.05, 0.05, 0.05, 0.05],
             0.0,
             0,
         )
         .unwrap()
+        .spec()
     }
 
     #[test]
@@ -998,28 +1010,28 @@ mod higher_order_tests {
 #[cfg(test)]
 mod parallel_tests {
     use super::*;
-    use stencil_core::{init, reference, StencilKind};
+    use stencil_core::{init, reference, StencilDescriptor};
 
     #[test]
     fn parallel_equals_sequential_tiled_and_reference() {
-        for (kind, size, tiles) in [
+        for (stencil, size, tiles) in [
             (
-                StencilKind::Jacobi2D,
+                StencilDescriptor::jacobi2d(),
                 ProblemSize::new_2d(29, 23, 9),
                 TileSizes::new_2d(4, 5, 6),
             ),
             (
-                StencilKind::Gradient2D,
+                StencilDescriptor::gradient2d(),
                 ProblemSize::new_2d(17, 19, 7),
                 TileSizes::new_2d(6, 3, 4),
             ),
             (
-                StencilKind::Heat3D,
+                StencilDescriptor::heat3d(),
                 ProblemSize::new_3d(9, 8, 7, 6),
                 TileSizes::new_3d(4, 3, 4, 3),
             ),
         ] {
-            let spec = kind.spec();
+            let spec = stencil.spec();
             let grid = init::random(size.space_extents(), 11);
             let expect = reference::run(&spec, &size, &grid);
             let seq = run_tiled_checked(&spec, &size, tiles, &grid);
@@ -1028,15 +1040,20 @@ mod parallel_tests {
                 expect.max_abs_diff(&par),
                 0.0,
                 "{} vs reference",
-                kind.name()
+                stencil.name
             );
-            assert_eq!(seq.max_abs_diff(&par), 0.0, "{} vs sequential", kind.name());
+            assert_eq!(
+                seq.max_abs_diff(&par),
+                0.0,
+                "{} vs sequential",
+                stencil.name
+            );
         }
     }
 
     #[test]
     fn parallel_handles_nonzero_boundary() {
-        let spec = StencilKind::Jacobi1D.spec();
+        let spec = StencilDescriptor::jacobi1d().spec();
         let size = ProblemSize::new_1d(41, 13);
         let tiles = TileSizes::new_1d(6, 5);
         let mut grid = init::gaussian_bump(size.space_extents(), 6.0);

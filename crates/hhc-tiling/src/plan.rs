@@ -561,17 +561,17 @@ impl PlanBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stencil_core::StencilKind;
+    use stencil_core::StencilDescriptor;
 
     fn plan_2d(s: usize, t: usize, tiles: TileSizes) -> TilingPlan {
-        let spec = StencilKind::Jacobi2D.spec();
+        let spec = StencilDescriptor::jacobi2d().spec();
         let size = ProblemSize::new_2d(s, s, t);
         TilingPlan::build(&spec, &size, tiles, LaunchConfig::new_2d(1, 32)).unwrap()
     }
 
     #[test]
     fn total_iterations_equals_domain_1d() {
-        let spec = StencilKind::Jacobi1D.spec();
+        let spec = StencilDescriptor::jacobi1d().spec();
         for (s, t, ts, tt) in [(37, 11, 4, 4), (64, 16, 8, 6), (20, 3, 3, 2), (5, 9, 2, 8)] {
             let size = ProblemSize::new_1d(s, t);
             let plan = TilingPlan::build(
@@ -603,7 +603,7 @@ mod tests {
 
     #[test]
     fn total_iterations_equals_domain_3d() {
-        let spec = StencilKind::Heat3D.spec();
+        let spec = StencilDescriptor::heat3d().spec();
         for (s, t, tiles) in [
             (12usize, 6usize, TileSizes::new_3d(4, 3, 4, 5)),
             (9, 10, TileSizes::new_3d(6, 2, 3, 3)),
@@ -632,7 +632,7 @@ mod tests {
 
     #[test]
     fn one_geometry_serves_every_launch() {
-        let spec = StencilKind::Heat3D.spec();
+        let spec = StencilDescriptor::heat3d().spec();
         let size = ProblemSize::new_3d(24, 24, 24, 9);
         let tiles = TileSizes::new_3d(4, 3, 4, 8);
         let geometry = PlanGeometry::build(&spec, &size, tiles).unwrap();
@@ -705,7 +705,7 @@ mod tests {
     fn axis_classes_stay_small_for_3d() {
         // The separable representation must not blow up: a 3D plan with
         // tiny inner tiles keeps per-axis classes, not their product.
-        let spec = StencilKind::Heat3D.spec();
+        let spec = StencilDescriptor::heat3d().spec();
         let size = ProblemSize::new_3d(96, 96, 96, 32);
         let tiles = TileSizes::new_3d(16, 4, 2, 2);
         let plan = TilingPlan::build(&spec, &size, tiles, LaunchConfig::new_3d(1, 2, 2)).unwrap();
@@ -743,7 +743,7 @@ mod tests {
         // Radius-2 star (4th-order Laplacian): slope-2 hexagons still
         // partition the iteration space exactly, and the shared-memory
         // footprint accounts for the wider halos.
-        let spec = stencil_core::StencilDescriptor::lap4_2d().spec();
+        let spec = StencilDescriptor::lap4_2d().spec();
         assert_eq!(spec.order(), 2);
         for (s, t, tiles) in [
             (48usize, 12usize, TileSizes::new_2d(4, 16, 32)),
@@ -773,7 +773,7 @@ mod tests {
 
     #[test]
     fn rejects_mismatched_dimensions() {
-        let spec = StencilKind::Jacobi2D.spec();
+        let spec = StencilDescriptor::jacobi2d().spec();
         let size = ProblemSize::new_1d(64, 8);
         assert!(TilingPlan::build(
             &spec,
@@ -786,7 +786,7 @@ mod tests {
 
     #[test]
     fn rejects_zero_time() {
-        let spec = StencilKind::Jacobi1D.spec();
+        let spec = StencilDescriptor::jacobi1d().spec();
         let size = ProblemSize::new_1d(64, 0);
         assert!(TilingPlan::build(
             &spec,

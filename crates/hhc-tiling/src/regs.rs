@@ -39,23 +39,23 @@ pub fn regs_per_block(spec: &StencilSpec, threads: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stencil_core::StencilKind;
+    use stencil_core::StencilDescriptor;
 
     #[test]
     fn estimates_are_deterministic_and_ordered() {
-        let j = regs_per_thread(&StencilKind::Jacobi2D.spec());
-        let g = regs_per_thread(&StencilKind::Gradient2D.spec());
-        let h3 = regs_per_thread(&StencilKind::Heat3D.spec());
+        let j = regs_per_thread(&StencilDescriptor::jacobi2d().spec());
+        let g = regs_per_thread(&StencilDescriptor::gradient2d().spec());
+        let h3 = regs_per_thread(&StencilDescriptor::heat3d().spec());
         // Bigger bodies / more dimensions need more registers.
         assert!(g > j, "gradient {g} <= jacobi {j}");
         assert!(h3 > j, "heat3d {h3} <= jacobi2d {j}");
         // Deterministic.
-        assert_eq!(j, regs_per_thread(&StencilKind::Jacobi2D.spec()));
+        assert_eq!(j, regs_per_thread(&StencilDescriptor::jacobi2d().spec()));
     }
 
     #[test]
     fn block_usage_scales_with_threads() {
-        let spec = StencilKind::Jacobi2D.spec();
+        let spec = StencilDescriptor::jacobi2d().spec();
         assert_eq!(
             regs_per_block(&spec, 128),
             128 * regs_per_thread(&spec) as u64
@@ -64,8 +64,8 @@ mod tests {
 
     #[test]
     fn capped_at_architecture_limit() {
-        for kind in StencilKind::ALL {
-            assert!(regs_per_thread(&kind.spec()) <= MAX_REGS_PER_THREAD);
+        for stencil in StencilDescriptor::named() {
+            assert!(regs_per_thread(&stencil.spec()) <= MAX_REGS_PER_THREAD);
         }
     }
 }

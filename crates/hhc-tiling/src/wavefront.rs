@@ -205,11 +205,11 @@ fn count_of(v: &[usize], x: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stencil_core::StencilKind;
+    use stencil_core::StencilDescriptor;
 
     #[test]
     fn iteration_count_is_exact() {
-        let spec = StencilKind::Jacobi2D.spec();
+        let spec = StencilDescriptor::jacobi2d().spec();
         for (s1, s2, t, b1, b2) in [
             (64usize, 64usize, 8usize, 16usize, 16usize),
             (33, 47, 5, 8, 32),
@@ -230,7 +230,7 @@ mod tests {
 
     #[test]
     fn block_count_matches_grid() {
-        let spec = StencilKind::Jacobi2D.spec();
+        let spec = StencilDescriptor::jacobi2d().spec();
         let size = ProblemSize::new_2d(100, 64, 4);
         let ws = WavefrontSchedule::build(
             &spec,
@@ -247,7 +247,7 @@ mod tests {
     fn memory_traffic_has_no_temporal_reuse() {
         // Every time step reloads its halo'd input and stores the full
         // output: total words ≈ T · (S + halo + S).
-        let spec = StencilKind::Jacobi1D.spec();
+        let spec = StencilDescriptor::jacobi1d().spec();
         let size = ProblemSize::new_1d(1024, 10);
         let ws = WavefrontSchedule::build(
             &spec,
@@ -280,7 +280,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_extents() {
-        let spec = StencilKind::Jacobi2D.spec();
+        let spec = StencilDescriptor::jacobi2d().spec();
         let size = ProblemSize::new_2d(64, 64, 4);
         assert!(WavefrontSchedule::build(
             &spec,

@@ -10,35 +10,35 @@ use hhc_tiling::{
     ExecOptions, HexTiling, ScratchPool, TileSizes,
 };
 use proptest::prelude::*;
-use stencil_core::{init, reference, Grid, ProblemSize, StencilKind};
+use stencil_core::{init, reference, Grid, ProblemSize, StencilDescriptor};
 
 /// A random (stencil, problem, tiles) case. Extents start at 1 (1-cell
 /// domains) and tile extents range well past the domain sizes, so
 /// tiles-larger-than-domain cases occur routinely.
-fn case() -> impl Strategy<Value = (StencilKind, ProblemSize, TileSizes)> {
+fn case() -> impl Strategy<Value = (StencilDescriptor, ProblemSize, TileSizes)> {
     (
-        0usize..StencilKind::ALL.len(),
+        0usize..StencilDescriptor::named().len(),
         1usize..5,                            // t_t / 2
         (1usize..12, 1usize..10, 1usize..48), // tile space extents
         (1usize..24, 1usize..14, 1usize..9),  // domain space extents
         1usize..14,                           // time steps
     )
         .prop_map(|(k, h, (ts1, ts2, ts3), (s1, s2, s3), t)| {
-            let kind = StencilKind::ALL[k];
+            let stencil = StencilDescriptor::named()[k].clone();
             let t_t = 2 * h;
-            match kind.spec().dim.rank() {
+            match stencil.spec().dim.rank() {
                 1 => (
-                    kind,
+                    stencil,
                     ProblemSize::new_1d(s1 * s2, t),
                     TileSizes::new_1d(t_t, ts1),
                 ),
                 2 => (
-                    kind,
+                    stencil,
                     ProblemSize::new_2d(s1, s2, t),
                     TileSizes::new_2d(t_t, ts1, ts2),
                 ),
                 _ => (
-                    kind,
+                    stencil,
                     ProblemSize::new_3d(s1.min(9), s2, s3, t.min(8)),
                     TileSizes::new_3d(t_t, ts1.min(7), ts2, ts3),
                 ),
@@ -53,21 +53,21 @@ proptest! {
     /// storage bound.
     #[test]
     fn rolling_window_equals_checked_and_reference(
-        (kind, size, tiles) in case(),
+        (stencil, size, tiles) in case(),
         seed in 0u64..1024,
     ) {
-        let spec = kind.spec();
+        let spec = stencil.spec();
         let grid = init::random(size.space_extents(), seed);
         let expect = reference::run(&spec, &size, &grid);
         let checked = run_tiled_checked(&spec, &size, tiles, &grid);
         let (fast, stats) = run_tiled_unchecked_with_stats(&spec, &size, tiles, &grid);
         prop_assert_eq!(
             expect.max_abs_diff(&checked), 0.0,
-            "checked vs reference: {} {} {:?}", kind.name(), size.label(), tiles
+            "checked vs reference: {} {} {:?}", stencil.name, size.label(), tiles
         );
         prop_assert_eq!(
             expect.max_abs_diff(&fast), 0.0,
-            "fast vs reference: {} {} {:?}", kind.name(), size.label(), tiles
+            "fast vs reference: {} {} {:?}", stencil.name, size.label(), tiles
         );
         prop_assert_eq!(stats.resident_planes, rolling_window_depth(tiles, &size));
         prop_assert_eq!(stats.logical_planes, size.time + 1);
@@ -83,7 +83,7 @@ proptest! {
         t in 1usize..7,
         seed in 0u64..256,
     ) {
-        let spec = StencilKind::Jacobi2D.spec();
+        let spec = StencilDescriptor::jacobi2d().spec();
         let size = ProblemSize::new_2d(s1, s2, t);
         let tiles = TileSizes::new_2d(16, 32, 64);
         let grid = init::random(size.space_extents(), seed);
@@ -97,9 +97,9 @@ proptest! {
     /// 1-cell domains: every point is a boundary point, so the row kernel
     /// never fires and the generic path must carry the whole run.
     #[test]
-    fn one_cell_domains(kidx in 0usize..StencilKind::ALL.len(), t in 1usize..9, seed in 0u64..64) {
-        let kind = StencilKind::ALL[kidx];
-        let spec = kind.spec();
+    fn one_cell_domains(kidx in 0usize..StencilDescriptor::named().len(), t in 1usize..9, seed in 0u64..64) {
+        let stencil = StencilDescriptor::named()[kidx].clone();
+        let spec = stencil.spec();
         let (size, tiles) = match spec.dim.rank() {
             1 => (ProblemSize::new_1d(1, t), TileSizes::new_1d(4, 3)),
             2 => (ProblemSize::new_2d(1, 1, t), TileSizes::new_2d(4, 2, 2)),
@@ -108,7 +108,7 @@ proptest! {
         let grid = init::random(size.space_extents(), seed);
         let expect = reference::run(&spec, &size, &grid);
         let (fast, stats) = run_tiled_unchecked_with_stats(&spec, &size, tiles, &grid);
-        prop_assert_eq!(expect.max_abs_diff(&fast), 0.0, "{} T={t}", kind.name());
+        prop_assert_eq!(expect.max_abs_diff(&fast), 0.0, "{} T={t}", stencil.name);
         prop_assert_eq!(stats.kernel_points, 0);
         prop_assert_eq!(stats.generic_points, t as u64);
     }
@@ -119,11 +119,11 @@ proptest! {
     /// the same case runs twice.
     #[test]
     fn parallel_pooled_equals_sequential_fast(
-        (kind, size, tiles) in case(),
+        (stencil, size, tiles) in case(),
         seed in 0u64..1024,
         boundary in 0u32..4,
     ) {
-        let spec = kind.spec();
+        let spec = stencil.spec();
         let mut grid = init::random(size.space_extents(), seed);
         grid.set_boundary(boundary as f32 * 0.75);
         let (fast, fstats) = run_tiled_unchecked_with_stats(&spec, &size, tiles, &grid);
@@ -131,7 +131,7 @@ proptest! {
         let (par, pstats) = run_tiled_parallel_with_stats(&spec, &size, tiles, &grid, &pool);
         prop_assert_eq!(
             fast.max_abs_diff(&par), 0.0,
-            "parallel vs fast: {} {} {:?}", kind.name(), size.label(), tiles
+            "parallel vs fast: {} {} {:?}", stencil.name, size.label(), tiles
         );
         for (a, b) in fast.as_slice().iter().zip(par.as_slice()) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
@@ -153,11 +153,11 @@ proptest! {
     /// all arise from `case()`'s ranges.
     #[test]
     fn simd_fast_equals_scalar_fast(
-        (kind, size, tiles) in case(),
+        (stencil, size, tiles) in case(),
         seed in 0u64..1024,
         boundary in 0u32..4,
     ) {
-        let spec = kind.spec();
+        let spec = stencil.spec();
         let mut grid = init::random(size.space_extents(), seed);
         grid.set_boundary(boundary as f32 * 0.5);
         let (scalar, _) = run_tiled_with(&spec, &size, tiles, &grid, ExecOptions::FAST_SCALAR)
@@ -167,7 +167,7 @@ proptest! {
         for (a, b) in scalar.as_slice().iter().zip(simd.as_slice()) {
             prop_assert_eq!(
                 a.to_bits(), b.to_bits(),
-                "simd vs scalar: {} {} {:?}", kind.name(), size.label(), tiles
+                "simd vs scalar: {} {} {:?}", stencil.name, size.label(), tiles
             );
         }
     }
@@ -177,10 +177,10 @@ proptest! {
     /// path, bit for bit.
     #[test]
     fn dispatch_policies_agree_bitwise(
-        (kind, size, tiles) in case(),
+        (stencil, size, tiles) in case(),
         seed in 0u64..1024,
     ) {
-        let spec = kind.spec();
+        let spec = stencil.spec();
         let grid = init::random(size.space_extents(), seed);
         let (fast, _) = run_tiled_unchecked_with_stats(&spec, &size, tiles, &grid);
         let pool = ScratchPool::new();
@@ -199,13 +199,13 @@ proptest! {
         for (a, b) in fast.as_slice().iter().zip(forced.as_slice()) {
             prop_assert_eq!(
                 a.to_bits(), b.to_bits(),
-                "forced-parallel vs fast: {} {} {:?}", kind.name(), size.label(), tiles
+                "forced-parallel vs fast: {} {} {:?}", stencil.name, size.label(), tiles
             );
         }
         for (a, b) in fast.as_slice().iter().zip(seq.as_slice()) {
             prop_assert_eq!(
                 a.to_bits(), b.to_bits(),
-                "fallback vs fast: {} {} {:?}", kind.name(), size.label(), tiles
+                "fallback vs fast: {} {} {:?}", stencil.name, size.label(), tiles
             );
         }
     }
@@ -219,31 +219,31 @@ fn simd_matches_scalar_for_all_lane_remainders() {
     let cases = |r: usize| {
         vec![
             (
-                StencilKind::Jacobi1D,
+                StencilDescriptor::jacobi1d(),
                 ProblemSize::new_1d(32 + r, 5),
                 TileSizes::new_1d(4, 6),
             ),
             (
-                StencilKind::Jacobi2D,
+                StencilDescriptor::jacobi2d(),
                 ProblemSize::new_2d(12, 16 + r, 6),
                 TileSizes::new_2d(4, 4, 8),
             ),
             // t_t = 16 > T = 3: the window truncates to the full depth.
             (
-                StencilKind::Jacobi2D,
+                StencilDescriptor::jacobi2d(),
                 ProblemSize::new_2d(9, 16 + r, 3),
                 TileSizes::new_2d(16, 32, 64),
             ),
             (
-                StencilKind::Heat3D,
+                StencilDescriptor::heat3d(),
                 ProblemSize::new_3d(7, 6, 16 + r, 4),
                 TileSizes::new_3d(4, 3, 4, 8),
             ),
         ]
     };
     for r in 0..stencil_core::simd::BLOCK_WIDTH {
-        for (kind, size, tiles) in cases(r) {
-            let spec = kind.spec();
+        for (stencil, size, tiles) in cases(r) {
+            let spec = stencil.spec();
             let grid = init::random(size.space_extents(), 0xC0FFEE + r as u64);
             let (scalar, _) = run_tiled_with(&spec, &size, tiles, &grid, ExecOptions::FAST_SCALAR)
                 .expect("scalar fast run");
@@ -254,12 +254,12 @@ fn simd_matches_scalar_for_all_lane_remainders() {
                     a.to_bits(),
                     b.to_bits(),
                     "{} {} rem {r} cell {i}",
-                    kind.name(),
+                    stencil.name,
                     size.label()
                 );
             }
             // The interior is wide enough that the blocked sweep engaged.
-            assert!(sstats.simd_rows > 0, "{} rem {r}: {sstats:?}", kind.name());
+            assert!(sstats.simd_rows > 0, "{} rem {r}: {sstats:?}", stencil.name);
         }
     }
 }
@@ -277,8 +277,8 @@ fn simd_matches_scalar_for_all_lane_remainders() {
 /// * Warm pool, second run: every checkout is a reuse.
 #[test]
 fn scratch_counters_pin_exact_values_for_known_schedule() {
-    let kind = StencilKind::Jacobi2D;
-    let spec = kind.spec();
+    let stencil = StencilDescriptor::jacobi2d();
+    let spec = stencil.spec();
     let size = ProblemSize::new_2d(24, 8, 6);
     let tiles = TileSizes::new_2d(4, 4, 8);
     let grid = init::random(size.space_extents(), 7);

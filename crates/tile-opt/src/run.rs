@@ -156,11 +156,11 @@ pub fn run_candidates_until(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stencil_core::{init, reference, StencilKind};
+    use stencil_core::{init, reference, StencilDescriptor};
 
     #[test]
     fn candidate_sweep_reuses_pool_and_picks_a_winner() {
-        let spec = StencilKind::Jacobi2D.spec();
+        let spec = StencilDescriptor::jacobi2d().spec();
         let size = ProblemSize::new_2d(33, 29, 8);
         let grid = init::random(size.space_extents(), 3);
         let candidates = [
@@ -189,7 +189,7 @@ mod tests {
 
     #[test]
     fn infeasible_candidates_are_recorded_as_skipped() {
-        let spec = StencilKind::Jacobi1D.spec();
+        let spec = StencilDescriptor::jacobi1d().spec();
         let size = ProblemSize::new_1d(40, 6);
         let grid = init::random(size.space_extents(), 1);
         // Odd t_t is invalid for the hexagonal schedule.
@@ -211,7 +211,7 @@ mod tests {
 
     #[test]
     fn expired_deadline_skips_every_remaining_candidate() {
-        let spec = StencilKind::Jacobi1D.spec();
+        let spec = StencilDescriptor::jacobi1d().spec();
         let size = ProblemSize::new_1d(40, 6);
         let grid = init::random(size.space_extents(), 1);
         let candidates = [TileSizes::new_1d(4, 4), TileSizes::new_1d(2, 8)];
@@ -236,7 +236,7 @@ mod tests {
         let _g = lock_obs();
         let rec = std::sync::Arc::new(obs::MemoryRecorder::new(obs::Level::Quiet));
         obs::install(rec.clone());
-        let spec = StencilKind::Jacobi1D.spec();
+        let spec = StencilDescriptor::jacobi1d().spec();
         let size = ProblemSize::new_1d(40, 6);
         let grid = init::random(size.space_extents(), 1);
         let candidates = [TileSizes::new_1d(3, 4), TileSizes::new_1d(4, 4)];

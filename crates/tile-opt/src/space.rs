@@ -231,7 +231,7 @@ mod tests {
         let cfg = SpaceConfig::default();
         let w = Workload::new(
             d.clone(),
-            stencil_core::StencilKind::Heat2D,
+            stencil_core::StencilDescriptor::heat2d(),
             stencil_core::ProblemSize::new_2d(512, 512, 64),
         )
         .unwrap();

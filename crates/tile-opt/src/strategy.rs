@@ -602,7 +602,7 @@ pub fn study(ctx: &StrategyContext<'_>, exhaustive: bool) -> Study {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stencil_core::StencilKind;
+    use stencil_core::StencilDescriptor;
 
     #[test]
     fn baseline_set_has_85_tiles_and_850_points() {
@@ -625,7 +625,7 @@ mod tests {
         let device = DeviceConfig::gtx980();
         let workload = Workload::new(
             device.clone(),
-            StencilKind::Jacobi2D,
+            StencilDescriptor::jacobi2d(),
             ProblemSize::new_2d(512, 512, 128),
         )
         .unwrap();
@@ -670,7 +670,7 @@ mod tests {
         let device = DeviceConfig::gtx980();
         let workload = Workload::new(
             device.clone(),
-            StencilKind::Jacobi2D,
+            StencilDescriptor::jacobi2d(),
             ProblemSize::new_2d(256, 256, 64),
         )
         .unwrap();
@@ -700,7 +700,7 @@ mod tests {
         let device = DeviceConfig::gtx980();
         let workload = Workload::new(
             device.clone(),
-            StencilKind::Jacobi2D,
+            StencilDescriptor::jacobi2d(),
             ProblemSize::new_2d(256, 256, 64),
         )
         .unwrap();

@@ -25,8 +25,8 @@ const STENCILS: [&str; 4] = ["Heat2D", "Lap4_2D", "Heat3D", "Advect3D"];
 
 fn workload(name: &str) -> Workload {
     let stencil = StencilDescriptor::from_name(name).expect("preset or zoo stencil");
-    let size = match stencil.dim {
-        StencilDim::D3 => ProblemSize::new_3d(40, 40, 40, 10),
+    let size = match stencil.dim.rank() {
+        3 => ProblemSize::new_3d(40, 40, 40, 10),
         _ => ProblemSize::new_2d(256, 256, 32),
     };
     Workload::new(DeviceConfig::gtx980(), stencil, size).expect("ranks agree")

@@ -179,13 +179,13 @@ pub fn within_band(ratio: f64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stencil_core::StencilKind;
+    use stencil_core::StencilDescriptor;
 
     #[test]
     fn bandwidth_and_ceilings_are_positive() {
         let cal = measure_stream_bandwidth();
         assert!(cal.stream_bw_bytes_per_sec > 1e8, "{cal:?}"); // > 100 MB/s
-        let c = measure_compute_ceiling(&StencilKind::Jacobi2D.spec());
+        let c = measure_compute_ceiling(&StencilDescriptor::jacobi2d().spec());
         assert!(c > 1e6, "compute ceiling {c}"); // > 1 Mpts/s
         let p = predict(&cal, c);
         assert!(p.pps > 0.0 && p.pps <= p.compute_pps && p.pps <= p.memory_pps);
@@ -234,7 +234,7 @@ mod tests {
     fn wide_stencils_measure_in_range() {
         // Radius 2 reaches 2·32 + 2 flat cells on the 32×32 calibration
         // buffer, radius 3 (3D) reaches 3·1024 + 3·32 + 3.
-        let lap4 = stencil_core::StencilDescriptor::lap4_2d().spec();
+        let lap4 = StencilDescriptor::lap4_2d().spec();
         assert!(measure_compute_ceiling(&lap4) > 1e6);
         let mut offsets = vec![[0i64; 3]];
         for d in 0..3 {
@@ -244,7 +244,7 @@ mod tests {
                 offsets.push(o);
             }
         }
-        let wide = stencil_core::StencilDescriptor::new(
+        let wide = StencilDescriptor::new(
             "wide3d_r3",
             stencil_core::StencilDim::D3,
             3,
@@ -261,9 +261,9 @@ mod tests {
 
     #[test]
     fn ceilings_exist_for_every_benchmark_stencil() {
-        for kind in StencilKind::ALL {
-            let c = measure_compute_ceiling(&kind.spec());
-            assert!(c > 1e6, "{} ceiling {c}", kind.name());
+        for stencil in StencilDescriptor::named() {
+            let c = measure_compute_ceiling(&stencil.spec());
+            assert!(c > 1e6, "{} ceiling {c}", stencil.name);
         }
     }
 }

@@ -102,7 +102,7 @@ mod tests {
         use gpu_sim::{simulate, SimWorkload};
         use hhc_tiling::{LaunchConfig, WavefrontSchedule};
         let device = DeviceConfig::gtx980();
-        let spec = stencil_core::StencilKind::Jacobi2D.spec();
+        let spec = stencil_core::StencilDescriptor::jacobi2d().spec();
         let size = ProblemSize::new_2d(2048, 2048, 32);
         let ws = WavefrontSchedule::build(
             &spec,
@@ -128,7 +128,7 @@ mod tests {
         use gpu_sim::{simulate, SimWorkload};
         use hhc_tiling::{LaunchConfig, TileSizes, TilingPlan, WavefrontSchedule};
         let device = DeviceConfig::gtx980();
-        let spec = stencil_core::StencilKind::Jacobi2D.spec();
+        let spec = stencil_core::StencilDescriptor::jacobi2d().spec();
         let size = ProblemSize::new_2d(2048, 2048, 512);
         let ws = WavefrontSchedule::build(
             &spec,

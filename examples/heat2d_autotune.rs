@@ -10,7 +10,7 @@
 //! fewer configurations than exhaustive search and lands within a few
 //! percent of it.
 
-use hhc_stencil::core::{ProblemSize, StencilKind};
+use hhc_stencil::core::{ProblemSize, StencilDescriptor};
 use hhc_stencil::model::ModelParams;
 use hhc_stencil::opt::strategy::{study, StrategyContext};
 use hhc_stencil::opt::SpaceConfig;
@@ -21,22 +21,22 @@ fn main() {
     let s: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(2048);
     let t: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(2048);
 
-    let kind = StencilKind::Heat2D;
+    let stencil = StencilDescriptor::heat2d();
     let size = ProblemSize::new_2d(s, s, t);
     let device = DeviceConfig::gtx980();
     let space = SpaceConfig::default();
 
     println!(
         "tuning {} on {} for {}",
-        kind.name(),
+        stencil.name,
         device.name,
         size.label()
     );
     println!("measuring model parameters (micro-benchmarks)...");
-    let measured = microbench::measured_params_sampled(&device, &kind.into(), 30, 7);
+    let measured = microbench::measured_params_sampled(&device, &stencil, 30, 7);
     let params = ModelParams::from_measured(&device, &measured);
 
-    let workload = Workload::new(device.clone(), kind, size).expect("Heat2D is 2-dimensional");
+    let workload = Workload::new(device.clone(), stencil, size).expect("Heat2D is 2-dimensional");
     let ctx = StrategyContext::new(&workload, &params, &space);
     println!("running all strategies (incl. exhaustive search)...\n");
     let study = study(&ctx, true);

@@ -10,14 +10,14 @@
 //! that one thread block walks sequentially; and demonstrates that the
 //! whole schedule computes exactly what the naive executor computes.
 
-use hhc_stencil::core::{reference, Grid, ProblemSize, StencilKind};
+use hhc_stencil::core::{reference, Grid, ProblemSize, StencilDescriptor};
 use hhc_stencil::sim::{simulate, DeviceConfig, SimWorkload};
 use hhc_stencil::tiling::{exec, LaunchConfig, TileSizes};
 use hhc_tiling::TilingPlan;
 
 fn main() {
-    let kind = StencilKind::Jacobi3D;
-    let spec = kind.spec();
+    let stencil = StencilDescriptor::jacobi3d();
+    let spec = stencil.spec();
 
     // -- Part 1: functional validation on a small box --------------------
     let small = ProblemSize::new_3d(20, 18, 16, 10);
@@ -27,7 +27,7 @@ fn main() {
     });
     println!(
         "functional check: {} on {} with tiles (tT={}, tS=({}, {}, {}))",
-        kind.name(),
+        stencil.name,
         small.label(),
         tiles.t_t,
         tiles.t_s[0],

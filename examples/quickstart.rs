@@ -13,7 +13,7 @@
 //! 4. run the same configuration on the simulated GPU and compare,
 //! 5. let the optimizer pick tile sizes (Section 6) and show the win.
 
-use hhc_stencil::core::{ProblemSize, StencilKind};
+use hhc_stencil::core::{ProblemSize, StencilDescriptor};
 use hhc_stencil::model::ModelParams;
 use hhc_stencil::opt::strategy::{empirical_launch, DataPoint};
 use hhc_stencil::opt::{feasible_space, model_sweep, talg_min, within_fraction, SpaceConfig};
@@ -23,13 +23,13 @@ use hhc_tiling::TilingPlan;
 
 fn main() {
     // 1. A Jacobi 2D sweep over a 2048² grid for 1024 time steps.
-    let kind = StencilKind::Jacobi2D;
-    let spec = kind.spec();
+    let stencil = StencilDescriptor::jacobi2d();
+    let spec = stencil.spec();
     let size = ProblemSize::new_2d(2048, 2048, 1024);
     let device = DeviceConfig::gtx980();
     println!(
         "stencil  : {} ({} neighbors, {} flops/point)",
-        kind.name(),
+        stencil.name,
         spec.reads_per_point(),
         spec.flops_per_point()
     );
@@ -41,7 +41,7 @@ fn main() {
 
     // 2. Measure the model's parameters from the machine, exactly as the
     //    paper measures them from hardware (Section 5.2).
-    let measured = microbench::measured_params_sampled(&device, &kind.into(), 30, 42);
+    let measured = microbench::measured_params_sampled(&device, &stencil, 30, 42);
     println!(
         "\nmeasured : L = {:.2e} s/GB, tau_sync = {:.2e} s, T_sync = {:.2e} s, Citer = {:.2e} s",
         measured.l_word * 1e9 / 4.0,
@@ -77,7 +77,7 @@ fn main() {
     // 5. Let the model pick tile sizes: bundle the run into a Workload,
     //    sweep its feasible space (Eqn 31), take the predicted optimum
     //    and its 10 % neighborhood.
-    let workload = Workload::new(device.clone(), kind, size).expect("Jacobi2D is 2-dimensional");
+    let workload = Workload::new(device.clone(), stencil, size).expect("Jacobi2D is 2-dimensional");
     let space = feasible_space(&workload, &SpaceConfig::default());
     let sweep = model_sweep(&params, &size, &space);
     let (best_tiles, best_pred) = talg_min(&sweep).expect("non-empty space");

@@ -12,7 +12,7 @@
 //! naive schedule's simplicity can win; as `T` grows, time tiling pulls
 //! away because its memory traffic is `~1/t_T` of the naive schedule's.
 
-use hhc_stencil::core::{reference, ProblemSize, StencilKind};
+use hhc_stencil::core::{reference, ProblemSize, StencilDescriptor};
 use hhc_stencil::model::ModelParams;
 use hhc_stencil::opt::strategy::{empirical_launch, DataPoint};
 use hhc_stencil::opt::{feasible_space, model_sweep, within_fraction, SpaceConfig};
@@ -50,11 +50,12 @@ fn best_naive(
 fn best_hhc(
     device: &DeviceConfig,
     params: &ModelParams,
-    spec: &stencil_core::StencilSpec,
+    stencil: &StencilDescriptor,
     size: &ProblemSize,
 ) -> f64 {
-    let workload =
-        Workload::new(device.clone(), spec.kind, *size).expect("spec and size ranks agree");
+    let workload = Workload::new(device.clone(), stencil.clone(), *size)
+        .expect("stencil and size ranks agree");
+    let spec = stencil.spec();
     let space = feasible_space(&workload, &SpaceConfig::default());
     let sweep = model_sweep(params, size, &space);
     let mut best = f64::INFINITY;
@@ -63,7 +64,7 @@ fn best_hhc(
             tiles,
             launch: empirical_launch(spec.dim, &tiles),
         };
-        let Ok(plan) = TilingPlan::build(spec, size, point.tiles, point.launch) else {
+        let Ok(plan) = TilingPlan::build(&spec, size, point.tiles, point.launch) else {
             continue;
         };
         if let Ok(r) = simulate(device, &SimWorkload::from_plan(&plan)) {
@@ -78,27 +79,26 @@ fn main() {
     let s: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(2048);
     let t_max: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(1024);
 
-    let kind = StencilKind::Jacobi2D;
-    let spec = kind.spec();
+    let stencil = StencilDescriptor::jacobi2d();
+    let spec = stencil.spec();
     let device = DeviceConfig::gtx980();
     println!(
         "{} on {}, S = {s}², sweeping T (both schedules tuned per point)\n",
-        kind.name(),
-        device.name
+        stencil.name, device.name
     );
     println!(
         "{:>8} {:>14} {:>14} {:>10} {:>12}",
         "T", "naive [s]", "hhc [s]", "speedup", "naive GF/s"
     );
 
-    let measured = microbench::measured_params_sampled(&device, &kind.into(), 20, 9);
+    let measured = microbench::measured_params_sampled(&device, &stencil, 20, 9);
     let params = ModelParams::from_measured(&device, &measured);
 
     let mut t = 32usize;
     while t <= t_max {
         let size = ProblemSize::new_2d(s, s, t);
         let (naive, mb) = best_naive(&device, &spec, &size);
-        let hhc = best_hhc(&device, &params, &spec, &size);
+        let hhc = best_hhc(&device, &params, &stencil, &size);
         let flops = reference::total_flops(&spec, &size) as f64;
         println!(
             "{t:>8} {naive:>14.4} {hhc:>14.4} {:>9.2}x {:>10.1}{}",

@@ -11,21 +11,15 @@
 
 use experiments::figures::validate_one_full;
 use experiments::{ExperimentScale, Lab};
-use hhc_stencil::core::{ProblemSize, StencilKind};
+use hhc_stencil::core::{ProblemSize, StencilDescriptor};
 use hhc_stencil::opt::SpaceConfig;
 
-fn parse_kind(name: &str) -> Option<StencilKind> {
-    StencilKind::ALL
-        .into_iter()
-        .find(|k| k.name().eq_ignore_ascii_case(name))
-}
-
 fn main() {
-    let kind = std::env::args()
+    let stencil = std::env::args()
         .nth(1)
-        .and_then(|a| parse_kind(&a))
-        .unwrap_or(StencilKind::Jacobi2D);
-    let size = match kind.spec().dim.rank() {
+        .and_then(|a| StencilDescriptor::from_name(&a))
+        .unwrap_or_else(StencilDescriptor::jacobi2d);
+    let size = match stencil.dim.rank() {
         3 => ProblemSize::new_3d(384, 384, 384, 128),
         _ => ProblemSize::new_2d(4096, 4096, 2048),
     };
@@ -34,13 +28,13 @@ fn main() {
 
     println!(
         "validating the model for {} at {} on {}",
-        kind.name(),
+        stencil.name,
         size.label(),
         device.name
     );
     println!("evaluating the 850-point baseline set (model + machine)...\n");
     let (summary, evals) =
-        validate_one_full(&lab, &device, &kind.into(), &size, &SpaceConfig::default());
+        validate_one_full(&lab, &device, &stencil, &size, &SpaceConfig::default());
 
     // A terminal scatter: predicted vs measured for the top performers.
     println!("top-performing points (within 20% of best) — predicted vs measured:");

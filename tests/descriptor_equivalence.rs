@@ -1,105 +1,27 @@
-//! Descriptor/enum equivalence: the paper benchmarks, re-expressed as
-//! `StencilDescriptor` presets, are *bit-identical* to the legacy
-//! `StencilKind` path at every layer — spec elaboration, reference
-//! executor output bytes, model predictions (every `Prediction` field
-//! compared via `to_bits`), and the Eqn-31 within-10% candidate ranking
-//! — on both paper devices. Opening the zoo must not move the paper
-//! results by even one ULP.
+//! Descriptor-path model equivalence: for the paper benchmarks, the
+//! descriptor-driven sweep (`DimSpec::for_stencil` + `model_sweep_spec`)
+//! is *bit-identical* to the dimension sweep the model was first built
+//! on — every `Prediction` field compared via `to_bits`, and the Eqn-31
+//! within-10% candidate ranking — on both paper devices. The presets
+//! themselves are pinned by `crates/core/tests/presets.rs`.
 
-use hhc_stencil::core::{reference, Grid, ProblemSize, StencilDescriptor, StencilKind};
+use hhc_stencil::core::{ProblemSize, StencilDescriptor};
 use hhc_stencil::model::{DimSpec, ModelParams};
 use hhc_stencil::opt::{
     feasible_tiles, model_sweep_spec, model_sweep_with, within_fraction, SpaceConfig,
 };
 use hhc_stencil::sim::DeviceConfig;
-use proptest::prelude::*;
 
-fn random_grid(sizes: [usize; 3], seed: u64) -> Grid {
-    let mut state = seed | 1;
-    Grid::from_fn(sizes, |_, _, _| {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        ((state >> 33) as f32 / (1u64 << 31) as f32) - 0.5
-    })
-}
-
-/// A small problem of the right dimensionality for an executor run.
-fn small_size(kind: StencilKind) -> ProblemSize {
-    match kind.spec().dim.rank() {
-        1 => ProblemSize::new_1d(96, 12),
-        2 => ProblemSize::new_2d(24, 28, 8),
-        _ => ProblemSize::new_3d(10, 12, 14, 5),
-    }
-}
-
-#[test]
-fn preset_specs_elaborate_bit_identically() {
-    for kind in StencilKind::ALL {
-        let legacy = kind.spec();
-        let derived = StencilDescriptor::preset(kind).spec();
-        assert_eq!(legacy.kind, derived.kind, "{kind:?} kind tag");
-        assert_eq!(legacy.dim, derived.dim, "{kind:?} dim");
-        assert_eq!(
-            legacy.neighbors.len(),
-            derived.neighbors.len(),
-            "{kind:?} neighborhood size"
-        );
-        for (a, b) in legacy.neighbors.iter().zip(&derived.neighbors) {
-            assert_eq!(a.offset, b.offset, "{kind:?} neighbor order");
-            assert_eq!(
-                a.weight.to_bits(),
-                b.weight.to_bits(),
-                "{kind:?} weight bits at {:?}",
-                a.offset
-            );
-        }
-        assert_eq!(
-            legacy.constant.to_bits(),
-            derived.constant.to_bits(),
-            "{kind:?} constant"
-        );
-        assert_eq!(legacy.extra_flops, derived.extra_flops, "{kind:?} flops");
-        assert_eq!(
-            kind.spec().flops_per_point(),
-            StencilDescriptor::preset(kind).flops_per_point(),
-            "{kind:?} FLOP accounting"
-        );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// The reference executor produces byte-identical state from the
-    /// descriptor-elaborated spec, for every preset and random input.
-    #[test]
-    fn executor_output_bytes_are_identical(kind_idx in 0usize..8, seed in any::<u64>()) {
-        let kind = StencilKind::ALL[kind_idx];
-        let size = small_size(kind);
-        let init = random_grid(size.space_extents(), seed);
-        let legacy = reference::run(&kind.spec(), &size, &init);
-        let derived = reference::run(&StencilDescriptor::preset(kind).spec(), &size, &init);
-        let a = legacy.as_slice();
-        let b = derived.as_slice();
-        prop_assert_eq!(a.len(), b.len());
-        for (i, (x, y)) in a.iter().zip(b).enumerate() {
-            prop_assert_eq!(x.to_bits(), y.to_bits(), "cell {} differs", i);
-        }
-    }
-}
-
-/// Model parameters measured through the descriptor path (identical to
-/// the enum path by microbench's pinned RNG stream) for a paper kind.
-fn params_for(device: &DeviceConfig, kind: StencilKind) -> ModelParams {
+/// Model parameters measured for a paper stencil.
+fn params_for(device: &DeviceConfig, stencil: &StencilDescriptor) -> ModelParams {
     ModelParams::from_measured(
         device,
-        &microbench::measured_params_sampled(device, &kind.into(), 8, 0xD15C),
+        &microbench::measured_params_sampled(device, stencil, 8, 0xD15C),
     )
 }
 
-fn bench_size(kind: StencilKind) -> ProblemSize {
-    match kind.spec().dim.rank() {
+fn bench_size(stencil: &StencilDescriptor) -> ProblemSize {
+    match stencil.dim.rank() {
         1 => ProblemSize::new_1d(1 << 18, 512),
         2 => ProblemSize::new_2d(1024, 1024, 256),
         _ => ProblemSize::new_3d(96, 96, 96, 48),
@@ -112,19 +34,18 @@ fn bench_size(kind: StencilKind) -> ProblemSize {
 #[test]
 fn prediction_fields_match_bitwise_on_both_paper_devices() {
     for device in DeviceConfig::paper_devices() {
-        for kind in StencilKind::TABLE4 {
-            let stencil = StencilDescriptor::preset(kind);
+        for stencil in StencilDescriptor::table4() {
             let dim = stencil.dim;
-            let params = params_for(&device, kind);
-            let size = bench_size(kind);
+            let params = params_for(&device, &stencil);
+            let size = bench_size(&stencil);
             let tiles = feasible_tiles(&device, dim, &SpaceConfig::default());
             let legacy = model_sweep_with(&params, &size, &tiles, None);
             let derived =
                 model_sweep_spec(DimSpec::for_stencil(&stencil), &params, &size, &tiles, None);
             assert_eq!(legacy.len(), derived.len());
             for ((lt, lp), (dt, dp)) in legacy.iter().zip(&derived) {
-                assert_eq!(lt, dt, "{kind:?} on {}: candidate order", device.name);
-                let ctx = || format!("{kind:?} on {} at {lt:?}", device.name);
+                assert_eq!(lt, dt, "{stencil} on {}: candidate order", device.name);
+                let ctx = || format!("{stencil} on {} at {lt:?}", device.name);
                 assert_eq!(lp.talg.to_bits(), dp.talg.to_bits(), "talg {}", ctx());
                 assert_eq!(lp.k, dp.k, "k {}", ctx());
                 assert_eq!(lp.nw, dp.nw, "nw {}", ctx());
@@ -148,10 +69,9 @@ fn prediction_fields_match_bitwise_on_both_paper_devices() {
 #[test]
 fn eqn31_candidate_ranking_is_unchanged() {
     for device in DeviceConfig::paper_devices() {
-        for kind in StencilKind::TABLE4 {
-            let stencil = StencilDescriptor::preset(kind);
-            let params = params_for(&device, kind);
-            let size = bench_size(kind);
+        for stencil in StencilDescriptor::table4() {
+            let params = params_for(&device, &stencil);
+            let size = bench_size(&stencil);
             let tiles = feasible_tiles(&device, stencil.dim, &SpaceConfig::default());
             let legacy = within_fraction(&model_sweep_with(&params, &size, &tiles, None), 0.10);
             let derived = within_fraction(
@@ -160,21 +80,21 @@ fn eqn31_candidate_ranking_is_unchanged() {
             );
             assert!(
                 !legacy.is_empty(),
-                "{kind:?} on {}: empty band",
+                "{stencil} on {}: empty band",
                 device.name
             );
             assert_eq!(
                 legacy.len(),
                 derived.len(),
-                "{kind:?} on {}: band size",
+                "{stencil} on {}: band size",
                 device.name
             );
             for (i, ((lt, lp), (dt, dp))) in legacy.iter().zip(&derived).enumerate() {
-                assert_eq!(lt, dt, "{kind:?} on {}: rank {i} tile", device.name);
+                assert_eq!(lt, dt, "{stencil} on {}: rank {i} tile", device.name);
                 assert_eq!(
                     lp.talg.to_bits(),
                     dp.talg.to_bits(),
-                    "{kind:?} on {}: rank {i} talg",
+                    "{stencil} on {}: rank {i} talg",
                     device.name
                 );
             }

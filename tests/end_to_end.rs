@@ -3,7 +3,7 @@
 
 use experiments::figures::{pool_validation, validate_one_full};
 use experiments::{ExperimentScale, Lab};
-use hhc_stencil::core::{ProblemSize, StencilKind};
+use hhc_stencil::core::{ProblemSize, StencilDescriptor};
 use hhc_stencil::opt::strategy::{study, Strategy, StrategyContext};
 use hhc_stencil::opt::SpaceConfig;
 use hhc_stencil::sim::Workload;
@@ -12,11 +12,11 @@ use hhc_stencil::sim::Workload;
 fn full_pipeline_produces_coherent_study() {
     let lab = Lab::new(ExperimentScale::Smoke);
     let device = lab.devices[0].clone();
-    let kind = StencilKind::Heat2D;
+    let stencil = StencilDescriptor::heat2d();
     let size = ProblemSize::new_2d(1024, 1024, 256);
-    let params = lab.model_params(&device, &kind.into());
+    let params = lab.model_params(&device, &stencil);
     let space = SpaceConfig::default();
-    let workload = Workload::new(device, kind, size).expect("Heat2D is 2-dimensional");
+    let workload = Workload::new(device, stencil, size).expect("Heat2D is 2-dimensional");
     let ctx = StrategyContext::new(&workload, &params, &space);
     let st = study(&ctx, false);
 
@@ -72,14 +72,14 @@ fn full_pipeline_produces_coherent_study() {
 fn validation_pools_and_summarizes() {
     let lab = Lab::new(ExperimentScale::Smoke);
     let device = lab.devices[1].clone(); // Titan X
-    let kind = StencilKind::Laplacian2D;
+    let stencil = StencilDescriptor::laplacian2d();
     let size = ProblemSize::new_2d(1024, 1024, 128);
     let (summary, evals) =
-        validate_one_full(&lab, &device, &kind.into(), &size, &SpaceConfig::default());
+        validate_one_full(&lab, &device, &stencil, &size, &SpaceConfig::default());
     assert_eq!(summary.points, 850);
     assert!(summary.measured_points > 700);
     assert!(summary.rmse_all > summary.rmse_top20);
-    let pooled = pool_validation(&device, &kind.into(), &evals);
+    let pooled = pool_validation(&device, &stencil, &evals);
     assert_eq!(pooled.points, summary.measured_points);
     assert!(pooled.top_points > 0);
 }

@@ -7,7 +7,7 @@
 
 use gpu_sim::{DeviceConfig, Workload};
 use hhc_tiling::TileSizes;
-use stencil_core::{ProblemSize, StencilDim, StencilKind};
+use stencil_core::{ProblemSize, StencilDescriptor, StencilDim};
 use tile_opt::{feasible_space, SpaceConfig};
 use time_model::{hex1d, hybrid2d, hybrid3d, Correction, ModelParams, Prediction};
 
@@ -17,10 +17,10 @@ const SEED: u64 = 0x5EED;
 /// sample count keeps the suite fast; equivalence is structural, so any
 /// valid parameter point exercises it — but deriving them per stencil
 /// keeps the sweep aligned with the paper's experiments.
-fn params_for(device: &DeviceConfig, kind: StencilKind) -> ModelParams {
+fn params_for(device: &DeviceConfig, stencil: &StencilDescriptor) -> ModelParams {
     ModelParams::from_measured(
         device,
-        &microbench::measured_params_sampled(device, &kind.into(), 4, SEED),
+        &microbench::measured_params_sampled(device, stencil, 4, SEED),
     )
 }
 
@@ -92,20 +92,20 @@ fn generic_dimspec_is_bit_identical_to_legacy_oracles_across_paper_sweep() {
     let mut compared = 0u64;
     for device in DeviceConfig::paper_devices() {
         for dim in StencilDim::ALL {
-            for &kind in StencilKind::benchmarks_for(dim) {
-                let params = params_for(&device, kind);
+            for stencil in StencilDescriptor::paper(dim) {
+                let params = params_for(&device, &stencil);
                 let sizes = paper_sizes(dim);
                 // The Eqn-31 space depends only on the device and the
                 // dimensionality, so enumerate it once per workload family.
-                let workload = Workload::new(device.clone(), kind, sizes[0])
+                let workload = Workload::new(device.clone(), stencil.clone(), sizes[0])
                     .expect("benchmark and size dimensionalities agree");
                 let tiles = feasible_space(&workload, &cfg);
-                assert!(!tiles.is_empty(), "{} {kind:?}: empty space", device.name);
+                assert!(!tiles.is_empty(), "{} {stencil}: empty space", device.name);
                 for size in &sizes {
                     for t in &tiles {
                         let generic = time_model::predict(&params, size, t);
                         let legacy = legacy_predict(&params, size, t);
-                        let ctx = format!("{} {kind:?} size={size:?} tiles={t:?}", device.name);
+                        let ctx = format!("{} {stencil} size={size:?} tiles={t:?}", device.name);
                         assert_bit_identical(&generic, &legacy, &ctx);
                         // The calibration hook must be invisible when no
                         // correction is loaded — both the `None` arm and

@@ -1,16 +1,16 @@
 //! Cross-crate invariants between the analytical model, the simulated
 //! machine, and the micro-benchmarks.
 
-use hhc_stencil::core::{ProblemSize, StencilKind};
+use hhc_stencil::core::{ProblemSize, StencilDescriptor};
 use hhc_stencil::model::{predict, ModelParams};
 use hhc_stencil::sim::{occupancy, simulate, DeviceConfig, SimWorkload};
 use hhc_stencil::tiling::{LaunchConfig, TileSizes};
 use hhc_tiling::TilingPlan;
 
-fn measured(device: &DeviceConfig, kind: StencilKind) -> ModelParams {
+fn measured(device: &DeviceConfig, stencil: StencilDescriptor) -> ModelParams {
     ModelParams::from_measured(
         device,
-        &microbench::measured_params_sampled(device, &kind.into(), 12, 99),
+        &microbench::measured_params_sampled(device, &stencil, 12, 99),
     )
 }
 
@@ -20,9 +20,9 @@ fn measured(device: &DeviceConfig, kind: StencilKind) -> ModelParams {
 #[test]
 fn model_tracks_machine_on_aligned_steady_state() {
     let device = DeviceConfig::gtx980();
-    let kind = StencilKind::Jacobi2D;
-    let spec = kind.spec();
-    let params = measured(&device, kind);
+    let stencil = StencilDescriptor::jacobi2d();
+    let spec = stencil.spec();
+    let params = measured(&device, stencil);
     let size = ProblemSize::new_2d(4096, 4096, 1024);
     // 128-aligned inner extent, shallow rows (no spills), k = 2.
     let tiles = TileSizes::new_2d(8, 4, 384);
@@ -46,9 +46,9 @@ fn model_tracks_machine_on_aligned_steady_state() {
 #[test]
 fn model_is_optimistic_on_bad_thread_shapes() {
     let device = DeviceConfig::gtx980();
-    let kind = StencilKind::Jacobi2D;
-    let spec = kind.spec();
-    let params = measured(&device, kind);
+    let stencil = StencilDescriptor::jacobi2d();
+    let spec = stencil.spec();
+    let params = measured(&device, stencil);
     let size = ProblemSize::new_2d(2048, 2048, 256);
     let tiles = TileSizes::new_2d(8, 16, 32);
     // 512 threads along an s2 extent of 32: 15/16 of the issue slots burn.
@@ -70,9 +70,9 @@ fn model_is_optimistic_on_bad_thread_shapes() {
 #[test]
 fn model_k_matches_machine_occupancy_when_shared_bound() {
     let device = DeviceConfig::gtx980();
-    let kind = StencilKind::Heat2D;
-    let spec = kind.spec();
-    let params = measured(&device, kind);
+    let stencil = StencilDescriptor::heat2d();
+    let spec = stencil.spec();
+    let params = measured(&device, stencil);
     let size = ProblemSize::new_2d(4096, 4096, 512);
     for tiles in [
         TileSizes::new_2d(8, 16, 128),
@@ -98,8 +98,7 @@ fn model_k_matches_machine_occupancy_when_shared_bound() {
 #[test]
 fn citer_table_matches_paper_scale() {
     for device in DeviceConfig::paper_devices() {
-        for kind in StencilKind::TABLE4 {
-            let stencil = kind.into();
+        for stencil in StencilDescriptor::table4() {
             let measured = microbench::measure_citer(&device, &stencil, 12, 5);
             let paper = experiments::tables::paper_citer(&stencil.name, &device.name)
                 .expect("TABLE4 cells all have paper values");
@@ -119,7 +118,7 @@ fn citer_table_matches_paper_scale() {
 #[test]
 fn simulation_is_deterministic_across_rebuilds() {
     let device = DeviceConfig::titan_x();
-    let spec = StencilKind::Laplacian2D.spec();
+    let spec = StencilDescriptor::laplacian2d().spec();
     let size = ProblemSize::new_2d(1024, 1024, 128);
     let tiles = TileSizes::new_2d(8, 8, 96);
     let mut times = Vec::new();
@@ -138,7 +137,7 @@ fn simulation_is_deterministic_across_rebuilds() {
 #[test]
 fn infeasible_rejected_consistently() {
     let device = DeviceConfig::gtx980();
-    let spec = StencilKind::Jacobi2D.spec();
+    let spec = StencilDescriptor::jacobi2d().spec();
     let size = ProblemSize::new_2d(1024, 1024, 64);
     let tiles = TileSizes::new_2d(32, 64, 512); // enormous tile
     assert!(!tile_opt::is_feasible(&device, spec.dim, &tiles));
@@ -151,7 +150,7 @@ fn infeasible_rejected_consistently() {
 /// exhibits.
 #[test]
 fn titan_x_outperforms_gtx980() {
-    let spec = StencilKind::Heat2D.spec();
+    let spec = StencilDescriptor::heat2d().spec();
     let size = ProblemSize::new_2d(4096, 4096, 512);
     let tiles = TileSizes::new_2d(8, 8, 128);
     let plan = TilingPlan::build(&spec, &size, tiles, LaunchConfig::new_2d(1, 128)).unwrap();

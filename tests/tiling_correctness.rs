@@ -3,7 +3,7 @@
 //! stencils, problem sizes, and tile sizes — with every dependence
 //! checked during execution.
 
-use hhc_stencil::core::{reference, Grid, ProblemSize, StencilKind};
+use hhc_stencil::core::{reference, Grid, ProblemSize, StencilDescriptor, StencilDim};
 use hhc_stencil::tiling::{exec, TileSizes};
 use proptest::prelude::*;
 
@@ -28,7 +28,7 @@ proptest! {
         t_s in 1usize..24,
         seed in any::<u64>(),
     ) {
-        let spec = StencilKind::Jacobi1D.spec();
+        let spec = StencilDescriptor::jacobi1d().spec();
         let size = ProblemSize::new_1d(s, t);
         let tiles = TileSizes::new_1d(2 * t_t, t_s);
         let init = random_grid(size.space_extents(), seed);
@@ -45,11 +45,10 @@ proptest! {
         t_t in 1usize..6,
         t_s1 in 1usize..12,
         t_s2 in 1usize..16,
-        kind_idx in 0usize..4,
+        stencil_idx in 0usize..4,
         seed in any::<u64>(),
     ) {
-        let kind = StencilKind::BENCH_2D[kind_idx];
-        let spec = kind.spec();
+        let spec = StencilDescriptor::paper(StencilDim::D2)[stencil_idx].spec();
         let size = ProblemSize::new_2d(s1, s2, t);
         let tiles = TileSizes::new_2d(2 * t_t, t_s1, t_s2);
         let init = random_grid(size.space_extents(), seed);
@@ -66,11 +65,10 @@ proptest! {
         t_s1 in 1usize..6,
         t_s2 in 1usize..6,
         t_s3 in 1usize..8,
-        kind_idx in 0usize..2,
+        stencil_idx in 0usize..2,
         seed in any::<u64>(),
     ) {
-        let kind = StencilKind::BENCH_3D[kind_idx];
-        let spec = kind.spec();
+        let spec = StencilDescriptor::paper(StencilDim::D3)[stencil_idx].spec();
         let size = ProblemSize::new_3d(s, s + 1, s + 2, t);
         let tiles = TileSizes::new_3d(2 * t_t, t_s1, t_s2, t_s3);
         let init = random_grid(size.space_extents(), seed);
@@ -90,7 +88,7 @@ proptest! {
     ) {
         use hhc_stencil::tiling::{LaunchConfig, TileSizes};
         use hhc_tiling::TilingPlan;
-        let spec = StencilKind::Jacobi2D.spec();
+        let spec = StencilDescriptor::jacobi2d().spec();
         let size = ProblemSize::new_2d(s1, s2, t);
         let tiles = TileSizes::new_2d(2 * t_t, t_s1, t_s2);
         let plan = TilingPlan::build(&spec, &size, tiles, LaunchConfig::new_2d(1, 32))
