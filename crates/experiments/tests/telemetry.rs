@@ -120,6 +120,10 @@ fn exec_counters_match_execstats() {
         snap.counter("exec.plane_copy_bytes"),
         stats.plane_copy_bytes
     );
+    // Halo cost: a ring of min(t_t + 1, T + 1) = 9 planes, each padded by
+    // Jacobi2D's reach of 1 on both axes: 258² − 256² = 1028 halo cells.
+    assert_eq!(stats.halo_cells, 9 * 1028);
+    assert_eq!(snap.counter("exec.halo_cells"), stats.halo_cells);
     let occ = snap.histogram("exec.window_occupancy").expect("occupancy");
     assert_eq!(occ.count, 1);
     let expect = stats.resident_planes as f64 / stats.logical_planes as f64;

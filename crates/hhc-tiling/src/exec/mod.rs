@@ -13,9 +13,15 @@
 //! the ground-truth validation of the whole tiling substrate; the
 //! simulator's timing paths consume the same geometry via
 //! [`crate::plan::TilingPlan`].
+//!
+//! Every path stores its planes in one halo-padded layout: each plane is
+//! the domain grown by the stencil's per-axis reach, with the boundary
+//! value in the halo. The unchecked paths therefore sweep every row,
+//! boundary rows included, with one branch-free [`RowKernel`] call; only
+//! the checked and baseline runs keep the generic per-point path.
 
 use crate::config::TileSizes;
-use crate::hex::{HexTiling, TileId};
+use crate::hex::{HexTiling, RowSpan, TileId};
 use crate::inner::SkewedAxis;
 use stencil_core::{Grid, ProblemSize, RowKernel, StencilSpec};
 
@@ -24,7 +30,7 @@ pub mod scratch;
 
 pub use parallel::{
     run_tiled_parallel, run_tiled_parallel_into, run_tiled_parallel_into_with,
-    run_tiled_parallel_with_stats, run_tiled_wavefront_parallel, DispatchPolicy, MIN_BATCH_POINTS,
+    run_tiled_parallel_with_stats, DispatchPolicy, MIN_BATCH_POINTS,
 };
 pub use scratch::ScratchPool;
 
@@ -95,16 +101,20 @@ pub struct ExecStats {
     pub logical_planes: usize,
     /// Points computed by the specialized row kernel.
     pub kernel_points: u64,
-    /// Points computed by the generic per-point path (boundary rows,
-    /// checked mode).
+    /// Points computed by the generic per-point path (checked and
+    /// baseline runs, which have no row kernel).
     pub generic_points: u64,
-    /// Rows whose interior span went through the row kernel.
+    /// Rows swept by the row kernel.
     pub kernel_rows: u64,
     /// Rows computed entirely by the generic per-point path.
     pub generic_rows: u64,
-    /// Bytes moved by whole-plane copies (initial-plane load plus the
-    /// final-result extraction).
+    /// Bytes moved by the initial-plane load and the final-result
+    /// extraction (row copies between the unpadded grids and the padded
+    /// planes).
     pub plane_copy_bytes: u64,
+    /// Halo cells written with the boundary value: every resident
+    /// plane's padding, rewritten at each checkout.
+    pub halo_cells: u64,
     /// Pool buffer checkouts during this run (parallel executor only;
     /// zero on the sequential paths).
     pub scratch_acquires: u64,
@@ -156,18 +166,118 @@ impl std::fmt::Display for DependenceViolation {
     }
 }
 
-/// Space-time state, plus (optionally) the id of the tile that wrote each
-/// cell, for dependence checking.
+/// The halo-padded plane layout every executor path shares.
+///
+/// Each plane is the domain grown by the stencil's per-axis reach
+/// `pad[d] = max |offset_d|` (0 on unused axes) on both sides, row-major
+/// over the padded extents `ext`. Halo cells hold the boundary value, so
+/// every neighbor of every in-domain point is a plain load: the row
+/// kernel, built against `ext`, sweeps whole domain rows unconditionally.
+#[derive(Debug, Clone, Copy)]
+struct Layout {
+    /// Domain extents.
+    sizes: [usize; 3],
+    /// Halo depth per axis.
+    pad: [usize; 3],
+    /// Padded extents `sizes + 2 · pad`.
+    ext: [usize; 3],
+    /// The unit-stride sweep axis (the last used one).
+    sweep: usize,
+}
+
+impl Layout {
+    fn new(spec: &StencilSpec, sizes: [usize; 3]) -> Self {
+        let mut pad = [0usize; 3];
+        for nb in &spec.neighbors {
+            for (p, o) in pad.iter_mut().zip(nb.offset) {
+                *p = (*p).max(o.unsigned_abs() as usize);
+            }
+        }
+        Layout {
+            sizes,
+            pad,
+            ext: [0, 1, 2].map(|d| sizes[d] + 2 * pad[d]),
+            sweep: spec.dim.rank() - 1,
+        }
+    }
+
+    /// Cells of one padded plane.
+    fn cells(&self) -> usize {
+        self.ext.iter().product()
+    }
+
+    /// Padded flat index of `s`, which may lie up to `pad` outside the
+    /// domain.
+    #[inline]
+    fn idx(&self, s: [i64; 3]) -> usize {
+        let x = [0, 1, 2].map(|d| (s[d] + self.pad[d] as i64) as usize);
+        (x[0] * self.ext[1] + x[1]) * self.ext[2] + x[2]
+    }
+
+    /// Whether `s` lies in the domain rather than the halo.
+    #[inline]
+    fn in_domain(&self, s: [i64; 3]) -> bool {
+        s.iter()
+            .zip(&self.sizes)
+            .all(|(&c, &n)| c >= 0 && (c as usize) < n)
+    }
+
+    /// Length of one domain row along the sweep axis.
+    fn row_len(&self) -> usize {
+        self.sizes[self.sweep]
+    }
+
+    /// Padded flat index of the first cell of every domain row, in the
+    /// row-major order of an unpadded [`Grid`].
+    fn row_starts(self) -> impl Iterator<Item = usize> {
+        let outer = |d: usize| if d < self.sweep { self.sizes[d] } else { 1 };
+        let (n0, n1) = (outer(0) as i64, outer(1) as i64);
+        (0..n0).flat_map(move |a| (0..n1).map(move |b| self.idx([a, b, 0])))
+    }
+
+    /// Write `value` into every halo cell of `plane`, leaving the domain
+    /// untouched: the gaps between consecutive domain rows are exactly
+    /// the halo.
+    fn fill_halo(self, plane: &mut [f32], value: f32) {
+        let mut end = 0;
+        for start in self.row_starts() {
+            plane[end..start].fill(value);
+            end = start + self.row_len();
+        }
+        plane[end..].fill(value);
+    }
+
+    /// Copy an unpadded grid's cells into the domain of `plane`.
+    fn load(self, grid: &[f32], plane: &mut [f32]) {
+        let n = self.row_len();
+        for (row, start) in grid.chunks_exact(n).zip(self.row_starts()) {
+            plane[start..start + n].copy_from_slice(row);
+        }
+    }
+
+    /// Copy the domain of `plane` out into an unpadded grid.
+    fn extract(self, plane: &[f32], grid: &mut [f32]) {
+        let n = self.row_len();
+        for (row, start) in grid.chunks_exact_mut(n).zip(self.row_starts()) {
+            row.copy_from_slice(&plane[start..start + n]);
+        }
+    }
+}
+
+/// Space-time state over halo-padded planes (see [`Layout`]), plus
+/// (optionally) the id of the tile that wrote each cell, for dependence
+/// checking.
 ///
 /// Storage holds `depth` physical planes; logical plane `t` lives in slot
 /// `t mod depth`. `depth = T + 1` gives the classic full space-time array;
 /// `depth = rolling_window_depth(..)` gives the O(window) ring that makes
-/// long-`T` unchecked runs affordable. Slots are recycled without zeroing:
-/// every cell of a plane is written (exactly once) before any read of it,
-/// which is precisely the dependence property the checked mode proves.
+/// long-`T` unchecked runs affordable. Planes may arrive with stale
+/// contents (pool recycling): construction writes every halo cell and
+/// loads plane 0, and every domain cell of a later plane is written
+/// (exactly once) before any read of it, which is precisely the
+/// dependence property the checked mode proves.
 struct SpaceTime {
-    sizes: [usize; 3],
-    boundary: f32,
+    lay: Layout,
     planes: Vec<Vec<f32>>,
     /// `writer[t][cell] = Some(wavefront)` once written; plane 0 is
     /// initialized with wavefront −1. Always full-depth (checked runs).
@@ -175,24 +285,41 @@ struct SpaceTime {
 }
 
 impl SpaceTime {
-    fn new(size: &ProblemSize, init: &Grid, checked: bool, depth: usize) -> Self {
-        let sizes = size.space_extents();
-        let cells = sizes[0] * sizes[1] * sizes[2];
-        debug_assert!(depth >= 2.min(size.time + 1) && depth <= size.time + 1);
-        let mut planes = vec![vec![0.0f32; cells]; depth];
-        planes[0].copy_from_slice(init.as_slice());
+    /// Build the ring from `depth` planes checked out of `take_plane`
+    /// (called with the padded cell count): halos hold `init`'s boundary
+    /// value, plane 0 holds `init`.
+    fn new(
+        spec: &StencilSpec,
+        init: &Grid,
+        checked: bool,
+        depth: usize,
+        mut take_plane: impl FnMut(usize) -> Vec<f32>,
+    ) -> Self {
+        let lay = Layout::new(spec, init.sizes());
+        let mut planes: Vec<Vec<f32>> = (0..depth)
+            .map(|_| {
+                let mut p = take_plane(lay.cells());
+                lay.fill_halo(&mut p, init.boundary());
+                p
+            })
+            .collect();
+        lay.load(init.as_slice(), &mut planes[0]);
         let writer = checked.then(|| {
-            debug_assert_eq!(depth, size.time + 1, "checking needs full history");
-            let mut w = vec![vec![i64::MIN; cells]; size.time + 1];
+            let mut w = vec![vec![i64::MIN; lay.cells()]; depth];
             w[0].iter_mut().for_each(|x| *x = -1);
             w
         });
         SpaceTime {
-            sizes,
-            boundary: init.boundary(),
+            lay,
             planes,
             writer,
         }
+    }
+
+    /// Boundary-valued cells written at construction.
+    fn halo_cells(&self) -> u64 {
+        let domain: usize = self.lay.sizes.iter().product();
+        (self.planes.len() * (self.lay.cells() - domain)) as u64
     }
 
     /// Physical slot of logical plane `t`.
@@ -201,23 +328,10 @@ impl SpaceTime {
         t as usize % self.planes.len()
     }
 
-    #[inline]
-    fn idx(&self, s: [i64; 3]) -> Option<usize> {
-        for (&c, &n) in s.iter().zip(&self.sizes) {
-            if c < 0 || c as usize >= n {
-                return None;
-            }
-        }
-        Some((s[0] as usize * self.sizes[1] + s[1] as usize) * self.sizes[2] + s[2] as usize)
-    }
-
-    /// Read plane `t_plane` at `s` (boundary value outside the domain).
+    /// Read plane `t_plane` at `s` (the halo supplies the boundary value).
     #[inline]
     fn read(&self, t_plane: i64, s: [i64; 3]) -> f32 {
-        match self.idx(s) {
-            Some(i) => self.planes[self.slot(t_plane)][i],
-            None => self.boundary,
-        }
+        self.planes[self.slot(t_plane)][self.lay.idx(s)]
     }
 
     /// Split-borrow the read plane `t` and the write plane `t + 1`.
@@ -234,12 +348,11 @@ impl SpaceTime {
         }
     }
 
-    /// Whether plane `t_plane` at `s` has been written, and by whom.
+    /// Whether plane `t_plane` at in-domain `s` has been written, and by
+    /// whom.
     #[inline]
     fn writer_of(&self, t_plane: i64, s: [i64; 3]) -> Option<i64> {
-        let w = self.writer.as_ref()?;
-        let i = self.idx(s)?;
-        let v = w[t_plane as usize][i];
+        let v = self.writer.as_ref()?[t_plane as usize][self.lay.idx(s)];
         (v != i64::MIN).then_some(v)
     }
 }
@@ -338,16 +451,16 @@ pub fn run_tiled_with(
     } else {
         size.time + 1
     };
-    let mut st = SpaceTime::new(size, init, opts.checked, depth);
-    let kernel = opts
-        .row_kernels
-        .then(|| spec.row_kernel(size.space_extents()));
+    debug_assert!(depth >= 2.min(size.time + 1) && depth <= size.time + 1);
+    let mut st = SpaceTime::new(spec, init, opts.checked, depth, |cells| vec![0.0; cells]);
+    let kernel = opts.row_kernels.then(|| spec.row_kernel(st.lay.ext));
     let plane_bytes = std::mem::size_of_val(init.as_slice()) as u64;
     let mut stats = ExecStats {
         resident_planes: st.planes.len(),
         logical_planes: size.time + 1,
         // The initial-plane load into the space-time array.
         plane_copy_bytes: plane_bytes,
+        halo_cells: st.halo_cells(),
         ..ExecStats::default()
     };
 
@@ -380,11 +493,12 @@ pub fn run_tiled_with(
     let mut out = Grid::zeros(size.space_extents());
     out.set_boundary(init.boundary());
     let final_slot = st.slot(size.time as i64);
-    out.as_mut_slice().copy_from_slice(&st.planes[final_slot]);
+    st.lay.extract(&st.planes[final_slot], out.as_mut_slice());
     stats.plane_copy_bytes += plane_bytes;
 
     if obs::active() {
         obs::counter("exec.runs", 1);
+        obs::counter("exec.halo_cells", stats.halo_cells);
         obs::counter("exec.kernel_points", stats.kernel_points);
         obs::counter("exec.generic_points", stats.generic_points);
         obs::counter("exec.kernel_rows", stats.kernel_rows);
@@ -433,87 +547,57 @@ fn execute_tile(
         return Ok(());
     }
     let (t_lo, t_hi) = (rows[0].t, rows[rows.len() - 1].t);
+    let (mut r2, mut r3) = (Vec::new(), Vec::new());
+    subtiles(ax2, t_lo, t_hi, &mut r2);
+    subtiles(ax3, t_lo, t_hi, &mut r3);
     let wf = id.wavefront();
-    let rank = spec.dim.rank();
+    for_each_row(&rows, (ax2, &r2), (ax3, &r3), |t, fixed, span| {
+        compute_row(spec, hex, id, wf, st, kernel, simd, stats, t, fixed, span)
+    })
+}
 
-    // Sub-tile index ranges along the skewed inner axes ({0} when unused).
-    let r3: Vec<i64> = match ax3 {
-        Some(ax) => ax.subtile_range(t_lo, t_hi).collect(),
-        None => vec![0],
-    };
-    let r2: Vec<i64> = match ax2 {
-        Some(ax) => ax.subtile_range(t_lo, t_hi).collect(),
-        None => vec![0],
-    };
+/// Sub-tile indices of the skewed axis `ax` that meet time levels
+/// `[t_lo, t_hi]`, into `out` (`{0}` when the axis is unused).
+fn subtiles(ax: Option<SkewedAxis>, t_lo: i64, t_hi: i64, out: &mut Vec<i64>) {
+    out.clear();
+    match ax {
+        Some(ax) => out.extend(ax.subtile_range(t_lo, t_hi)),
+        None => out.push(0),
+    }
+}
 
-    for &l3 in &r3 {
-        for &l2 in &r2 {
-            // One sub-tile: all hexagon rows, restricted to the skewed
-            // spans of (l2, l3), in bottom-to-top row order.
-            for row in &rows {
-                let span2 = match ax2 {
-                    Some(ax) => match ax.span_at(l2, row.t) {
-                        Some(sp) => sp,
-                        None => continue,
-                    },
-                    None => (0, 0),
+/// Walk one tile in the sequential order of the schedule: for each
+/// sub-tile `(l3, l2)`, its hexagon `rows` bottom-to-top, restricted to
+/// the skewed spans of `(l2, l3)`. The innermost used axis is the
+/// unit-stride sweep; every contiguous row `(t, fixed, (lo, hi))` goes
+/// to `row`, with the sweep coordinate of `fixed` at 0.
+fn for_each_row<E>(
+    rows: &[RowSpan],
+    (ax2, r2): (Option<SkewedAxis>, &[i64]),
+    (ax3, r3): (Option<SkewedAxis>, &[i64]),
+    mut row: impl FnMut(i64, [i64; 3], (i64, i64)) -> Result<(), E>,
+) -> Result<(), E> {
+    let span = |ax: Option<SkewedAxis>, l: i64, t: i64| match ax {
+        Some(ax) => ax.span_at(l, t),
+        None => Some((0, 0)),
+    };
+    for &l3 in r3 {
+        for &l2 in r2 {
+            for r in rows {
+                let (Some(span2), Some(span3)) = (span(ax2, l2, r.t), span(ax3, l3, r.t)) else {
+                    continue;
                 };
-                let span3 = match ax3 {
-                    Some(ax) => match ax.span_at(l3, row.t) {
-                        Some(sp) => sp,
-                        None => continue,
-                    },
-                    None => (0, 0),
-                };
-                // The innermost used axis is the unit-stride sweep; the
-                // outer coordinates select one contiguous row each.
-                match rank {
-                    1 => compute_row(
-                        spec,
-                        hex,
-                        id,
-                        wf,
-                        st,
-                        kernel,
-                        simd,
-                        stats,
-                        row.t,
-                        [0, 0, 0],
-                        (row.lo, row.hi),
-                    )?,
-                    2 => {
-                        for s1 in row.lo..=row.hi {
-                            compute_row(
-                                spec,
-                                hex,
-                                id,
-                                wf,
-                                st,
-                                kernel,
-                                simd,
-                                stats,
-                                row.t,
-                                [s1, 0, 0],
-                                span2,
-                            )?;
+                match (ax2, ax3) {
+                    (None, _) => row(r.t, [0, 0, 0], (r.lo, r.hi))?,
+                    (Some(_), None) => {
+                        for s1 in r.lo..=r.hi {
+                            row(r.t, [s1, 0, 0], span2)?;
                         }
                     }
-                    _ => {
-                        for s1 in row.lo..=row.hi {
+                    (Some(_), Some(_)) => {
+                        for s1 in r.lo..=r.hi {
                             for s2 in span2.0..=span2.1 {
-                                compute_row(
-                                    spec,
-                                    hex,
-                                    id,
-                                    wf,
-                                    st,
-                                    kernel,
-                                    simd,
-                                    stats,
-                                    row.t,
-                                    [s1, s2, 0],
-                                    span3,
-                                )?;
+                                row(r.t, [s1, s2, 0], span3)?;
                             }
                         }
                     }
@@ -526,11 +610,10 @@ fn execute_tile(
 
 /// Compute one contiguous row `(t, fixed-coords, sweep ∈ [lo, hi])`.
 ///
-/// With a [`RowKernel`], the interior sub-span (every neighbor of every
-/// point in-domain) is swept branch-free over the raw planes; the clipped
-/// prefix/suffix — and, when any *fixed* coordinate sits on the boundary,
-/// the whole row — fall back to the generic [`compute_point`] path, which
-/// also covers checked mode (`kernel` is `None` there).
+/// With a [`RowKernel`] the whole row is one branch-free sweep over the
+/// padded planes: the halo supplies the boundary value wherever a tap
+/// leaves the domain. Without one (checked and baseline runs) every
+/// point takes the generic [`compute_point`] path.
 #[allow(clippy::too_many_arguments)]
 fn compute_row(
     spec: &StencilSpec,
@@ -545,61 +628,28 @@ fn compute_row(
     fixed: [i64; 3],
     (lo, hi): (i64, i64),
 ) -> Result<(), DependenceViolation> {
-    let point = |axis: usize, s: i64| {
-        let mut p = fixed;
-        p[axis] = s;
-        p
-    };
+    let axis = st.lay.sweep;
     let Some(k) = kernel else {
         for s in lo..=hi {
-            compute_point(spec, hex, id, wf, st, t, point(spec.dim.rank() - 1, s))?;
+            let mut p = fixed;
+            p[axis] = s;
+            compute_point(spec, hex, id, wf, st, t, p)?;
             stats.generic_points += 1;
         }
         stats.generic_rows += 1;
         return Ok(());
     };
-
-    let axis = k.sweep_axis();
-    // Fixed (non-sweep) coordinates must be interior for the kernel.
-    let fixed_interior = (0..3)
-        .filter(|&d| d != axis)
-        .all(|d| fixed[d] + k.off_min()[d] >= 0 && fixed[d] + k.off_max()[d] < st.sizes[d] as i64);
-    let (mut klo, mut khi) = if fixed_interior {
-        (
-            lo.max(-k.off_min()[axis]),
-            hi.min(st.sizes[axis] as i64 - 1 - k.off_max()[axis]),
-        )
-    } else {
-        (hi + 1, hi) // whole row is boundary
-    };
-    if klo > khi {
-        // Empty interior: normalize so the prefix loop covers the whole
-        // row and the suffix loop is empty (no double-compute).
-        (klo, khi) = (hi + 1, hi);
-    }
-
-    for s in lo..=hi.min(klo - 1) {
-        compute_point(spec, hex, id, wf, st, t, point(axis, s))?;
-        stats.generic_points += 1;
-    }
-    if klo <= khi {
-        // Flat index of the row's sweep origin (the sweep coordinate in
-        // `fixed` is 0 by construction in `execute_tile`).
-        debug_assert_eq!(fixed[axis], 0);
-        let base = (fixed[0] * st.sizes[1] as i64 + fixed[1]) * st.sizes[2] as i64 + fixed[2];
-        let (src, dst) = st.rw_planes(t);
-        k.apply_span_mode(simd, src, dst, (base + klo) as usize, (base + khi) as usize);
-        stats.kernel_points += (khi - klo + 1) as u64;
-        stats.kernel_rows += 1;
-        if simd && (khi - klo + 1) as usize >= stencil_core::simd::BLOCK_WIDTH {
-            stats.simd_rows += 1;
-        }
-    } else {
-        stats.generic_rows += 1;
-    }
-    for s in lo.max(khi + 1)..=hi {
-        compute_point(spec, hex, id, wf, st, t, point(axis, s))?;
-        stats.generic_points += 1;
+    // The sweep coordinate in `fixed` is 0 (see `for_each_row`), so
+    // `base` is the row's sweep origin.
+    debug_assert_eq!(fixed[axis], 0);
+    let base = st.lay.idx(fixed);
+    let (src, dst) = st.rw_planes(t);
+    k.apply_span_mode(simd, src, dst, base + lo as usize, base + hi as usize);
+    let len = (hi - lo + 1) as u64;
+    stats.kernel_points += len;
+    stats.kernel_rows += 1;
+    if simd && len as usize >= stencil_core::simd::BLOCK_WIDTH {
+        stats.simd_rows += 1;
     }
     Ok(())
 }
@@ -622,7 +672,7 @@ fn compute_point(
                 s[1] + nb.offset[1],
                 s[2] + nb.offset[2],
             ];
-            if st.idx(ps).is_none() {
+            if !st.lay.in_domain(ps) {
                 continue; // boundary constant
             }
             match st.writer_of(t, ps) {
@@ -641,7 +691,8 @@ fn compute_point(
         }
     }
     let v = spec.apply(|off| st.read(t, [s[0] + off[0], s[1] + off[1], s[2] + off[2]]));
-    let i = st.idx(s).expect("iteration point inside domain");
+    debug_assert!(st.lay.in_domain(s), "iteration point inside domain");
+    let i = st.lay.idx(s);
     let slot = st.slot(t + 1);
     st.planes[slot][i] = v;
     if let Some(writer) = st.writer.as_mut() {
@@ -866,9 +917,9 @@ mod tests {
         let tiles = TileSizes::new_2d(4, 5, 6);
         let init = random_grid(size.space_extents(), 31);
         let (_, fast) = run_tiled_with(&spec, &size, tiles, &init, ExecOptions::FAST).unwrap();
-        // Interior rows sweep through the kernel, boundary rows fall back.
+        // Every row, boundary rows included, sweeps through the kernel.
         assert!(fast.kernel_rows > 0);
-        assert!(fast.generic_rows > 0);
+        assert!(fast.generic_rows == 0);
         assert!(fast.kernel_points >= fast.kernel_rows, "{fast:?}");
         // One plane in (init), one plane out (result), 4 bytes per cell.
         let plane = (size.space[0] * size.space[1] * 4) as u64;
@@ -985,7 +1036,7 @@ mod higher_order_tests {
         let got = run_tiled_checked(&spec, &size, tiles, &grid);
         assert_eq!(expect.max_abs_diff(&got), 0.0);
         // Parallel wavefront execution also holds at order 2.
-        let par = run_tiled_wavefront_parallel(&spec, &size, tiles, &grid);
+        let par = run_tiled_parallel(&spec, &size, tiles, &grid);
         assert_eq!(expect.max_abs_diff(&par), 0.0);
     }
 
@@ -1035,7 +1086,7 @@ mod parallel_tests {
             let grid = init::random(size.space_extents(), 11);
             let expect = reference::run(&spec, &size, &grid);
             let seq = run_tiled_checked(&spec, &size, tiles, &grid);
-            let par = run_tiled_wavefront_parallel(&spec, &size, tiles, &grid);
+            let par = run_tiled_parallel(&spec, &size, tiles, &grid);
             assert_eq!(
                 expect.max_abs_diff(&par),
                 0.0,
@@ -1059,7 +1110,7 @@ mod parallel_tests {
         let mut grid = init::gaussian_bump(size.space_extents(), 6.0);
         grid.set_boundary(0.25);
         let expect = reference::run(&spec, &size, &grid);
-        let par = run_tiled_wavefront_parallel(&spec, &size, tiles, &grid);
+        let par = run_tiled_parallel(&spec, &size, tiles, &grid);
         assert_eq!(expect.max_abs_diff(&par), 0.0);
     }
 }

@@ -5,12 +5,13 @@
 //! Tiles within a wavefront are mutually independent (the property the
 //! checked executor proves and the GPU exploits by launching them as one
 //! kernel), so each tile computes against the frozen pre-wavefront state
-//! plus its own writes. A tile copies its padded slice of the read
-//! planes into a dense local box (same flat strides as the global
-//! planes, so the specialized row kernels run unmodified), sweeps rows
-//! exactly like the sequential fast path, and logs one contiguous write
-//! span per row. After the wavefront joins, the spans — disjoint by the
-//! same independence property — are applied to the ring in tile order,
+//! plus its own writes. A tile copies its widened slice of the
+//! halo-padded read planes into a dense local box (same flat strides as
+//! the global planes, so the specialized row kernels run unmodified and
+//! read the halo like any other cell), sweeps rows exactly like the
+//! sequential fast path, and logs one contiguous write span per row.
+//! After the wavefront joins, the spans — disjoint by the same
+//! independence property — are applied to the ring in tile order,
 //! so the result is deterministic and bit-identical to
 //! [`super::run_tiled_unchecked`] (tested, including nonzero boundaries
 //! and `t_t > T`).
@@ -27,11 +28,12 @@
 //! 30 % to a nonexistent speedup.
 
 use super::scratch::{ScratchPool, TileScratch, TileWrites, WriteSpan};
-use super::{rolling_window_depth, ExecStats, SpaceTime};
+use super::{for_each_row, rolling_window_depth, subtiles, ExecStats, Layout, SpaceTime};
 use crate::config::TileSizes;
 use crate::hex::{HexTiling, TileId};
 use crate::inner::SkewedAxis;
 use rayon::prelude::*;
+use std::convert::Infallible;
 use stencil_core::{Grid, ProblemSize, RowKernel, StencilSpec};
 
 /// Minimum *estimated* output points per dispatched batch for a worker
@@ -65,16 +67,6 @@ pub fn run_tiled_parallel(
 ) -> Grid {
     let pool = ScratchPool::new();
     run_tiled_parallel_with_stats(spec, size, tiles, init, &pool).0
-}
-
-/// Deprecated name of [`run_tiled_parallel`], kept for existing callers.
-pub fn run_tiled_wavefront_parallel(
-    spec: &StencilSpec,
-    size: &ProblemSize,
-    tiles: TileSizes,
-    init: &Grid,
-) -> Grid {
-    run_tiled_parallel(spec, size, tiles, init)
 }
 
 /// [`run_tiled_parallel`] against a caller-supplied pool, returning the
@@ -128,7 +120,6 @@ pub fn run_tiled_parallel_into_with(
     let hex = HexTiling::with_slope(tiles.t_s[0], tiles.t_t, slope);
     let ax2 = (rank >= 2).then(|| SkewedAxis::with_slope(tiles.t_s[1], size.space[1], slope));
     let ax3 = (rank >= 3).then(|| SkewedAxis::with_slope(tiles.t_s[2], size.space[2], slope));
-    let kernel = spec.row_kernel(size.space_extents());
 
     let threads = rayon::current_num_threads();
     let est_tile_points = estimate_tile_points(size, tiles, rank);
@@ -143,31 +134,19 @@ pub fn run_tiled_parallel_into_with(
     let acq0 = pool.acquires();
     let reu0 = pool.reuses();
 
-    // Ring planes come from the pool; only plane 0 needs defined contents
-    // (see `ScratchPool::take_plane` on why recycling is legal).
-    let sizes = size.space_extents();
-    let cells = sizes[0] * sizes[1] * sizes[2];
+    // Ring planes come from the pool; only their halos and plane 0 need
+    // defined contents (see `ScratchPool::take_plane` on why recycling
+    // is legal).
     let depth = rolling_window_depth(tiles, size);
-    let mut planes = Vec::with_capacity(depth);
-    for i in 0..depth {
-        let mut p = pool.take_plane(cells);
-        if i == 0 {
-            p.copy_from_slice(init.as_slice());
-        }
-        planes.push(p);
-    }
-    let mut st = SpaceTime {
-        sizes,
-        boundary: init.boundary(),
-        planes,
-        writer: None,
-    };
+    let mut st = SpaceTime::new(spec, init, false, depth, |cells| pool.take_plane(cells));
+    let kernel = spec.row_kernel(st.lay.ext);
 
     let plane_bytes = std::mem::size_of_val(init.as_slice()) as u64;
     let mut stats = ExecStats {
         resident_planes: depth,
         logical_planes: size.time + 1,
         plane_copy_bytes: plane_bytes,
+        halo_cells: st.halo_cells(),
         ..ExecStats::default()
     };
 
@@ -227,7 +206,6 @@ pub fn run_tiled_parallel_into_with(
                 for &j in batch {
                     let id = TileId { q, phase, j };
                     counts.add(compute_tile(
-                        spec,
                         size,
                         &hex,
                         ax2,
@@ -253,9 +231,7 @@ pub fn run_tiled_parallel_into_with(
                 off += span.len;
             }
             stats.kernel_points += counts.kernel_points;
-            stats.generic_points += counts.generic_points;
             stats.kernel_rows += counts.kernel_rows;
-            stats.generic_rows += counts.generic_rows;
             stats.simd_rows += counts.simd_rows;
             pool.put_writes(writes);
         }
@@ -311,7 +287,7 @@ fn finish_run(
 ) -> ExecStats {
     let final_slot = st.slot(size.time as i64);
     out.set_boundary(init.boundary());
-    out.as_mut_slice().copy_from_slice(&st.planes[final_slot]);
+    st.lay.extract(&st.planes[final_slot], out.as_mut_slice());
     stats.plane_copy_bytes += plane_bytes;
     for p in st.planes.drain(..) {
         pool.put_plane(p);
@@ -321,6 +297,7 @@ fn finish_run(
 
     if obs::active() {
         obs::counter("exec.parallel_runs", 1);
+        obs::counter("exec.halo_cells", stats.halo_cells);
         obs::counter("exec.scratch_acquires", stats.scratch_acquires);
         obs::counter("exec.scratch_reuses", stats.scratch_reuses);
         obs::counter("exec.batch_dispatches", stats.batch_dispatches);
@@ -335,60 +312,38 @@ fn finish_run(
 #[derive(Debug, Default, Clone, Copy)]
 struct TileCounts {
     kernel_points: u64,
-    generic_points: u64,
     kernel_rows: u64,
-    generic_rows: u64,
     simd_rows: u64,
 }
 
 impl TileCounts {
     fn add(&mut self, o: TileCounts) {
         self.kernel_points += o.kernel_points;
-        self.generic_points += o.generic_points;
         self.kernel_rows += o.kernel_rows;
-        self.generic_rows += o.generic_rows;
         self.simd_rows += o.simd_rows;
     }
 }
 
 /// The tile's dense working view: planes `[t_lo, t_hi + 1]` over its
-/// padded `s1` bounding box × full `s2 × s3`, laid out with the global
-/// flat strides so a global flat index maps to a local one by a constant
-/// shift. Reads see the frozen pre-wavefront copy overlaid with the
+/// widened `s1` bounding box × the full padded `s2 × s3` extent, clipped
+/// to the padded planes and laid out with their flat strides, so a
+/// padded flat index maps to a local one by a constant shift. Reads see
+/// the frozen pre-wavefront copy (halo included) overlaid with the
 /// tile's own writes — exactly what the sequential executor would see,
 /// by wavefront independence.
 struct LocalBox<'a> {
     buf: &'a mut [f32],
-    sizes: [usize; 3],
-    boundary: f32,
+    lay: Layout,
     loc_cells: usize,
     t_lo: i64,
     base_off: usize,
 }
 
 impl LocalBox<'_> {
-    #[inline]
-    fn idx(&self, s: [i64; 3]) -> Option<usize> {
-        for (&c, &n) in s.iter().zip(&self.sizes) {
-            if c < 0 || c as usize >= n {
-                return None;
-            }
-        }
-        Some((s[0] as usize * self.sizes[1] + s[1] as usize) * self.sizes[2] + s[2] as usize)
-    }
-
-    /// Local position of global flat cell `flat` on logical plane `t`.
+    /// Local position of padded flat cell `flat` on logical plane `t`.
     #[inline]
     fn local(&self, t: i64, flat: usize) -> usize {
         (t - self.t_lo) as usize * self.loc_cells + (flat - self.base_off)
-    }
-
-    #[inline]
-    fn read(&self, t: i64, s: [i64; 3]) -> f32 {
-        match self.idx(s) {
-            Some(i) => self.buf[self.local(t, i)],
-            None => self.boundary,
-        }
     }
 
     /// Split-borrow the read plane `t` and the write plane `t + 1`.
@@ -402,12 +357,10 @@ impl LocalBox<'_> {
 
 /// Execute one tile into its local box and log its writes. Mirrors
 /// `execute_tile` / `compute_row` on the fast path exactly — the same
-/// sub-tile order, the same interior/boundary classification, the same
-/// row-kernel and generic arithmetic — so every produced bit matches the
-/// sequential executor.
+/// sub-tile order and the same row-kernel arithmetic — so every produced
+/// bit matches the sequential executor.
 #[allow(clippy::too_many_arguments)]
 fn compute_tile(
-    spec: &StencilSpec,
     size: &ProblemSize,
     hex: &HexTiling,
     ax2: Option<SkewedAxis>,
@@ -427,17 +380,25 @@ fn compute_tile(
         return counts;
     }
     let (t_lo, t_hi) = (rows[0].t, rows[rows.len() - 1].t);
-    // Padded s1 bounding box: `slope ≥ order`, so every in-domain
-    // neighbor of every computed point lands inside it.
+    let lay = st.lay;
+    // Widen by `slope ≥ order` and clip to the padded planes, in padded
+    // coordinates: every neighbor of every computed point — halo cells
+    // included — lands inside the box.
+    let pad = slope as i64;
+    let widen = |lo: i64, hi: i64, d: usize| {
+        let p = lay.pad[d] as i64;
+        (
+            (lo - pad + p).max(0),
+            (hi + pad + p).min(lay.ext[d] as i64 - 1),
+        )
+    };
     let (mut lo1, mut hi1) = (i64::MAX, i64::MIN);
     for r in rows.iter() {
         lo1 = lo1.min(r.lo);
         hi1 = hi1.max(r.hi);
     }
-    let pad = slope as i64;
-    let b_lo = (lo1 - pad).max(0);
-    let b_hi = (hi1 + pad).min(st.sizes[0] as i64 - 1);
-    let s23 = st.sizes[1] * st.sizes[2];
+    let (b_lo, b_hi) = widen(lo1, hi1, 0);
+    let s23 = lay.ext[1] * lay.ext[2];
     let loc_cells = (b_hi - b_lo + 1) as usize * s23;
     let n_planes = (t_hi - t_lo + 2) as usize;
     let base_off = b_lo as usize * s23;
@@ -447,22 +408,14 @@ fn compute_tile(
     }
     let buf = &mut buf[..need];
 
-    r3.clear();
-    match ax3 {
-        Some(ax) => r3.extend(ax.subtile_range(t_lo, t_hi)),
-        None => r3.push(0),
-    }
-    r2.clear();
-    match ax2 {
-        Some(ax) => r2.extend(ax.subtile_range(t_lo, t_hi)),
-        None => r2.push(0),
-    }
+    subtiles(ax2, t_lo, t_hi, r2);
+    subtiles(ax3, t_lo, t_hi, r3);
 
-    // Padded inner-axis bounding box of everything the tile computes.
-    // Every read lands within `computed range ± order ⊆ bbox ± pad`, so
-    // copying only these segments leaves no readable cell undefined (the
-    // rest of the pooled buffer holds stale garbage that is never read).
-    let inner_bbox = |ax: Option<SkewedAxis>, subs: &[i64], extent: usize| -> Option<(i64, i64)> {
+    // Widened inner-axis bounding box of everything the tile computes,
+    // in padded coordinates. Copying only these segments leaves no
+    // readable cell undefined (the rest of the pooled buffer holds stale
+    // garbage that is never read).
+    let inner_bbox = |ax: Option<SkewedAxis>, subs: &[i64], d: usize| -> Option<(i64, i64)> {
         let Some(ax) = ax else { return Some((0, 0)) };
         let (mut lo, mut hi) = (i64::MAX, i64::MIN);
         for &l in subs {
@@ -473,47 +426,34 @@ fn compute_tile(
                 }
             }
         }
-        (lo <= hi).then(|| ((lo - pad).max(0), (hi + pad).min(extent as i64 - 1)))
+        (lo <= hi).then(|| widen(lo, hi, d))
     };
-    let Some((lo2, hi2)) = inner_bbox(ax2, r2, st.sizes[1]) else {
+    let Some((lo2, hi2)) = inner_bbox(ax2, r2, 1) else {
         return counts;
     };
-    let Some((lo3, hi3)) = inner_bbox(ax3, r3, st.sizes[2]) else {
+    let Some((lo3, hi3)) = inner_bbox(ax3, r3, 2) else {
         return counts;
     };
 
     // Load the frozen read planes; the top plane `t_hi + 1` is write-only.
-    if ax3.is_none() {
+    if lo3 == 0 && hi3 == lay.ext[2] as i64 - 1 {
+        // Full-width s3 segments (always, below 3D): adjacent (s2, s3)
+        // rows are contiguous in memory, so the s2 range coalesces into
+        // one copy per (plane, s1), and into one slab per plane when it
+        // spans the full s2 width too (always in 1D).
+        let (a0, b0) = (lo2 as usize * lay.ext[2], (hi2 as usize + 1) * lay.ext[2]);
+        let (step, a0, b0) = if b0 - a0 == s23 {
+            (loc_cells, 0, loc_cells)
+        } else {
+            (s23, a0, b0)
+        };
         for t in t_lo..=t_hi {
             let p = (t - t_lo) as usize;
             let dst = &mut buf[p * loc_cells..(p + 1) * loc_cells];
             let src = &st.planes[st.slot(t)];
-            if ax2.is_none() {
-                // 1D: the s1 bbox is already tight — one slab per plane.
-                dst.copy_from_slice(&src[base_off..base_off + loc_cells]);
-            } else {
-                // 2D: s2 is the stored innermost axis — one segment per
-                // s1 row.
-                for s1 in b_lo..=b_hi {
-                    let row0 = s1 as usize * s23 - base_off;
-                    let (a, b) = (row0 + lo2 as usize, row0 + hi2 as usize + 1);
-                    dst[a..b].copy_from_slice(&src[base_off + a..base_off + b]);
-                }
-            }
-        }
-    } else if lo3 == 0 && hi3 == st.sizes[2] as i64 - 1 {
-        // 3D, full-width s3 segments: adjacent (s2, s3) rows are
-        // contiguous in memory, so the whole s2 range coalesces into one
-        // copy per (plane, s1) — long streams instead of per-row calls.
-        let (a0, b0) = (lo2 as usize * st.sizes[2], (hi2 as usize + 1) * st.sizes[2]);
-        for t in t_lo..=t_hi {
-            let p = (t - t_lo) as usize;
-            let dst = &mut buf[p * loc_cells..(p + 1) * loc_cells];
-            let src = &st.planes[st.slot(t)];
-            for s1 in b_lo..=b_hi {
-                let row0 = s1 as usize * s23 - base_off;
-                dst[row0 + a0..row0 + b0]
-                    .copy_from_slice(&src[base_off + row0 + a0..base_off + row0 + b0]);
+            for row0 in (0..loc_cells).step_by(step) {
+                let (a, b) = (row0 + a0, row0 + b0);
+                dst[a..b].copy_from_slice(&src[base_off + a..base_off + b]);
             }
         }
     } else {
@@ -529,8 +469,7 @@ fn compute_tile(
         let seg_len = (hi3 - lo3 + 1) as usize;
         let per_row = 2 * seg_len * std::mem::size_of::<f32>();
         let panel = (L1_STAGE_BYTES / (per_row * n_planes).max(1)).max(1) as i64;
-        for s1 in b_lo..=b_hi {
-            let row0 = s1 as usize * s23 - base_off;
+        for row0 in (0..loc_cells).step_by(s23) {
             let mut p2 = lo2;
             while p2 <= hi2 {
                 let p2_hi = (p2 + panel - 1).min(hi2);
@@ -538,8 +477,8 @@ fn compute_tile(
                     let p = (t - t_lo) as usize;
                     let dst = &mut buf[p * loc_cells..(p + 1) * loc_cells];
                     let src = &st.planes[st.slot(t)];
-                    for s2 in p2..=p2_hi {
-                        let seg = row0 + s2 as usize * st.sizes[2];
+                    for x2 in p2..=p2_hi {
+                        let seg = row0 + x2 as usize * lay.ext[2];
                         let (a, b) = (seg + lo3 as usize, seg + hi3 as usize + 1);
                         dst[a..b].copy_from_slice(&src[base_off + a..base_off + b]);
                     }
@@ -550,88 +489,24 @@ fn compute_tile(
     }
     let mut loc = LocalBox {
         buf,
-        sizes: st.sizes,
-        boundary: st.boundary,
+        lay,
         loc_cells,
         t_lo,
         base_off,
     };
     let depth = st.planes.len();
-    let rank = spec.dim.rank();
 
-    for &l3 in r3.iter() {
-        for &l2 in r2.iter() {
-            for row in rows.iter() {
-                let span2 = match ax2 {
-                    Some(ax) => match ax.span_at(l2, row.t) {
-                        Some(sp) => sp,
-                        None => continue,
-                    },
-                    None => (0, 0),
-                };
-                let span3 = match ax3 {
-                    Some(ax) => match ax.span_at(l3, row.t) {
-                        Some(sp) => sp,
-                        None => continue,
-                    },
-                    None => (0, 0),
-                };
-                match rank {
-                    1 => row_into(
-                        spec,
-                        &mut loc,
-                        kernel,
-                        &mut counts,
-                        out,
-                        depth,
-                        row.t,
-                        [0, 0, 0],
-                        (row.lo, row.hi),
-                    ),
-                    2 => {
-                        for s1 in row.lo..=row.hi {
-                            row_into(
-                                spec,
-                                &mut loc,
-                                kernel,
-                                &mut counts,
-                                out,
-                                depth,
-                                row.t,
-                                [s1, 0, 0],
-                                span2,
-                            );
-                        }
-                    }
-                    _ => {
-                        for s1 in row.lo..=row.hi {
-                            for s2 in span2.0..=span2.1 {
-                                row_into(
-                                    spec,
-                                    &mut loc,
-                                    kernel,
-                                    &mut counts,
-                                    out,
-                                    depth,
-                                    row.t,
-                                    [s1, s2, 0],
-                                    span3,
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
+    let Ok(()) = for_each_row(rows, (ax2, r2), (ax3, r3), |t, fixed, span| {
+        row_into(&mut loc, kernel, &mut counts, out, depth, t, fixed, span);
+        Ok::<(), Infallible>(())
+    });
     counts
 }
 
 /// Compute one contiguous row into the local box and log its write span.
-/// This is `compute_row`'s fast path verbatim, against local storage.
+/// This is `compute_row`'s kernel sweep verbatim, against local storage.
 #[allow(clippy::too_many_arguments)]
 fn row_into(
-    spec: &StencilSpec,
     loc: &mut LocalBox<'_>,
     k: &RowKernel,
     counts: &mut TileCounts,
@@ -641,63 +516,24 @@ fn row_into(
     fixed: [i64; 3],
     (lo, hi): (i64, i64),
 ) {
-    let point = |axis: usize, s: i64| {
-        let mut p = fixed;
-        p[axis] = s;
-        p
-    };
-    let axis = k.sweep_axis();
-    let fixed_interior = (0..3)
-        .filter(|&d| d != axis)
-        .all(|d| fixed[d] + k.off_min()[d] >= 0 && fixed[d] + k.off_max()[d] < loc.sizes[d] as i64);
-    let (mut klo, mut khi) = if fixed_interior {
-        (
-            lo.max(-k.off_min()[axis]),
-            hi.min(loc.sizes[axis] as i64 - 1 - k.off_max()[axis]),
-        )
-    } else {
-        (hi + 1, hi)
-    };
-    if klo > khi {
-        (klo, khi) = (hi + 1, hi);
-    }
-
-    let generic = |loc: &mut LocalBox<'_>, counts: &mut TileCounts, s: i64| {
-        let p = point(axis, s);
-        let v = spec.apply(|off| loc.read(t, [p[0] + off[0], p[1] + off[1], p[2] + off[2]]));
-        let i = loc.idx(p).expect("iteration point inside domain");
-        let li = loc.local(t + 1, i);
-        loc.buf[li] = v;
-        counts.generic_points += 1;
-    };
-    for s in lo..=hi.min(klo - 1) {
-        generic(loc, counts, s);
-    }
-    let base = (fixed[0] * loc.sizes[1] as i64 + fixed[1]) * loc.sizes[2] as i64 + fixed[2];
-    if klo <= khi {
-        debug_assert_eq!(fixed[axis], 0);
-        let lbase = base - loc.base_off as i64;
-        let (src, dst) = loc.rw_planes(t);
-        k.apply_span(src, dst, (lbase + klo) as usize, (lbase + khi) as usize);
-        counts.kernel_points += (khi - klo + 1) as u64;
-        counts.kernel_rows += 1;
-        if (khi - klo + 1) as usize >= stencil_core::simd::BLOCK_WIDTH {
-            counts.simd_rows += 1;
-        }
-    } else {
-        counts.generic_rows += 1;
-    }
-    for s in lo.max(khi + 1)..=hi {
-        generic(loc, counts, s);
-    }
-
-    // The whole row is one contiguous global span on plane `t + 1`.
-    let gstart = (base + lo) as usize;
+    debug_assert_eq!(fixed[loc.lay.sweep], 0);
     let len = (hi - lo + 1) as usize;
-    let lstart = loc.local(t + 1, gstart);
+    // The row's first cell, as a padded flat index and in the box.
+    let start = loc.lay.idx(fixed) + lo as usize;
+    let lstart = start - loc.base_off;
+    let (src, dst) = loc.rw_planes(t);
+    k.apply_span(src, dst, lstart, lstart + len - 1);
+    counts.kernel_points += len as u64;
+    counts.kernel_rows += 1;
+    if len >= stencil_core::simd::BLOCK_WIDTH {
+        counts.simd_rows += 1;
+    }
+
+    // The whole row is one contiguous span on plane `t + 1`.
+    let lstart = loc.local(t + 1, start);
     out.spans.push(WriteSpan {
         slot: ((t + 1) as usize % depth) as u32,
-        base: gstart,
+        base: start,
         len,
     });
     out.data.extend_from_slice(&loc.buf[lstart..lstart + len]);

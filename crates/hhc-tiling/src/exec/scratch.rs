@@ -29,8 +29,9 @@ pub(crate) struct WriteSpan {
 /// stabilizes at the largest tile it has seen.
 #[derive(Debug, Default)]
 pub(crate) struct TileScratch {
-    /// Local planes `[t_lo, t_hi + 1]` over the tile's padded `s1` bounding
-    /// box × the full `s2 × s3` extent, in global flat-stride layout.
+    /// Local planes `[t_lo, t_hi + 1]` over the tile's widened `s1`
+    /// bounding box × the full padded `s2 × s3` extent, in the ring
+    /// planes' flat-stride layout.
     pub(crate) buf: Vec<f32>,
     pub(crate) rows: Vec<RowSpan>,
     pub(crate) r2: Vec<i64>,
@@ -111,9 +112,10 @@ impl ScratchPool {
     }
 
     /// A plane of exactly `cells` elements. Recycled planes keep their
-    /// contents (possibly from another run): the executor only ever reads
-    /// cells it has already written this run, the same property that
-    /// makes ring-slot recycling legal.
+    /// contents (possibly from another run, shape or boundary value): the
+    /// executor rewrites every halo cell at checkout and otherwise only
+    /// reads domain cells it has already written this run, the same
+    /// property that makes ring-slot recycling legal.
     ///
     /// A checkout only counts as a reuse when the recycled plane's
     /// capacity actually covers `cells` — a pooled plane from a smaller

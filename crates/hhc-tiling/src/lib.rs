@@ -42,8 +42,8 @@ pub use config::{LaunchConfig, TileSizes};
 pub use exec::{
     rolling_window_depth, run_tiled_checked, run_tiled_parallel, run_tiled_parallel_into,
     run_tiled_parallel_into_with, run_tiled_parallel_with_stats, run_tiled_unchecked,
-    run_tiled_unchecked_with_stats, run_tiled_wavefront_parallel, run_tiled_with, try_run_tiled,
-    DispatchPolicy, ExecOptions, ExecStats, ScratchPool, MIN_BATCH_POINTS,
+    run_tiled_unchecked_with_stats, run_tiled_with, try_run_tiled, DispatchPolicy, ExecOptions,
+    ExecStats, ScratchPool, MIN_BATCH_POINTS,
 };
 pub use hex::HexTiling;
 pub use plan::{AxisClass, BlockClass, PlanGeometry, TilingPlan, WavefrontPlan};

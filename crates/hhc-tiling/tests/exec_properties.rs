@@ -2,7 +2,11 @@
 //! for random stencil kinds, problem sizes, and tile sizes, the
 //! rolling-window + row-kernel execution must equal the full space-time
 //! checked execution and the sequential reference **bit for bit**, and
-//! must hold only `min(t_t + 1, T + 1)` planes resident.
+//! must hold only `min(t_t + 1, T + 1)` planes resident. Every fast
+//! path runs over halo-padded planes, so the halo cases get their own
+//! coverage: every named stencil, nonzero boundaries, extents smaller
+//! than the stencil's reach, and pooled planes recycled across shapes
+//! and boundary values.
 
 use hhc_tiling::{
     rolling_window_depth, run_tiled_checked, run_tiled_parallel_into_with,
@@ -11,6 +15,77 @@ use hhc_tiling::{
 };
 use proptest::prelude::*;
 use stencil_core::{init, reference, Grid, ProblemSize, StencilDescriptor};
+
+/// The boundary values the halo cases run with.
+const BOUNDARIES: [f32; 3] = [0.0, 2.5, -0.75];
+
+/// The problem and tile sizes of one shape draw for a stencil of `rank`:
+/// `s` are the domain extents (unused ones dropped), `ts` the tile space
+/// extents, `t` the time steps and `t_t` the time tile.
+fn shape(
+    rank: usize,
+    s: [usize; 3],
+    ts: [usize; 3],
+    t: usize,
+    t_t: usize,
+) -> (ProblemSize, TileSizes) {
+    match rank {
+        1 => (ProblemSize::new_1d(s[0], t), TileSizes::new_1d(t_t, ts[0])),
+        2 => (
+            ProblemSize::new_2d(s[0], s[1], t),
+            TileSizes::new_2d(t_t, ts[0], ts[1]),
+        ),
+        _ => (
+            ProblemSize::new_3d(s[0], s[1], s[2], t),
+            TileSizes::new_3d(t_t, ts[0], ts[1], ts[2]),
+        ),
+    }
+}
+
+fn assert_bits_eq(expect: &Grid, got: &Grid, what: &str) {
+    for (i, (a, b)) in expect.as_slice().iter().zip(got.as_slice()).enumerate() {
+        assert_eq!(a.to_bits(), b.to_bits(), "{what}: cell {i}");
+    }
+}
+
+/// `FAST`, `FAST_SCALAR` and the pooled executor under both forced
+/// dispatch policies must each equal `reference::run` bit for bit.
+fn assert_fast_paths_match_reference(
+    stencil: &StencilDescriptor,
+    size: &ProblemSize,
+    tiles: TileSizes,
+    seed: u64,
+    boundary: f32,
+) {
+    let spec = stencil.spec();
+    let mut grid = init::random(size.space_extents(), seed);
+    grid.set_boundary(boundary);
+    let expect = reference::run(&spec, size, &grid);
+    let what = |path: &str| {
+        format!(
+            "{path}: {} {} {tiles:?} b={boundary}",
+            stencil.name,
+            size.label()
+        )
+    };
+    for (path, opts) in [
+        ("FAST", ExecOptions::FAST),
+        ("FAST_SCALAR", ExecOptions::FAST_SCALAR),
+    ] {
+        let (got, stats) = run_tiled_with(&spec, size, tiles, &grid, opts).expect("fast run");
+        assert_bits_eq(&expect, &got, &what(path));
+        assert_eq!(stats.generic_points, 0, "{}", what(path));
+    }
+    let pool = ScratchPool::new();
+    for policy in [
+        DispatchPolicy::ForceParallel,
+        DispatchPolicy::ForceSequential,
+    ] {
+        let mut got = Grid::zeros(size.space_extents());
+        run_tiled_parallel_into_with(&spec, size, tiles, &grid, &pool, &mut got, policy);
+        assert_bits_eq(&expect, &got, &what(&format!("{policy:?}")));
+    }
+}
 
 /// A random (stencil, problem, tiles) case. Extents start at 1 (1-cell
 /// domains) and tile extents range well past the domain sizes, so
@@ -94,8 +169,8 @@ proptest! {
         prop_assert_eq!(stats.resident_planes, t + 1);
     }
 
-    /// 1-cell domains: every point is a boundary point, so the row kernel
-    /// never fires and the generic path must carry the whole run.
+    /// 1-cell domains: every neighbor but the center is a halo cell, and
+    /// the row kernel still carries the whole run.
     #[test]
     fn one_cell_domains(kidx in 0usize..StencilDescriptor::named().len(), t in 1usize..9, seed in 0u64..64) {
         let stencil = StencilDescriptor::named()[kidx].clone();
@@ -109,8 +184,30 @@ proptest! {
         let expect = reference::run(&spec, &size, &grid);
         let (fast, stats) = run_tiled_unchecked_with_stats(&spec, &size, tiles, &grid);
         prop_assert_eq!(expect.max_abs_diff(&fast), 0.0, "{} T={t}", stencil.name);
-        prop_assert_eq!(stats.kernel_points, 0);
-        prop_assert_eq!(stats.generic_points, t as u64);
+        prop_assert_eq!(stats.kernel_points, t as u64);
+        prop_assert_eq!(stats.generic_points, 0);
+    }
+
+    /// Every named stencil (radius-2 Lap4_2D and asymmetric Advect3D
+    /// included) under every boundary value, on random shapes that reach
+    /// down to 1-cell domains and extents smaller than the stencil's
+    /// reach, with tiles past the domain and `t_t > T`: all four fast
+    /// paths equal the reference bit for bit.
+    #[test]
+    fn halo_paths_match_reference_bitwise(
+        s in (1usize..20, 1usize..12, 1usize..8),
+        ts in (1usize..12, 1usize..10, 1usize..40),
+        t in 1usize..10,
+        h in 1usize..5,
+        seed in 0u64..1024,
+    ) {
+        for stencil in StencilDescriptor::named() {
+            let rank = stencil.spec().dim.rank();
+            let (size, tiles) = shape(rank, [s.0, s.1, s.2], [ts.0, ts.1, ts.2], t, 2 * h);
+            for boundary in BOUNDARIES {
+                assert_fast_paths_match_reference(&stencil, &size, tiles, seed, boundary);
+            }
+        }
     }
 
     /// Pooled parallel executor == sequential fast path, bit for bit —
@@ -338,4 +435,76 @@ fn scratch_counters_pin_exact_values_for_known_schedule() {
     );
     assert_eq!(fb2.scratch_acquires, depth);
     assert_eq!(fb2.scratch_reuses, depth);
+}
+
+/// The halo edge cases, enumerated rather than sampled, for every named
+/// stencil and boundary value: a 1-cell domain, extents at or below the
+/// reach, a single-cell axis beside longer ones, tiles larger than the
+/// domain, and `t_t > T`.
+#[test]
+fn halo_edge_cases_match_reference_bitwise() {
+    let cases: [([usize; 3], [usize; 3], usize, usize); 5] = [
+        ([1, 1, 1], [1, 1, 1], 3, 2),
+        ([2, 1, 3], [2, 1, 2], 5, 2),
+        ([9, 1, 6], [3, 2, 4], 6, 4),
+        ([5, 4, 3], [16, 32, 64], 4, 4),
+        ([7, 6, 5], [3, 4, 5], 2, 8),
+    ];
+    for stencil in StencilDescriptor::named() {
+        let rank = stencil.spec().dim.rank();
+        for (i, &(s, ts, t, t_t)) in cases.iter().enumerate() {
+            let (size, tiles) = shape(rank, s, ts, t, t_t);
+            for boundary in BOUNDARIES {
+                assert_fast_paths_match_reference(
+                    &stencil,
+                    &size,
+                    tiles,
+                    0xA11 + i as u64,
+                    boundary,
+                );
+            }
+        }
+    }
+}
+
+/// One pool through runs of different stencils, shapes and boundary
+/// values: recycled ring planes carry stale halos (a different boundary)
+/// and stale domain cells where the new shape puts its halo, so every
+/// checkout must rewrite the halo for the outputs to stay exact.
+#[test]
+fn recycled_planes_get_fresh_halos() {
+    let runs = [
+        (StencilDescriptor::jacobi2d(), [12, 9, 1], 2.5),
+        (StencilDescriptor::jacobi2d(), [12, 9, 1], -0.75),
+        (StencilDescriptor::jacobi2d(), [7, 5, 1], 0.0),
+        (StencilDescriptor::lap4_2d(), [9, 6, 1], 2.5),
+        (StencilDescriptor::jacobi2d(), [13, 8, 1], -0.75),
+        (StencilDescriptor::heat3d(), [5, 4, 6], -0.75),
+        (StencilDescriptor::heat3d(), [5, 4, 6], 2.5),
+        (StencilDescriptor::advect3d(), [4, 6, 5], 0.0),
+        (StencilDescriptor::jacobi1d(), [40, 1, 1], 2.5),
+        (StencilDescriptor::jacobi1d(), [40, 1, 1], -0.75),
+    ];
+    let pool = ScratchPool::new();
+    for policy in [
+        DispatchPolicy::ForceParallel,
+        DispatchPolicy::ForceSequential,
+    ] {
+        for (i, (stencil, s, boundary)) in runs.iter().enumerate() {
+            let spec = stencil.spec();
+            let (size, tiles) = shape(spec.dim.rank(), *s, [3, 4, 5], 5, 4);
+            let mut grid = init::random(size.space_extents(), 0x5EED + i as u64);
+            grid.set_boundary(*boundary);
+            let expect = reference::run(&spec, &size, &grid);
+            let mut got = Grid::zeros(size.space_extents());
+            let stats =
+                run_tiled_parallel_into_with(&spec, &size, tiles, &grid, &pool, &mut got, policy);
+            assert_bits_eq(
+                &expect,
+                &got,
+                &format!("{policy:?} run {i}: {} b={boundary}", stencil.name),
+            );
+            assert!(stats.halo_cells > 0);
+        }
+    }
 }

@@ -24,7 +24,7 @@
 //!
 //! Both ceilings are optimistic by construction (like the paper's
 //! `T_alg`), so `measured/predicted ≤ 1` up to timing noise; tiling
-//! overhead (boundary rows, wavefront sweeps, ring bookkeeping) sets the
+//! overhead (halo writes, wavefront sweeps, ring bookkeeping) sets the
 //! practically reachable floor. [`RATIO_BAND`] encodes both.
 
 use serde::{Deserialize, Serialize};
@@ -33,14 +33,16 @@ use stencil_core::StencilSpec;
 
 /// Tolerance band for `measured_pps / predicted_pps`, the CI gate.
 ///
-/// Lower edge: the tiled executor keeps at least ~1/8 of roofline —
-/// below that something real broke (a kernel fell off its fast path, a
-/// staging copy went quadratic; either costs 5–10×, far below the edge
-/// even with CI timing noise on top). Upper edge: measured throughput
+/// Lower edge: half the smallest ratio the executor measured on the
+/// reduced and smoke benchmarks (Heat3D at 0.32, 2-vCPU x86-64 VM with
+/// AVX2), rounded down to a multiple of 0.05 — below that something
+/// real broke (a kernel fell off its fast path, a staging copy went
+/// quadratic; either costs 5–10×, far below the edge even with CI
+/// timing noise on top). Upper edge: measured throughput
 /// may not exceed the optimistic ceiling by more than timing noise —
 /// above that the *model* is broken (mis-measured ceilings, wrong byte
 /// count).
-pub const RATIO_BAND: (f64, f64) = (0.12, 1.10);
+pub const RATIO_BAND: (f64, f64) = (0.15, 1.10);
 
 /// Streaming traffic lower bound per output point: one 4-byte read of
 /// the previous plane plus one 4-byte write of the next. Neighbor reads
