@@ -2,10 +2,10 @@
 //!
 //! An [`Advice`] is rendered as one compact JSON line. It deliberately
 //! carries **no** cache-provenance field: an answer served from the
-//! in-memory or on-disk cache is byte-identical to the answer computed
-//! cold (provenance lives in the `advisor.*` telemetry counters
-//! instead). The struct both serializes (derive) and re-parses from the
-//! shim's [`Value`] tree ([`Advice::from_value`]) so the disk cache can
+//! answer store or the in-memory cache is byte-identical to the answer
+//! computed cold (provenance lives in the `advisor.*` telemetry
+//! counters instead). The struct both serializes (derive) and re-parses from the
+//! shim's [`Value`] tree ([`Advice::from_value`]) so the answer store can
 //! round-trip answers exactly — every numeric field is an integer or an
 //! `f64`, and Rust's shortest-round-trip float formatting guarantees
 //! `f64 → JSON → f64` is lossless.
@@ -138,7 +138,7 @@ impl Advice {
     }
 
     /// Reconstruct an advice from its parsed JSON tree — the inverse of
-    /// the `Serialize` derive, used by the disk cache.
+    /// the `Serialize` derive, used by the answer store.
     pub fn from_value(v: &Value) -> Result<Advice, String> {
         let m = as_map(v, "advice")?;
         let need = |k: &str| get(m, k).ok_or_else(|| format!("advice missing field '{k}'"));
@@ -286,7 +286,7 @@ mod tests {
         let back = Advice::from_value(&serde_json::from_str(&line).unwrap()).unwrap();
         assert_eq!(a, back);
         // And re-serializing produces the same bytes — the property the
-        // disk cache relies on.
+        // answer store relies on.
         assert_eq!(line, back.to_json_line());
     }
 

@@ -1,20 +1,9 @@
-//! The advisor's two cache tiers.
+//! Key hashing and provenance shared by the advisor's answer tiers.
 //!
-//! Tier 1 is a per-process LRU keyed by the canonicalized query string.
-//! Tier 2 is an optional on-disk JSON cache (one file per key under the
-//! configured directory, named by the key's FNV-1a hash) whose entries
-//! carry RunManifest-style provenance — the git revision, rayon thread
-//! count, micro-benchmark seed, and argv of the writing process. A disk
-//! entry is honored only when its stored canonical key matches exactly
-//! (hash-collision guard) *and* its git revision matches the current
-//! tree: any commit or working-tree edit invalidates the whole disk
-//! cache, because a model or executor change anywhere in the workspace
-//! may change the answers.
-
-use crate::advice::Advice;
-use serde::{Serialize, Value};
-use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+//! [`fnv64`] picks a memory-cache shard and fingerprints the device and
+//! enumerated space inside every canonical key; [`current_git_rev`] is
+//! the revision an answer store is bound to, and the one every
+//! `experiments` run manifest records.
 
 /// FNV-1a over the canonical key: stable across processes and platforms.
 pub fn fnv64(bytes: &[u8]) -> u64 {
@@ -26,155 +15,9 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The in-memory LRU tier.
-pub struct MemCache {
-    cap: usize,
-    map: HashMap<String, Advice>,
-    /// Keys from least- to most-recently used. Linear maintenance is
-    /// fine at the advisor's capacity (hundreds, not millions).
-    order: Vec<String>,
-}
-
-impl MemCache {
-    pub fn new(cap: usize) -> Self {
-        MemCache {
-            cap: cap.max(1),
-            map: HashMap::new(),
-            order: Vec::new(),
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    pub fn get(&mut self, key: &str) -> Option<Advice> {
-        let hit = self.map.get(key).cloned()?;
-        self.touch(key);
-        Some(hit)
-    }
-
-    pub fn put(&mut self, key: String, advice: Advice) {
-        if self.map.insert(key.clone(), advice).is_none() {
-            self.order.push(key);
-            if self.order.len() > self.cap {
-                let evicted = self.order.remove(0);
-                self.map.remove(&evicted);
-            }
-        } else {
-            self.touch(&key);
-        }
-    }
-
-    fn touch(&mut self, key: &str) {
-        if let Some(pos) = self.order.iter().position(|k| k == key) {
-            let k = self.order.remove(pos);
-            self.order.push(k);
-        }
-    }
-}
-
-/// The on-disk tier.
-pub struct DiskCache {
-    dir: PathBuf,
-    git_rev: String,
-}
-
-impl DiskCache {
-    /// Open (lazily — the directory is created on first store) a disk
-    /// cache rooted at `dir`, bound to the current git revision.
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        DiskCache {
-            dir: dir.into(),
-            git_rev: current_git_rev(),
-        }
-    }
-
-    /// Where this cache lives.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    fn path(&self, key: &str) -> PathBuf {
-        self.dir
-            .join(format!("{:016x}.json", fnv64(key.as_bytes())))
-    }
-
-    /// Load the advice stored for `key`, if present and still valid for
-    /// the current tree. Any parse failure or provenance mismatch is a
-    /// miss (the entry will be overwritten by the next store).
-    pub fn load(&self, key: &str) -> Option<Advice> {
-        let text = std::fs::read_to_string(self.path(key)).ok()?;
-        let value = serde_json::from_str(&text).ok()?;
-        let Value::Map(entries) = &value else {
-            return None;
-        };
-        let stored_key = match crate::jsonv::get(entries, "key") {
-            Some(Value::Str(s)) => s,
-            _ => return None,
-        };
-        if stored_key != key {
-            // FNV-64 collision (or a tampered file): two canonical keys
-            // hashed to the same filename. Treat as a miss — the next
-            // store for either key just overwrites the file.
-            obs::counter("advisor.disk_key_mismatch", 1);
-            return None;
-        }
-        let meta = match crate::jsonv::get(entries, "meta") {
-            Some(Value::Map(m)) => m,
-            _ => return None,
-        };
-        match crate::jsonv::get(meta, "git_rev") {
-            Some(Value::Str(rev)) if *rev == self.git_rev => {}
-            _ => return None,
-        }
-        Advice::from_value(crate::jsonv::get(entries, "advice")?).ok()
-    }
-
-    /// Store `advice` under `key`, best-effort: I/O failures are
-    /// reported as a telemetry event, never as a query failure.
-    pub fn store(&self, key: &str, advice: &Advice, seed: u64) {
-        let meta = Value::Map(vec![
-            ("git_rev".into(), Value::Str(self.git_rev.clone())),
-            (
-                "threads".into(),
-                Value::UInt(rayon::current_num_threads() as u64),
-            ),
-            ("seed".into(), Value::UInt(seed)),
-            (
-                "argv".into(),
-                Value::Seq(std::env::args().map(Value::Str).collect()),
-            ),
-        ]);
-        let entry = Value::Map(vec![
-            ("key".into(), Value::Str(key.to_string())),
-            ("meta".into(), meta),
-            ("advice".into(), advice.to_value()),
-        ]);
-        let write = || -> std::io::Result<()> {
-            std::fs::create_dir_all(&self.dir)?;
-            let body = serde_json::to_string(&entry).expect("cache entry serializes");
-            std::fs::write(self.path(key), body)
-        };
-        if let Err(e) = write() {
-            obs::event(
-                obs::Level::Info,
-                "advisor.disk_cache_write_failed",
-                &[("error", e.to_string().as_str().into())],
-            );
-        }
-    }
-}
-
 /// The current git revision with a `-dirty` suffix when the tree has
-/// uncommitted changes; `"unknown"` outside a repository. (Mirrors the
-/// experiments crate's RunManifest — duplicated here because the
-/// dependency points the other way.)
-pub(crate) fn current_git_rev() -> String {
+/// uncommitted changes; `"unknown"` outside a repository.
+pub fn current_git_rev() -> String {
     let out = |args: &[&str]| {
         std::process::Command::new("git")
             .args(args)
@@ -194,91 +37,11 @@ pub(crate) fn current_git_rev() -> String {
 mod tests {
     use super::*;
 
-    fn advice(tag: &str) -> Advice {
-        Advice {
-            id: Some(tag.into()),
-            device: "GTX 980".into(),
-            stencil: "Heat2D".into(),
-            size: vec![64, 64],
-            time: 8,
-            feasible_points: 10,
-            within: 0.1,
-            within_points: 2,
-            degraded: false,
-            calib_rev: None,
-            candidates: Vec::new(),
-            validation: None,
-        }
-    }
-
     #[test]
     fn fnv_matches_reference_vectors() {
         // Published FNV-1a test vectors.
         assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv64(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
-    fn lru_evicts_least_recently_used() {
-        let mut c = MemCache::new(2);
-        c.put("a".into(), advice("a"));
-        c.put("b".into(), advice("b"));
-        // Touch "a" so "b" is the eviction victim.
-        assert!(c.get("a").is_some());
-        c.put("c".into(), advice("c"));
-        assert_eq!(c.len(), 2);
-        assert!(c.get("b").is_none());
-        assert!(c.get("a").is_some());
-        assert!(c.get("c").is_some());
-    }
-
-    #[test]
-    fn disk_round_trip_and_rev_invalidation() {
-        let dir = std::env::temp_dir().join(format!(
-            "advisor-cache-test-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = DiskCache::new(&dir);
-        let key = "v1|some-canonical-key";
-        assert!(cache.load(key).is_none());
-        cache.store(key, &advice("x"), 7);
-        let back = cache.load(key).expect("stored entry loads");
-        assert_eq!(back, advice("x"));
-        // A different key hashes to a different file: still a miss.
-        assert!(cache.load("v1|other").is_none());
-        // An entry written by a different revision is invisible.
-        let mut stale = DiskCache::new(&dir);
-        stale.git_rev = "somebody-else".into();
-        assert!(stale.load(key).is_none());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn forced_hash_collision_is_a_miss_not_a_wrong_answer() {
-        let dir = std::env::temp_dir().join(format!(
-            "advisor-cache-collision-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = DiskCache::new(&dir);
-        let key_a = "v1|canonical-key-a";
-        let key_b = "v1|canonical-key-b";
-        cache.store(key_a, &advice("a"), 7);
-        // Force the collision FNV-64 makes astronomically unlikely:
-        // plant key A's file where key B's hash points. A real collision
-        // is byte-for-byte this situation — filename matches, stored
-        // canonical key does not.
-        std::fs::copy(cache.path(key_a), cache.path(key_b)).unwrap();
-        assert!(
-            cache.load(key_b).is_none(),
-            "colliding entry must be a miss, never key A's answer"
-        );
-        // The legitimate owner of the file still hits.
-        assert_eq!(cache.load(key_a), Some(advice("a")));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

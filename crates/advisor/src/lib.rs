@@ -14,11 +14,13 @@
 //!   Eqn-31 model sweep itself is sharded across the rayon pool);
 //!   duplicates are answered from the batch, counted on
 //!   `advisor.batch_dedup`.
-//! * **Two-tier cache** — an in-memory LRU in front of an optional
-//!   on-disk JSON cache with git-revision invalidation (see
-//!   [`cache::DiskCache`]). Cached answers are byte-identical to cold
-//!   ones; provenance lives only in the `advisor.cache_hits_mem` /
-//!   `advisor.cache_hits_disk` counters.
+//! * **Two answer tiers** — an optional [`store::AnswerStore`], the one
+//!   persistent tier (bound to the git and calibration revisions; a
+//!   store opened with [`AnswerStore::open`] appends every answer the
+//!   model computes), in front of a sharded in-memory LRU
+//!   ([`ShardedCache`]). Warm answers are byte-identical to cold ones;
+//!   provenance lives only in the `advisor.store_hits` /
+//!   `advisor.cache_hits_mem` counters.
 //! * **Graceful degradation** — a per-query `timeout_ms` bounds the
 //!   expensive validation phase. When the deadline expires the answer
 //!   falls back to the model-only ranking, flagged `degraded: true`
@@ -48,13 +50,11 @@ pub use server::{Server, ServerConfig};
 pub use shard::ShardedCache;
 pub use store::{grid_queries, AnswerStore};
 
-use cache::DiskCache;
 use calib::CalibrationStore;
 use gpu_sim::DeviceConfig;
 use hhc_tiling::LaunchConfig;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use stencil_core::{init, StencilDescriptor};
@@ -71,8 +71,6 @@ use time_model::{DimSpec, MeasuredParams, ModelParams};
 pub struct AdvisorConfig {
     /// Capacity of the in-memory LRU tier.
     pub mem_capacity: usize,
-    /// Directory of the on-disk tier; `None` disables it.
-    pub disk_dir: Option<PathBuf>,
     /// Samples for the `Citer` micro-benchmark (the experiments crate
     /// uses 70 at paper scale; the advisor defaults lighter because it
     /// is interactive).
@@ -88,10 +86,11 @@ pub struct AdvisorConfig {
     /// Rolling-RMSE drift band for the accuracy log (the paper's §5.3
     /// within-10% claim by default).
     pub accuracy_band: f64,
-    /// An ahead-of-time answer store consulted before every cache tier
-    /// (see [`store::AnswerStore`]); `None` disables it. Like the disk
-    /// tier, the store only ever changes *where* an answer comes from,
-    /// never its bytes — provenance lives on `advisor.store_hits`.
+    /// The persistent answer store, consulted before the memory tier
+    /// and extended with every computed answer when it was opened on a
+    /// file (see [`store::AnswerStore`]); `None` disables it. The store
+    /// only ever changes *where* an answer comes from, never its bytes
+    /// — provenance lives on `advisor.store_hits`.
     pub store: Option<Arc<AnswerStore>>,
     /// A calibration store whose per-segment corrections refine the
     /// model before ranking (see the `calib` crate); `None` serves the
@@ -112,7 +111,6 @@ impl Default for AdvisorConfig {
     fn default() -> Self {
         AdvisorConfig {
             mem_capacity: 256,
-            disk_dir: None,
             citer_samples: 16,
             seed: 0x5EED,
             space: SpaceConfig::default(),
@@ -130,7 +128,6 @@ impl Default for AdvisorConfig {
 pub struct Advisor {
     cfg: AdvisorConfig,
     mem: ShardedCache,
-    disk: Option<DiskCache>,
     /// The loaded calibration store's revision, computed once — the
     /// store is immutable while serving, so this is stable for the
     /// process lifetime and safe inside cache keys.
@@ -150,7 +147,6 @@ impl Advisor {
     pub fn new(cfg: AdvisorConfig) -> Self {
         Advisor {
             mem: ShardedCache::new(cfg.mem_capacity),
-            disk: cfg.disk_dir.as_ref().map(DiskCache::new),
             calib_rev: cfg.calib.as_ref().map(|c| c.revision()),
             space_fp: cache::fnv64(
                 serde_json::to_string(&cfg.space)
@@ -169,8 +165,8 @@ impl Advisor {
     /// The canonical cache key of a query: every answer-determining
     /// input, none of the presentation-only ones (`id`, `timeout_ms`).
     /// `cal=` pins the calibration revision (`none` when no store is
-    /// loaded), so disk-cache entries and answer stores minted under a
-    /// different calibration can never be served: their keys simply
+    /// loaded), so answer-store entries minted under a different
+    /// calibration can never be served: their keys simply
     /// don't exist under the current one. `fi=` appears only when the
     /// `citer_scale` fault injection is armed — a biased model must not
     /// share answers with an unbiased one.
@@ -204,10 +200,10 @@ impl Advisor {
         self.calib_rev.as_deref()
     }
 
-    /// Answer one query, consulting the answer store and the cache
-    /// tiers first. Every exit path records its wall time on a
+    /// Answer one query, consulting the answer store and the memory
+    /// tier first. Every exit path records its wall time on a
     /// per-outcome latency histogram
-    /// (`advisor.latency_ms.{store,cache_mem,cache_disk,ok,degraded}`)
+    /// (`advisor.latency_ms.{store,cache_mem,ok,degraded}`)
     /// so p99 under deadline pressure is measurable, not just hit
     /// counts. The query's own `timeout_ms` anchors the deadline here,
     /// at call time; a server that parsed the query earlier passes the
@@ -230,7 +226,7 @@ impl Advisor {
     /// one hit path, shared by [`advise_at`](Self::advise_at)
     /// and the socket server's reader. A hit counts `advisor.queries`
     /// and its tier's hit counter and records its latency since `t0`;
-    /// a miss records nothing (the caller goes on to the colder tiers).
+    /// a miss records nothing (the caller goes on to the model).
     pub(crate) fn warm(&self, key: &str, t0: Instant) -> Option<Warm<'_>> {
         let (hit, counter, outcome) = match self.cfg.store.as_ref().and_then(|s| s.entry(key)) {
             Some(entry) => (Warm::Store(entry), "advisor.store_hits", "store"),
@@ -264,17 +260,6 @@ impl Advisor {
         if obs::active() {
             obs::counter("advisor.queries", 1);
         }
-        if let Some(disk) = &self.disk {
-            if let Some(mut hit) = disk.load(key) {
-                if obs::active() {
-                    obs::counter("advisor.cache_hits_disk", 1);
-                }
-                self.mem.put(key.to_string(), hit.clone());
-                hit.id = q.id.clone();
-                record_latency("cache_disk", t0);
-                return hit;
-            }
-        }
         let answer = self.compute(q, deadline);
         if answer.degraded {
             if obs::active() {
@@ -283,8 +268,8 @@ impl Advisor {
             record_latency("degraded", t0);
         } else {
             self.mem.put(key.to_string(), answer.clone());
-            if let Some(disk) = &self.disk {
-                disk.store(key, &answer, self.cfg.seed);
+            if let Some(store) = &self.cfg.store {
+                store.append(key, &answer);
             }
             record_latency("ok", t0);
         }
@@ -614,8 +599,8 @@ mod tests {
 
     #[test]
     fn canonical_keys_are_pinned() {
-        // Disk caches and answer-store files are keyed by these exact
-        // strings; the literals were produced by an earlier build.
+        // Answer-store files are keyed by these exact strings; the
+        // literals were produced by an earlier build.
         let advisor = Advisor::with_defaults();
         let preset = Query::parse_line(
             "{\"id\": \"k\", \"device\": \"GTX 980\", \"stencil\": \"Heat2D\", \

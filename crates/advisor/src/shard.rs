@@ -1,8 +1,8 @@
 //! The sharded in-memory answer cache — the serving hot path's tier 1.
 //!
-//! The PR-4 advisor kept one `Mutex<MemCache>`; under a concurrent
-//! server every worker serializes on that lock just to answer a warm
-//! query. Here the LRU is split into [`SHARDS`] independent shards,
+//! One LRU behind one mutex would serialize every worker of a
+//! concurrent server just to answer a warm query. Here the LRU is
+//! split into [`SHARDS`] independent shards,
 //! each behind its own mutex on its own cache line (the same
 //! padding discipline as `obs::ShardedRecorder`), so queries against
 //! different keys never contend. A shard is picked by the FNV-64 hash
@@ -19,17 +19,62 @@
 //! stored under that key.
 
 use crate::advice::Advice;
-use crate::cache::{fnv64, MemCache};
+use crate::cache::fnv64;
 use parking_lot::Mutex;
+use std::collections::HashMap;
 
 /// Number of shards. A small power of two: enough that a worker pool
 /// sized to the core count rarely collides, small enough that the
 /// per-shard capacity split stays meaningful.
 pub const SHARDS: usize = 16;
 
+/// One shard: an LRU over canonical-key → advice.
+struct Shard {
+    cap: usize,
+    map: HashMap<String, Advice>,
+    /// Keys from least- to most-recently used. Linear maintenance is
+    /// fine at a shard's capacity (tens, not millions).
+    order: Vec<String>,
+}
+
+impl Shard {
+    fn new(cap: usize) -> Self {
+        Shard {
+            cap: cap.max(1),
+            map: HashMap::new(),
+            order: Vec::new(),
+        }
+    }
+
+    fn get(&mut self, key: &str) -> Option<Advice> {
+        let hit = self.map.get(key).cloned()?;
+        self.touch(key);
+        Some(hit)
+    }
+
+    fn put(&mut self, key: String, advice: Advice) {
+        if self.map.insert(key.clone(), advice).is_none() {
+            self.order.push(key);
+            if self.order.len() > self.cap {
+                let evicted = self.order.remove(0);
+                self.map.remove(&evicted);
+            }
+        } else {
+            self.touch(&key);
+        }
+    }
+
+    fn touch(&mut self, key: &str) {
+        if let Some(pos) = self.order.iter().position(|k| k == key) {
+            let k = self.order.remove(pos);
+            self.order.push(k);
+        }
+    }
+}
+
 /// One shard per cache line so neighboring locks never false-share.
 #[repr(align(64))]
-struct PaddedShard(Mutex<MemCache>);
+struct PaddedShard(Mutex<Shard>);
 
 /// A sharded, interior-mutable LRU over canonical-key → advice.
 pub struct ShardedCache {
@@ -43,12 +88,12 @@ impl ShardedCache {
         let per_shard = capacity.div_ceil(SHARDS).max(1);
         ShardedCache {
             shards: (0..SHARDS)
-                .map(|_| PaddedShard(Mutex::new(MemCache::new(per_shard))))
+                .map(|_| PaddedShard(Mutex::new(Shard::new(per_shard))))
                 .collect(),
         }
     }
 
-    fn shard(&self, key: &str) -> &Mutex<MemCache> {
+    fn shard(&self, key: &str) -> &Mutex<Shard> {
         &self.shards[(fnv64(key.as_bytes()) as usize) % SHARDS].0
     }
 
@@ -66,11 +111,11 @@ impl ShardedCache {
     /// Total entries across all shards (snapshot; shards are read one
     /// at a time).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.0.lock().len()).sum()
+        self.shards.iter().map(|s| s.0.lock().map.len()).sum()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.0.lock().is_empty())
+        self.shards.iter().all(|s| s.0.lock().map.is_empty())
     }
 }
 
@@ -93,6 +138,20 @@ mod tests {
             candidates: Vec::new(),
             validation: None,
         }
+    }
+
+    #[test]
+    fn lru_evicts_least_recently_used() {
+        let mut c = Shard::new(2);
+        c.put("a".into(), advice("a"));
+        c.put("b".into(), advice("b"));
+        // Touch "a" so "b" is the eviction victim.
+        assert!(c.get("a").is_some());
+        c.put("c".into(), advice("c"));
+        assert_eq!(c.map.len(), 2);
+        assert!(c.get("b").is_none());
+        assert!(c.get("a").is_some());
+        assert!(c.get("c").is_some());
     }
 
     #[test]

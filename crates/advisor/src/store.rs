@@ -1,4 +1,5 @@
-//! The ahead-of-time answer store: a precomputed Eqn-31 sweep table.
+//! The answer store: the advisor's one persistent answer tier, a
+//! precomputed Eqn-31 sweep table that serving extends.
 //!
 //! The analytical model is cheap enough to enumerate the whole query
 //! space up front — the same move the codesign follow-up paper makes
@@ -11,32 +12,41 @@
 //! locks (asserted by the `advisor.store_hits` vs `advisor.model_evals`
 //! counters). Each entry is serialized once, when it is inserted: a hit
 //! is the echoed `id` spliced onto the stored bytes
-//! ([`line`](AnswerStore::line)), never a re-serialization.
+//! ([`line`](AnswerStore::line)), never a re-serialization. A store
+//! opened with [`open`](AnswerStore::open) also grows: every answer the
+//! model computes on a miss is appended to the file, so a restarted
+//! server answers it as a store hit.
 //!
 //! File format (one JSON object per line):
 //!
 //! ```text
 //! {"kind":"advisor_store","version":1,"git_rev":...,"seed":...,
 //!  "citer_samples":...,"entries":N}          <- header
-//! {"key":"v1|dev=...","advice":{...}}        <- one line per answer
+//! {"key":"v2|dev=...","advice":{...}}        <- one line per answer
 //! ```
 //!
-//! Entries are keyed by the advisor's full canonical key, so a lookup
-//! hits only when *every* answer-determining input matches — device
-//! fingerprint, stencil, exact size, band, `top_n`, micro-benchmark
-//! sampling, and the enumerated space. A store is bound to the git
-//! revision that computed it: loading a stale store is refused unless
-//! explicitly allowed, because a model change anywhere in the
-//! workspace may change the answers.
+//! The header's `entries` counts the lines written with it; appended
+//! lines follow them in the same shape, and when a key appears twice
+//! the last line wins. Entries are keyed by the advisor's full
+//! canonical key, so a lookup hits only when *every*
+//! answer-determining input matches — device fingerprint, stencil,
+//! exact size, band, `top_n`, micro-benchmark sampling, and the
+//! enumerated space. A store is bound to the git revision that computed
+//! it: loading a stale store is refused unless explicitly allowed,
+//! because a model change anywhere in the workspace may change the
+//! answers.
 
 use crate::advice::Advice;
+use crate::cache::current_git_rev;
 use crate::jsonv::{as_map, as_str, as_u64, get};
 use crate::query::Query;
 use crate::Advisor;
 use serde::{Serialize, Value};
 use std::collections::HashMap;
+use std::fs::File;
 use std::io::{BufRead, BufWriter, Write};
 use std::path::Path;
+use std::sync::Mutex;
 
 /// How an id-less answer line starts; an [`Entry`] keeps what follows.
 const ID_NULL: &str = "{\"id\":null";
@@ -66,6 +76,9 @@ pub struct AnswerStore {
     seed: u64,
     citer_samples: u64,
     calib_rev: Option<String>,
+    /// The file [`append`](Self::append) extends; `None` for in-memory
+    /// stores and for files whose header does not match the server.
+    file: Option<Mutex<File>>,
 }
 
 impl AnswerStore {
@@ -74,11 +87,63 @@ impl AnswerStore {
     pub fn empty(seed: u64, citer_samples: usize) -> AnswerStore {
         AnswerStore {
             map: HashMap::new(),
-            git_rev: crate::cache::current_git_rev(),
+            git_rev: current_git_rev(),
             seed,
             citer_samples: citer_samples as u64,
             calib_rev: None,
+            file: None,
         }
+    }
+
+    /// Open the store file at `path` for serving: [`load`](Self::load)
+    /// it under the usual rules, or, when it does not exist, create it
+    /// with a header-only [`write`](Self::write) for the current tree,
+    /// calibration revision `calib`, `seed` and `citer_samples`. Answers
+    /// the advisor computes on a miss are then [`append`](Self::append)ed
+    /// to the file — unless its header does not match this server (a
+    /// stale store loaded with `allow_stale`, or another seed or
+    /// `citer_samples`), in which case a note on stderr says appending
+    /// is off.
+    pub fn open(
+        path: &Path,
+        allow_stale: bool,
+        calib: Option<&str>,
+        seed: u64,
+        citer_samples: usize,
+    ) -> Result<AnswerStore, String> {
+        let mut store = if path.exists() {
+            let store = AnswerStore::load(path, allow_stale, calib)?;
+            let mismatch = [
+                (store.git_rev != current_git_rev(), "git revision"),
+                (store.calib_rev.as_deref() != calib, "calibration revision"),
+                (store.seed != seed, "seed"),
+                (store.citer_samples != citer_samples as u64, "citer_samples"),
+            ]
+            .into_iter()
+            .find_map(|(differs, what)| differs.then_some(what));
+            if let Some(what) = mismatch {
+                eprintln!(
+                    "note: {}: the store's {what} differs from this server's; \
+                     new answers are not appended",
+                    path.display()
+                );
+                return Ok(store);
+            }
+            store
+        } else {
+            let store =
+                AnswerStore::empty(seed, citer_samples).with_calib_rev(calib.map(str::to_string));
+            store
+                .write(path)
+                .map_err(|e| format!("{}: {e}", path.display()))?;
+            store
+        };
+        let file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(path)
+            .map_err(|e| format!("{}: {e}", path.display()))?;
+        store.file = Some(Mutex::new(file));
+        Ok(store)
     }
 
     /// Bind the store to the calibration revision its answers were
@@ -185,15 +250,35 @@ impl AnswerStore {
             let mut keys: Vec<&String> = self.map.keys().collect();
             keys.sort();
             for key in keys {
-                let entry = Value::Map(vec![
-                    ("key".into(), Value::Str(key.clone())),
-                    ("advice".into(), self.map[key].advice.to_value()),
-                ]);
-                writeln!(w, "{}", serde_json::to_string(&entry).expect("entry"))?;
+                writeln!(w, "{}", entry_line(key, &self.map[key].advice))?;
             }
             w.flush()?;
         }
         std::fs::rename(&tmp, path)
+    }
+
+    /// Append a freshly computed answer to the file this store was
+    /// [`open`](Self::open)ed on, as one `write_all` of one entry line.
+    /// The in-memory table is left alone (it stays lock-free); a
+    /// restarted server loads the line as a store entry. Best-effort:
+    /// an I/O failure is an `advisor.store_append_failed` event and
+    /// counter, never a failed query.
+    pub(crate) fn append(&self, key: &str, advice: &Advice) {
+        let Some(file) = &self.file else {
+            return;
+        };
+        let mut advice = advice.clone();
+        advice.id = None;
+        let line = format!("{}\n", entry_line(key, &advice));
+        let mut file = file.lock().unwrap_or_else(|e| e.into_inner());
+        if let Err(e) = file.write_all(line.as_bytes()).and_then(|()| file.flush()) {
+            obs::counter("advisor.store_append_failed", 1);
+            obs::event(
+                obs::Level::Info,
+                "advisor.store_append_failed",
+                &[("error", e.to_string().as_str().into())],
+            );
+        }
     }
 
     /// Load a table written by [`write`](AnswerStore::write). Unless
@@ -233,7 +318,7 @@ impl AnswerStore {
             "git_rev",
         )?
         .to_string();
-        let current = crate::cache::current_git_rev();
+        let current = current_git_rev();
         if git_rev != current && !allow_stale {
             return Err(format!(
                 "{}: store was computed at revision {git_rev} but the tree is at {current}; \
@@ -269,6 +354,7 @@ impl AnswerStore {
             seed,
             citer_samples,
             calib_rev,
+            file: None,
         };
         for (i, line) in lines.enumerate() {
             let line = line.map_err(|e| format!("{}: entry {}: {e}", path.display(), i + 1))?;
@@ -281,6 +367,17 @@ impl AnswerStore {
         }
         Ok(store)
     }
+}
+
+/// One `{"key":...,"advice":{...}}` line of a store file, without its
+/// newline: what both [`AnswerStore::write`] and
+/// [`AnswerStore::append`] emit.
+fn entry_line(key: &str, advice: &Advice) -> String {
+    let entry = Value::Map(vec![
+        ("key".into(), Value::Str(key.to_string())),
+        ("advice".into(), advice.to_value()),
+    ]);
+    serde_json::to_string(&entry).expect("entry")
 }
 
 /// One `{"key":...,"advice":{...}}` line of a store file. A line cut
@@ -455,6 +552,131 @@ mod tests {
         assert_eq!(tolerated.calib_rev(), Some("aaaa000011112222"));
         obs::uninstall();
         assert_eq!(rec.snapshot().counter("advisor.store_stale_calib"), 3);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A default advisor serving `store`.
+    fn serving(store: AnswerStore) -> Advisor {
+        Advisor::new(AdvisorConfig {
+            store: Some(std::sync::Arc::new(store)),
+            ..AdvisorConfig::default()
+        })
+    }
+
+    /// The default advisor's `open` of `path`.
+    fn open(path: &Path, allow_stale: bool) -> Result<AnswerStore, String> {
+        let cfg = AdvisorConfig::default();
+        AnswerStore::open(path, allow_stale, None, cfg.seed, cfg.citer_samples)
+    }
+
+    fn heat_queries() -> Vec<Query> {
+        grid_queries(
+            &[DeviceConfig::gtx980()],
+            &[StencilDescriptor::heat2d()],
+            &[96, 128],
+            &[8],
+            0.10,
+            5,
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn opening_a_missing_path_writes_a_header_only_file() {
+        let path = temp_path("open-missing");
+        let _ = std::fs::remove_file(&path);
+        let store = AnswerStore::open(&path, false, None, 7, 4).expect("missing path opens");
+        assert!(store.is_empty());
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text.lines().count(), 1, "{text}");
+        assert!(text.starts_with("{\"kind\":\"advisor_store\""), "{text}");
+        assert!(text.contains("\"entries\":0"), "{text}");
+        let back = AnswerStore::load(&path, false, None).expect("header-only store loads");
+        assert!(back.is_empty());
+        assert_eq!((back.seed, back.citer_samples), (7, 4));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn precompute_then_append_then_reopen_serves_both_kinds_of_entry() {
+        let queries = heat_queries();
+        let mut store = AnswerStore::empty(0x5EED, 16);
+        store.precompute(&Advisor::new(AdvisorConfig::default()), &queries[..1]);
+        let path = temp_path("extend");
+        store.write(&path).unwrap();
+        // The first query is a store hit, the second is computed and
+        // appended.
+        let advisor = serving(open(&path, false).expect("precomputed store opens"));
+        let lines: Vec<String> = queries
+            .iter()
+            .map(|q| advisor.advise(q).to_json_line())
+            .collect();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text.lines().count(), 3, "{text}");
+        assert!(text.contains("\"entries\":1"), "{text}");
+        let back = AnswerStore::load(&path, false, None).expect("extended store loads");
+        assert_eq!(back.len(), 2);
+        for (q, line) in queries.iter().zip(&lines) {
+            let key = advisor.canonical_key(q);
+            assert_eq!(back.line(&key, None).as_ref(), Some(line));
+        }
+        // The header still binds the extended file to its revision.
+        let moved = text.replacen(back.git_rev(), "deadbeef-elsewhere", 1);
+        std::fs::write(&path, moved).unwrap();
+        let err = AnswerStore::load(&path, false, None).unwrap_err();
+        assert!(err.contains("deadbeef-elsewhere"), "{err}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn mismatched_headers_append_nothing() {
+        let query = &heat_queries()[0];
+        let path = temp_path("no-append");
+        // A stale revision tolerated by --store-stale-ok, then a current
+        // one written under another seed.
+        let mut stale = AnswerStore::empty(0x5EED, 16);
+        stale.git_rev = "deadbeef-elsewhere".into();
+        for (store, allow_stale) in [(stale, true), (AnswerStore::empty(1, 16), false)] {
+            store.write(&path).unwrap();
+            let before = std::fs::read(&path).unwrap();
+            let advisor = serving(open(&path, allow_stale).expect("store opens"));
+            assert!(!advisor.advise(query).degraded);
+            assert_eq!(std::fs::read(&path).unwrap(), before);
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn degraded_answers_are_not_appended() {
+        let path = temp_path("degraded");
+        let _ = std::fs::remove_file(&path);
+        let advisor = serving(open(&path, false).expect("missing path opens"));
+        let mut q = heat_queries()[0].clone();
+        q.validate = true;
+        q.timeout_ms = Some(0);
+        assert!(advisor.advise(&q).degraded);
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text.lines().count(), 1, "{text}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_duplicated_key_keeps_the_last_line() {
+        let advisor = Advisor::new(AdvisorConfig::default());
+        let queries = heat_queries();
+        let first = advisor.advise(&queries[0]);
+        let last = advisor.advise(&queries[1]);
+        assert_ne!(first, last);
+        let mut store = AnswerStore::empty(0x5EED, 16);
+        store.insert("v2|dup".into(), first);
+        let path = temp_path("dup");
+        store.write(&path).unwrap();
+        open(&path, false)
+            .expect("store opens")
+            .append("v2|dup", &last);
+        let back = AnswerStore::load(&path, false, None).expect("store loads");
+        assert_eq!(back.len(), 1);
+        assert_eq!(back.get("v2|dup"), Some(last));
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -1,11 +1,11 @@
-//! Integration tests of the advisory service: cache-tier byte
+//! Integration tests of the advisory service: answer-tier byte
 //! identity, batch dedup through the JSON-lines loop, and graceful
 //! degradation under a zero deadline.
 //!
 //! Tests that install a telemetry recorder share one process-global
 //! lock — the obs recorder slot is process-wide.
 
-use advisor::{Advisor, AdvisorConfig, Query};
+use advisor::{Advisor, AdvisorConfig, AnswerStore, Query};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 fn lock_obs() -> MutexGuard<'static, ()> {
@@ -36,29 +36,36 @@ fn cache_hits_are_byte_identical_to_cold_answers() {
     let rec = Arc::new(obs::MemoryRecorder::new(obs::Level::Quiet));
     obs::install(rec.clone());
     let dir = temp_dir("bytes");
-    let cfg = AdvisorConfig {
-        disk_dir: Some(dir.clone()),
-        ..AdvisorConfig::default()
+    let path = dir.join("store.jsonl");
+    let open = || {
+        let cfg = AdvisorConfig::default();
+        let store = AnswerStore::open(&path, false, None, cfg.seed, cfg.citer_samples)
+            .expect("store opens");
+        Advisor::new(AdvisorConfig {
+            store: Some(Arc::new(store)),
+            ..cfg
+        })
     };
     let q = parse(&query_line("q1", "Heat2D"));
 
-    // Cold: computed, then stored in both tiers.
-    let advisor = Advisor::new(cfg.clone());
+    // Cold: computed, kept in memory, and appended to the store file.
+    let advisor = open();
     let cold = advisor.advise(&q).to_json_line();
     // Warm: served from the in-memory LRU.
     let warm = advisor.advise(&q).to_json_line();
     assert_eq!(cold, warm, "memory-tier answer must be byte-identical");
-    // A fresh advisor over the same directory has an empty memory tier:
-    // this one is served from disk.
-    let fresh = Advisor::new(cfg);
-    let from_disk = fresh.advise(&q).to_json_line();
-    assert_eq!(cold, from_disk, "disk-tier answer must be byte-identical");
+    // A fresh advisor over the same file loads the appended line: this
+    // one is served from the store.
+    let fresh = open();
+    let from_store = fresh.advise(&q).to_json_line();
+    assert_eq!(cold, from_store, "store answer must be byte-identical");
 
     obs::uninstall();
     let snap = rec.snapshot();
     assert_eq!(snap.counter("advisor.queries"), 3);
+    assert_eq!(snap.counter("advisor.model_evals"), 1);
     assert_eq!(snap.counter("advisor.cache_hits_mem"), 1);
-    assert_eq!(snap.counter("advisor.cache_hits_disk"), 1);
+    assert_eq!(snap.counter("advisor.store_hits"), 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

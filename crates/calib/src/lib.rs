@@ -644,6 +644,39 @@ mod tests {
     }
 
     #[test]
+    fn truncated_store_never_loads_as_a_different_store() {
+        let mut store = CalibrationStore::new(2);
+        for (device, stencil, dim) in [
+            ("GTX 980", "Heat2D", 2),
+            ("GTX 980", "Jacobi2D", 2),
+            ("Titan X", "Heat3D", 3),
+        ] {
+            let mut r = row(dim == 3, 1.0e-3, 1.3e-3);
+            r.device = device.into();
+            r.stencil = stencil.into();
+            r.dim = dim;
+            store.consume(&r);
+            store.consume(&r);
+        }
+        assert_eq!(store.len(), 3);
+        let path = std::env::temp_dir().join(format!("calib-cut-{}.jsonl", std::process::id()));
+        store.save(&path).unwrap();
+        let whole = std::fs::read(&path).unwrap();
+        assert_eq!(whole.last(), Some(&b'\n'));
+        for cut in 0..whole.len() {
+            std::fs::write(&path, &whole[..cut]).unwrap();
+            let loaded = CalibrationStore::load(&path);
+            if cut == whole.len() - 1 {
+                assert_eq!(loaded.expect("only the final newline is cut"), store);
+            } else {
+                let e = loaded.expect_err("a cut store must not load");
+                assert_eq!(e.kind(), io::ErrorKind::InvalidData, "cut at {cut}: {e}");
+            }
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn tampered_store_is_rejected() {
         let mut store = CalibrationStore::new(2);
         store.consume(&row(false, 1.0, 2.0));

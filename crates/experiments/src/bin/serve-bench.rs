@@ -286,7 +286,6 @@ fn main() {
     let advisor_cfg = advisor::AdvisorConfig {
         citer_samples: args.samples,
         seed: experiments::SEED,
-        disk_dir: None,
         ..advisor::AdvisorConfig::default()
     };
 
@@ -394,7 +393,6 @@ fn main() {
     let queries = snap.counter("advisor.queries");
     let store_hits = snap.counter("advisor.store_hits");
     let mem_hits = snap.counter("advisor.cache_hits_mem");
-    let disk_hits = snap.counter("advisor.cache_hits_disk");
     let rate = |n: u64| {
         if queries == 0 {
             0.0
@@ -419,11 +417,10 @@ fn main() {
         warm_speedup: if cold_qps > 0.0 { qps / cold_qps } else { 0.0 },
         store_hits,
         mem_hits,
-        disk_hits,
         model_evals: snap.counter("advisor.model_evals"),
         queries,
         store_hit_rate: rate(store_hits),
-        cache_hit_rate: rate(store_hits + mem_hits + disk_hits),
+        cache_hit_rate: rate(store_hits + mem_hits),
         shed_rate: stats.shed as f64 / stats.sent.max(1) as f64,
         answered_rate: stats.answered as f64 / stats.sent.max(1) as f64,
     };

@@ -8,8 +8,7 @@
 //!             [--out DIR]
 //!             [--log-out PATH] [--log-level quiet|info|debug]
 //!             [--trace-out PATH] [--metrics-out PATH] [--metrics-interval-ms N]
-//! experiments serve [--queries PATH] [--cache-dir DIR] [--no-disk-cache]
-//!                   [--mem-cap N] [--samples N] [--threads N]
+//! experiments serve [--queries PATH] [--mem-cap N] [--samples N] [--threads N]
 //!                   [--listen ADDR] [--port-file PATH]
 //!                   [--store PATH] [--store-stale-ok]
 //!                   [--calib PATH]
@@ -32,7 +31,9 @@
 //! or, with `--listen`, over a TCP socket with concurrent connections,
 //! cross-client coalescing, and bounded-queue load shedding.
 //! `precompute` sweeps the model over a grid into the answer store that
-//! `serve --store` loads for pure-lookup steady-state serving.
+//! `serve --store` loads for pure-lookup steady-state serving; `serve
+//! --store` also appends every answer it computes to that store, and
+//! without `--store` answers live in memory only.
 //! `calibrate` closes the loop: it fits per-(device, stencil, dim)
 //! model corrections from the accuracy log that validated serving (and
 //! `--bench-exec`) appended, writing a calibration store that
@@ -363,7 +364,6 @@ struct ServeArgs {
     store_stale_ok: bool,
     calib: Option<String>,
     server: advisor::ServerConfig,
-    cache_dir: Option<String>,
     mem_cap: usize,
     samples: usize,
     threads: Option<usize>,
@@ -383,7 +383,6 @@ fn parse_serve_args(rest: impl Iterator<Item = String>) -> Result<ServeArgs, Str
         store_stale_ok: false,
         calib: None,
         server: advisor::ServerConfig::default(),
-        cache_dir: Some(format!("{}/advisor_cache", experiments::DEFAULT_OUT_DIR)),
         mem_cap: 256,
         samples: 16,
         threads: None,
@@ -441,8 +440,6 @@ fn parse_serve_args(rest: impl Iterator<Item = String>) -> Result<ServeArgs, Str
                     .filter(|n| *n >= 1)
                     .ok_or(format!("invalid --max-batch '{v}'"))?;
             }
-            "--cache-dir" => args.cache_dir = Some(it.next().ok_or("--cache-dir needs a value")?),
-            "--no-disk-cache" => args.cache_dir = None,
             "--mem-cap" => {
                 let v = it.next().ok_or("--mem-cap needs a value")?;
                 args.mem_cap = v
@@ -516,10 +513,13 @@ fn print_serve_help() {
                                  an ephemeral port) until killed\n\
            --port-file PATH      write the bound port number to PATH once listening\n\
                                  (readiness signal for scripts and CI)\n\
-           --store PATH          load a precomputed answer store (see: experiments\n\
-                                 precompute); steady-state hits are pure lookup\n\
+           --store PATH          the persistent answer store (see: experiments\n\
+                                 precompute), created when missing; hits are pure\n\
+                                 lookup and every computed answer is appended.\n\
+                                 Without it, answers live in memory only\n\
            --store-stale-ok      accept a store from a different git or calibration\n\
-                                 revision (stale entries are re-derived, not served)\n\
+                                 revision (stale entries are re-derived, not served,\n\
+                                 and nothing is appended)\n\
            --calib PATH          load a calibration store (see: experiments\n\
                                  calibrate); its per-segment corrections refine the\n\
                                  model before ranking, and answers carry calib_rev\n\
@@ -528,9 +528,6 @@ fn print_serve_help() {
            --conn-queue-cap N    per-connection outstanding-line bound (default: 128)\n\
            --window-us N         miss coalescing window in us (default: 500)\n\
            --max-batch N         max requests per worker batch (default: 64)\n\
-           --cache-dir DIR       on-disk answer cache (default: {}/advisor_cache);\n\
-                                 entries are invalidated by any git revision change\n\
-           --no-disk-cache       keep answers only in the in-memory LRU\n\
            --mem-cap N           in-memory LRU capacity (default: 256)\n\
            --samples N           Citer micro-benchmark samples (default: 16)\n\
            --threads N           size the global rayon pool (default: all cores)\n\
@@ -541,7 +538,6 @@ fn print_serve_help() {
            --metrics-interval-ms N   emitter period (default: 1000)\n\
            --accuracy-log PATH   append (predicted, measured) pairs from validated\n\
                                  queries (default: {}/accuracy_log.jsonl)",
-        experiments::DEFAULT_OUT_DIR,
         experiments::DEFAULT_OUT_DIR
     );
 }
@@ -944,7 +940,6 @@ fn run_precompute(rest: impl Iterator<Item = String>) -> i32 {
     let advisor = advisor::Advisor::new(advisor::AdvisorConfig {
         citer_samples: args.samples,
         seed: experiments::SEED,
-        disk_dir: None,
         mem_capacity: queries.len().max(1),
         calib,
         ..advisor::AdvisorConfig::default()
@@ -1018,20 +1013,20 @@ fn run_serve(rest: impl Iterator<Item = String>) -> i32 {
         Arc::new(store)
     });
     let calib_rev = calib.as_ref().map(|c| c.revision());
+    let defaults = advisor::AdvisorConfig::default();
     let store = args.store.as_ref().map(|path| {
-        let store = advisor::AnswerStore::load(
+        let store = advisor::AnswerStore::open(
             std::path::Path::new(path),
             args.store_stale_ok,
             calib_rev.as_deref(),
+            defaults.seed,
+            args.samples,
         )
         .unwrap_or_else(|e| {
             eprintln!("error: {e}");
             std::process::exit(2);
         });
-        eprintln!(
-            "answer store: {} precomputed answers from {path}",
-            store.len()
-        );
+        eprintln!("answer store: {} answers from {path}", store.len());
         Arc::new(store)
     });
     // Fault injection for tests and the CI calibration smoke job: bias
@@ -1053,13 +1048,12 @@ fn run_serve(rest: impl Iterator<Item = String>) -> i32 {
     }
     let advisor = advisor::Advisor::new(advisor::AdvisorConfig {
         mem_capacity: args.mem_cap,
-        disk_dir: args.cache_dir.as_ref().map(Into::into),
         citer_samples: args.samples,
         accuracy: Some(accuracy),
         store,
         calib,
         citer_scale,
-        ..advisor::AdvisorConfig::default()
+        ..defaults
     });
     if let Some(addr) = &args.listen {
         // Socket mode: serve until killed. The one-shot exporters below

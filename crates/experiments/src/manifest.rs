@@ -35,7 +35,7 @@ impl RunManifest {
     /// Collect the manifest for the current process.
     pub fn collect(scale: &str) -> RunManifest {
         RunManifest {
-            git_rev: git_rev(),
+            git_rev: advisor::cache::current_git_rev(),
             scale: scale.to_owned(),
             threads: rayon::current_num_threads(),
             simd: stencil_core::simd::caps().describe(),
@@ -43,24 +43,6 @@ impl RunManifest {
             argv: std::env::args().collect(),
         }
     }
-}
-
-/// The current git revision, `-dirty`-suffixed when the tree is modified;
-/// `"unknown"` when git or the repository is unavailable.
-fn git_rev() -> String {
-    let out = |args: &[&str]| {
-        std::process::Command::new("git")
-            .args(args)
-            .output()
-            .ok()
-            .filter(|o| o.status.success())
-            .and_then(|o| String::from_utf8(o.stdout).ok())
-    };
-    let Some(rev) = out(&["rev-parse", "HEAD"]) else {
-        return "unknown".to_owned();
-    };
-    let dirty = out(&["status", "--porcelain"]).is_some_and(|s| !s.trim().is_empty());
-    format!("{}{}", rev.trim(), if dirty { "-dirty" } else { "" })
 }
 
 #[cfg(test)]

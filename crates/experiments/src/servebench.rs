@@ -283,12 +283,11 @@ pub struct ServeSection {
     /// benchmarking an external server with `--addr`).
     pub store_hits: u64,
     pub mem_hits: u64,
-    pub disk_hits: u64,
     pub model_evals: u64,
     pub queries: u64,
     /// `store_hits / queries` — steady-state pure-lookup fraction.
     pub store_hit_rate: f64,
-    /// `(store_hits + mem_hits + disk_hits) / queries`.
+    /// `(store_hits + mem_hits) / queries`.
     pub cache_hit_rate: f64,
     /// `shed / queries_sent` (client-observed).
     pub shed_rate: f64,

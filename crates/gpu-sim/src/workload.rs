@@ -175,8 +175,23 @@ impl SimWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hhc_tiling::{LaunchConfig, TileSizes};
+    use crate::{simulate, DeviceConfig};
+    use hhc_tiling::{LaunchConfig, SpaceBlock, TileSizes, WavefrontSchedule};
     use stencil_core::{ProblemSize, StencilDescriptor};
+
+    /// Jacobi2D's wavefront-parallel schedule at 2048² over `time`
+    /// steps, 32x128 blocks.
+    fn jacobi2d_wavefront(time: usize) -> WavefrontSchedule {
+        let spec = StencilDescriptor::jacobi2d().spec();
+        let size = ProblemSize::new_2d(2048, 2048, time);
+        WavefrontSchedule::build(
+            &spec,
+            &size,
+            SpaceBlock::new_2d(32, 128),
+            LaunchConfig::new_2d(1, 128),
+        )
+        .unwrap()
+    }
 
     #[test]
     fn from_plan_extracts_launch_metadata() {
@@ -205,5 +220,42 @@ mod tests {
         assert_eq!(wl.kernels.len(), 3);
         assert_eq!(wl.total_iterations(), 3 * 5 * 2 * 128);
         assert_eq!(wl.threads_dims, [64, 1, 1]);
+    }
+
+    #[test]
+    fn wavefront_parallel_runs_memory_bound() {
+        // No temporal reuse: with the SMs sharing the device bandwidth,
+        // the naive schedule is memory-bound — the motivation for time
+        // tiling.
+        let ws = jacobi2d_wavefront(32);
+        let r = simulate(&DeviceConfig::gtx980(), &SimWorkload::from_wavefront(&ws)).unwrap();
+        assert!(
+            r.memory_bound(),
+            "mem {:e} vs comp {:e}",
+            r.mem_busy,
+            r.comp_busy
+        );
+    }
+
+    #[test]
+    fn time_tiling_beats_wavefront_parallel() {
+        // The same problem, both schedules: the time-tiled schedule wins
+        // comfortably (what the paper's introduction takes as given).
+        let device = DeviceConfig::gtx980();
+        let ws = jacobi2d_wavefront(512);
+        let naive = simulate(&device, &SimWorkload::from_wavefront(&ws))
+            .unwrap()
+            .total_time;
+        let plan = TilingPlan::build(
+            &StencilDescriptor::jacobi2d().spec(),
+            &ProblemSize::new_2d(2048, 2048, 512),
+            TileSizes::new_2d(8, 8, 128),
+            LaunchConfig::new_2d(1, 128),
+        )
+        .unwrap();
+        let hhc = simulate(&device, &SimWorkload::from_plan(&plan))
+            .unwrap()
+            .total_time;
+        assert!(hhc < 0.7 * naive, "hhc {hhc:e} vs naive {naive:e}");
     }
 }

@@ -13,8 +13,8 @@
 //!
 //! The schedule is lowered to the same class-based kernels
 //! ([`crate::plan::BlockClass`]) the simulator executes, so both
-//! schedules run on the same machine and the same model structure
-//! applies (see `time_model::wavefront`).
+//! schedules run on the same machine (`gpu_sim::SimWorkload::from_wavefront`
+//! times it; `experiments --compare-wavefront` reports the comparison).
 
 use crate::config::LaunchConfig;
 use crate::plan::{AxisClass, BlockClass, WavefrontPlan};

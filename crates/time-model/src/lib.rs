@@ -28,7 +28,6 @@ pub mod hybrid3d;
 pub mod params;
 pub mod refined;
 pub mod roofline;
-pub mod wavefront;
 
 pub use dimspec::DimSpec;
 pub use params::{MeasuredParams, ModelParams};
