@@ -1,19 +1,22 @@
 //! Simulator hot-path benchmarks: the closed-form steady-state kernel
 //! scheduler vs the exact O(total-blocks) dealing loop, the pooled
-//! wavefront-parallel executor vs the sequential fast path, and full
+//! wavefront-parallel executor vs the sequential fast path, full
 //! `simulate` calls over real tiling plans (one with hundreds of
-//! wavefronts). Companion to
+//! wavefronts), and the plan-geometry lowering every simulated tile
+//! pays first. Companion to
 //! `experiments --bench-exec --parallel-exec`, which times the same
 //! paths on larger workloads and persists `BENCH_exec.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gpu_sim::{kernel_time, kernel_time_dealing, occupancy, simulate, DeviceConfig, SimWorkload};
 use hhc_tiling::{
-    run_tiled_parallel_with_stats, run_tiled_with, ExecOptions, LaunchConfig, ScratchPool,
-    TileSizes, TilingPlan,
+    run_tiled_parallel_with_stats, run_tiled_with, ExecOptions, LaunchConfig, PlanGeometry,
+    ScratchPool, TileSizes, TilingPlan,
 };
 use std::hint::black_box;
-use stencil_core::{init, ProblemSize, StencilDescriptor};
+use stencil_core::{init, ProblemSize, StencilDescriptor, StencilDim};
+use tile_opt::strategy::baseline_tiles;
+use tile_opt::SpaceConfig;
 
 fn jacobi2d_workload() -> (DeviceConfig, SimWorkload) {
     let device = DeviceConfig::gtx980();
@@ -103,5 +106,49 @@ fn bench_parallel_executor(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_kernel_scheduling, bench_parallel_executor);
+/// Lowering all 85 baseline tiles of two Figure-6 studies to
+/// `PlanGeometry`: the per-tile set-up of every strategy evaluation and
+/// micro-benchmark. Footprints are per-row interval arithmetic and the
+/// full-width inner sub-tiles one counted class, so this stays cheap
+/// even with 4096-wide rows and hundreds of wavefronts.
+fn bench_plan_geometry(c: &mut Criterion) {
+    let tiles = baseline_tiles(
+        &DeviceConfig::gtx980(),
+        StencilDim::D2,
+        &SpaceConfig::default(),
+    );
+    let mut g = c.benchmark_group("plan_geometry");
+    g.sample_size(10);
+    for (name, stencil, size) in [
+        (
+            "heat2d_4096sq_T1024_baseline",
+            StencilDescriptor::heat2d(),
+            ProblemSize::new_2d(4096, 4096, 1024),
+        ),
+        (
+            "lap4_2d_1024sq_T64_baseline",
+            StencilDescriptor::lap4_2d(),
+            ProblemSize::new_2d(1024, 1024, 64),
+        ),
+    ] {
+        let spec = stencil.spec();
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                tiles
+                    .iter()
+                    .map(|&t| PlanGeometry::build(&spec, &size, t).expect("tile lowers"))
+                    .map(|geometry| geometry.wavefronts.len())
+                    .sum::<usize>()
+            })
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_kernel_scheduling,
+    bench_parallel_executor,
+    bench_plan_geometry
+);
 criterion_main!(benches);

@@ -6,7 +6,7 @@
 
 use experiments::context::{ExperimentScale, Lab};
 use gpu_sim::{simulate, SimWorkload};
-use hhc_tiling::{run_tiled_with, ExecOptions, LaunchConfig, TileSizes, TilingPlan};
+use hhc_tiling::{run_tiled_with, ExecOptions, LaunchConfig, PlanGeometry, TileSizes, TilingPlan};
 use serde::Value;
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -128,6 +128,30 @@ fn exec_counters_match_execstats() {
     assert_eq!(occ.count, 1);
     let expect = stats.resident_planes as f64 / stats.logical_planes as f64;
     assert!((occ.sum - expect).abs() < 1e-12, "{} vs {expect}", occ.sum);
+}
+
+#[test]
+fn plan_counter_counts_lowered_block_classes() {
+    let _g = obs_lock();
+    let spec = StencilDescriptor::jacobi2d().spec();
+    let size = ProblemSize::new_2d(512, 512, 128);
+    let (geometry, snap) = record(|| {
+        PlanGeometry::build(&spec, &size, TileSizes::new_2d(8, 32, 128)).expect("plan builds")
+    });
+    // Each distinct class vector is lowered once, however many
+    // wavefronts share it.
+    let mut seen = HashSet::new();
+    let lowered: usize = geometry
+        .wavefronts
+        .iter()
+        .filter(|w| seen.insert(Arc::as_ptr(&w.classes)))
+        .map(|w| w.classes.len())
+        .sum();
+    assert_eq!(snap.counter("plan.block_classes"), lowered as u64);
+    // Four `(rows, phase)` keys: the time-clipped first and last phase-A
+    // wavefronts and the full wavefronts of each phase, each lowering its
+    // boundary tiles plus one interior class.
+    assert_eq!((seen.len(), lowered), (4, 10));
 }
 
 #[test]

@@ -29,6 +29,7 @@
 //! acknowledges; the exact counts are available from this module.
 
 use serde::{Deserialize, Serialize};
+use std::ops::RangeInclusive;
 
 /// Phase of a hexagonal tile row (the two staggered "colors" of Figure 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -234,16 +235,10 @@ impl HexTiling {
     /// Unclipped rows of a tile, bottom to top: `(r, t, lo, hi)` with
     /// `lo..=hi` the closed column span.
     pub fn tile_rows_unclipped(&self, id: TileId) -> impl Iterator<Item = RowSpan> + '_ {
-        let (t0, s0) = self.anchor(id);
-        // Base width is t_S + slope; oblique sides add m(r) per side.
-        let base_hi = self.t_s as i64 + self.slope as i64 - 1;
-        (0..self.t_t).map(move |r| {
-            let m = self.row_halfwidth(r);
-            RowSpan {
-                t: t0 + r as i64,
-                lo: s0 - m,
-                hi: s0 + base_hi + m,
-            }
+        let t0 = self.anchor(id).0;
+        (t0..t0 + self.t_t as i64).map(move |t| {
+            let (lo, hi) = self.span_at(id, t).expect("t is a row of the tile");
+            RowSpan { t, lo, hi }
         })
     }
 
@@ -305,10 +300,7 @@ impl HexTiling {
     /// The tile-row indices `r` of wavefront-`(phase, q)` tiles whose
     /// time coordinate falls inside `[0, time_steps)`.
     pub fn time_rows(&self, phase: Phase, q: i64, time_steps: usize) -> std::ops::Range<usize> {
-        let t0 = match phase {
-            Phase::A => q * self.t_t as i64 - self.h(),
-            Phase::B => q * self.t_t as i64,
-        };
+        let t0 = self.anchor(TileId { q, phase, j: 0 }).0;
         let lo = (-t0).max(0).min(self.t_t as i64) as usize;
         let hi = (time_steps as i64 - t0).clamp(0, self.t_t as i64) as usize;
         lo..hi.max(lo)
@@ -324,72 +316,112 @@ impl HexTiling {
         w: usize,
         space: usize,
         time_steps: usize,
-    ) -> std::ops::RangeInclusive<i64> {
+    ) -> RangeInclusive<i64> {
+        self.tile_columns(w, space, time_steps, false)
+    }
+
+    /// [`Self::wavefront_tiles`], or with `inside` its sub-range of tiles
+    /// whose time-clipped rows lie wholly inside `[0, space)`: the
+    /// wavefront's identical interior tiles.
+    pub(crate) fn tile_columns(
+        &self,
+        w: usize,
+        space: usize,
+        time_steps: usize,
+        inside: bool,
+    ) -> RangeInclusive<i64> {
         let (phase, q) = self.wavefront_phase(w);
-        let p = self.pitch();
-        let base = match phase {
-            Phase::A => 0i64,
-            Phase::B => self.t_s as i64 + self.slope as i64 * self.h(),
-        };
         let rows = self.time_rows(phase, q, time_steps);
         if rows.is_empty() {
             #[allow(clippy::reversed_empty_ranges)]
             return 1..=0; // canonical empty range
         }
         // Horizontal reach of the widest row that survives time clipping:
-        // tile j spans columns [j·p + base − reach, j·p + base + t_S + reach].
+        // tile j spans columns [j·p + left, j·p + right].
         let reach = rows.map(|r| self.row_halfwidth(r)).max().unwrap_or(0);
-        // Smallest j with right edge ≥ 0 (ceil division).
-        let j_min = {
-            let x = -(base + self.t_s as i64 + reach);
-            x.div_euclid(p) + i64::from(x.rem_euclid(p) != 0)
-        };
-        // Largest j with left edge ≤ space − 1 (floor division).
-        let j_max = (space as i64 - 1 - base + reach).div_euclid(p);
-        j_min..=j_max
+        let base = self.anchor(TileId { q, phase, j: 0 }).1;
+        let (left, right) = (base - reach, base + self.t_s as i64 + reach);
+        // Overlap needs right ≥ 0 and left ≤ space − 1; containment the
+        // reverse. j_min is a ceiling division, j_max a floor.
+        let (lo, hi) = if inside { (left, right) } else { (right, left) };
+        let p = self.pitch();
+        -lo.div_euclid(p)..=(space as i64 - 1 - hi).div_euclid(p)
     }
 
-    /// Exact steady-state *input footprint*: the number of in-domain
-    /// producers of the tile's points that lie outside the tile (data the
-    /// thread block must read from global memory). The paper's closed
-    /// form is `m_i = t_S + 2·t_T` (Eqn 7); the exact value for an
-    /// interior tile is `t_S + 2·t_T + 1`.
-    ///
-    /// `offsets` is the stencil neighborhood (first-order).
-    pub fn exact_input_footprint(&self, id: TileId, offsets: &[[i64; 3]]) -> usize {
-        use std::collections::HashSet;
-        let mut outside: HashSet<(i64, i64)> = HashSet::new();
-        for row in self.tile_rows_unclipped(id) {
-            for s in row.lo..=row.hi {
-                for off in offsets {
-                    let (pt, ps) = (row.t - 1, s + off[0]);
-                    if self.tile_containing(pt, ps) != id {
-                        outside.insert((pt, ps));
-                    }
+    /// The unclipped column span `U(t) = [lo, hi]` of tile `id` at
+    /// absolute time `t`: base `t_S + slope` plus `m(r)` per side, or
+    /// `None` outside the tile's `t_T` rows.
+    #[inline]
+    fn span_at(&self, id: TileId, t: i64) -> Option<(i64, i64)> {
+        let (t0, s0) = self.anchor(id);
+        let r = usize::try_from(t - t0).ok().filter(|&r| r < self.t_t)?;
+        let m = self.row_halfwidth(r);
+        Some((s0 - m, s0 + self.t_s as i64 + self.slope as i64 - 1 + m))
+    }
+
+    /// Footprints `(mi, mo)` of `row` of tile `id` by interval arithmetic,
+    /// counting only columns inside `window`: `mi` is the number of
+    /// producers `(t − 1, s + a)` outside the tile, `mo` the number of row
+    /// points read by a consumer `(t + 1, s − a)` outside it. `axis0`
+    /// holds the stencil's axis-0 offsets `a`; `buf` is scratch.
+    pub(crate) fn row_footprint(
+        &self,
+        id: TileId,
+        RowSpan { t, lo, hi }: RowSpan,
+        axis0: &[i64],
+        (w_lo, w_hi): (i64, i64),
+        buf: &mut Vec<(i64, i64)>,
+    ) -> (u64, u64) {
+        // |P| − |P ∩ U(t − 1)| with P = ⋃_a [lo + a, hi + a] ∩ window.
+        buf.clear();
+        buf.extend(axis0.iter().map(|a| (lo + a, hi + a)));
+        let producers = covered(buf, w_lo, w_hi);
+        let own = self.span_at(id, t - 1).map_or(0, |(u_lo, u_hi)| {
+            covered(buf, u_lo.max(w_lo), u_hi.min(w_hi))
+        });
+        // |[lo, hi] ∩ ⋃_a ((window ∖ U(t + 1)) + a)|.
+        buf.clear();
+        match self.span_at(id, t + 1) {
+            Some((u_lo, u_hi)) => {
+                for a in axis0 {
+                    buf.push((w_lo + a, u_lo - 1 + a));
+                    buf.push((u_hi + 1 + a, w_hi + a));
                 }
             }
+            None => buf.extend(axis0.iter().map(|a| (w_lo + a, w_hi + a))),
         }
-        outside.len()
+        (producers - own, covered(buf, lo, hi))
+    }
+
+    /// Unclipped `(mi, mo)` of a whole tile: [`Self::row_footprint`]
+    /// summed over its rows with an unbounded window.
+    fn unclipped_footprints(&self, id: TileId, offsets: &[[i64; 3]]) -> (u64, u64) {
+        let axis0: Vec<i64> = offsets.iter().map(|o| o[0]).collect();
+        let reach = self.pitch() + axis0.iter().map(|a| a.abs()).max().unwrap_or(0);
+        let s0 = self.anchor(id).1;
+        let window = (s0 - reach, s0 + reach);
+        let mut buf = Vec::new();
+        self.tile_rows_unclipped(id)
+            .map(|row| self.row_footprint(id, row, &axis0, window, &mut buf))
+            .fold((0, 0), |(i, o), (mi, mo)| (i + mi, o + mo))
+    }
+
+    /// Exact steady-state *input footprint*: the number of producers of
+    /// the tile's points that lie outside the tile (data the thread block
+    /// must read from global memory). The paper's closed form is
+    /// `m_i = t_S + 2·t_T` (Eqn 7); the exact value for a first-order
+    /// interior tile is `t_S + 2·t_T + 1`.
+    ///
+    /// `offsets` is the stencil neighborhood; only axis 0 matters.
+    pub fn exact_input_footprint(&self, id: TileId, offsets: &[[i64; 3]]) -> usize {
+        self.unclipped_footprints(id, offsets).0 as usize
     }
 
     /// Exact steady-state *output footprint*: the number of tile points
     /// read by points of other (necessarily later-wavefront) tiles. The
     /// paper takes `m_o = m_i` for Jacobi-style stencils.
     pub fn exact_output_footprint(&self, id: TileId, offsets: &[[i64; 3]]) -> usize {
-        let mut count = 0usize;
-        for row in self.tile_rows_unclipped(id) {
-            's: for s in row.lo..=row.hi {
-                // Consumers of (t, s) are the points (t + 1, s − a).
-                for off in offsets {
-                    let (ct, cs) = (row.t + 1, s - off[0]);
-                    if self.tile_containing(ct, cs) != id {
-                        count += 1;
-                        continue 's;
-                    }
-                }
-            }
-        }
-        count
+        self.unclipped_footprints(id, offsets).1 as usize
     }
 
     /// Exact shared-memory requirement in 4-byte words for the 1D tile:
@@ -400,6 +432,21 @@ impl HexTiling {
     pub fn shared_words(&self) -> usize {
         2 * (self.max_row_width() + 2)
     }
+}
+
+/// Number of columns of `[lo, hi]` covered by the union of the closed
+/// intervals `iv` (empty intervals allowed; `iv` is sorted in place).
+fn covered(iv: &mut [(i64, i64)], lo: i64, hi: i64) -> u64 {
+    iv.sort_unstable();
+    let (mut total, mut next) = (0, lo);
+    for &(a, b) in iv.iter() {
+        let (a, b) = (a.max(next), b.min(hi));
+        if a <= b {
+            total += (b - a + 1) as u64;
+            next = b + 1;
+        }
+    }
+    total
 }
 
 #[cfg(test)]

@@ -91,10 +91,15 @@ impl SkewedAxis {
             .map_or(0, |(lo, hi)| (hi - lo + 1) as usize)
     }
 
-    /// Whether sub-tile `ℓ` is *interior* over the whole time span — its
-    /// width is the full `t_s` at every time level (no domain clipping).
-    pub fn is_interior(&self, l: i64, t_lo: i64, t_hi: i64) -> bool {
-        (t_lo..=t_hi).all(|t| self.width_at(l, t) == self.t_s)
+    /// The *interior* sub-tiles over the time span `t_lo..=t_hi`: those
+    /// of full width `t_s` (no domain clipping) at every time level. They
+    /// form one contiguous run, `⌈slope·t_hi/t_s⌉ ..= ⌊(space +
+    /// slope·t_lo)/t_s⌋ − 1`, which is empty when there are none.
+    pub(crate) fn full_width_run(&self, t_lo: i64, t_hi: i64) -> std::ops::RangeInclusive<i64> {
+        let ts = self.t_s as i64;
+        let lo = -(-self.skew(t_hi)).div_euclid(ts);
+        let hi = (self.space as i64 + self.skew(t_lo)).div_euclid(ts) - 1;
+        lo..=hi
     }
 }
 
@@ -167,19 +172,33 @@ mod tests {
         let ax = SkewedAxis::new(8, 80);
         let (t_lo, t_hi) = (10i64, 15);
         let range = ax.subtile_range(t_lo, t_hi);
-        let interior: Vec<i64> = range
-            .clone()
-            .filter(|&l| ax.is_interior(l, t_lo, t_hi))
-            .collect();
-        assert!(!interior.is_empty());
-        for l in &interior {
+        let run = ax.full_width_run(t_lo, t_hi);
+        assert!(!run.is_empty());
+        for l in run.clone() {
             for t in t_lo..=t_hi {
-                assert_eq!(ax.width_at(*l, t), 8);
+                assert_eq!(ax.width_at(l, t), 8);
             }
         }
         // Boundary sub-tiles are clipped.
-        assert!(!ax.is_interior(*range.start(), t_lo, t_hi));
-        assert!(!ax.is_interior(*range.end(), t_lo, t_hi));
+        assert!(!run.contains(range.start()));
+        assert!(!run.contains(range.end()));
+        // The closed form finds exactly the sub-tiles that are full-width
+        // at every time, for any slope, span, and extent.
+        for ax in [
+            SkewedAxis::new(8, 80),
+            SkewedAxis::new(7, 23),
+            SkewedAxis::new(5, 3),
+            SkewedAxis::with_slope(6, 50, 2),
+            SkewedAxis::with_slope(4, 30, 3),
+        ] {
+            for (t_lo, t_hi) in [(0i64, 0), (0, 7), (3, 4), (10, 25)] {
+                let run = ax.full_width_run(t_lo, t_hi);
+                for l in ax.subtile_range(t_lo, t_hi) {
+                    let full = (t_lo..=t_hi).all(|t| ax.width_at(l, t) == ax.t_s);
+                    assert_eq!(run.contains(&l), full, "{ax:?} t={t_lo}..={t_hi} l={l}");
+                }
+            }
+        }
     }
 
     #[test]

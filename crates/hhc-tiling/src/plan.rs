@@ -31,6 +31,7 @@ use crate::inner::SkewedAxis;
 use crate::regs;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 use stencil_core::{ProblemSize, StencilSpec};
 
@@ -165,8 +166,10 @@ impl BlockClass {
 /// One wavefront = one kernel launch.
 #[derive(Debug, Clone)]
 pub struct WavefrontPlan {
-    /// Block classes with multiplicities; shared between identical
-    /// wavefronts (all interior wavefronts of a phase are identical).
+    /// Block classes with multiplicities; shared between wavefronts with
+    /// the same phase and the same surviving hexagon rows. Their `(t, s1)`
+    /// profiles are identical, but the inner-axis classes are those of the
+    /// first such wavefront (see [`PlanGeometry::build`]).
     pub classes: Arc<Vec<BlockClass>>,
 }
 
@@ -214,6 +217,14 @@ pub struct PlanGeometry {
 impl PlanGeometry {
     /// Lower (stencil, size, tiles) to block classes per wavefront.
     ///
+    /// Wavefronts are keyed by `(surviving hexagon rows, phase)` and each
+    /// key is lowered once. The `(t, s1)` rows and footprints only depend
+    /// on that key, so every wavefront sharing it has them exactly. The
+    /// inner-axis classes do not: [`SkewedAxis`] cut positions depend on
+    /// absolute `t`, so a later wavefront reuses the first one's sub-tile
+    /// classes. This approximation moves footprints and thread rounds,
+    /// not iteration counts: each row's widths still sum to the extent.
+    ///
     /// Fails (with a human-readable message) if the tile sizes are
     /// malformed for the stencil's dimensionality or the problem does not
     /// match the stencil.
@@ -239,11 +250,13 @@ impl PlanGeometry {
         let slope = usize::try_from(spec.order().max(1)).map_err(|_| "bad stencil order")?;
         let rank = spec.dim.rank();
         let hex = HexTiling::with_slope(tiles.t_s[0], tiles.t_t, slope);
-        let offsets: Vec<[i64; 3]> = spec.neighbors.iter().map(|n| n.offset).collect();
+        let mut axis0: Vec<i64> = spec.neighbors.iter().map(|n| n.offset[0]).collect();
+        axis0.sort_unstable();
+        axis0.dedup();
 
         let builder = PlanBuilder {
             hex,
-            offsets,
+            axis0,
             s1: size.space[0],
             time: size.time,
             axis2: (rank >= 2).then(|| SkewedAxis::with_slope(tiles.t_s[1], size.space[1], slope)),
@@ -262,6 +275,12 @@ impl PlanGeometry {
                 .or_insert_with(|| Arc::new(builder.wavefront_classes(w)))
                 .clone();
             wavefronts.push(WavefrontPlan { classes });
+        }
+        if obs::active() {
+            obs::counter(
+                "plan.block_classes",
+                cache.values().map(|c| c.len() as u64).sum(),
+            );
         }
 
         // Shared-memory footprint: a double buffer of (widest row + halo)
@@ -392,7 +411,8 @@ impl TilingPlan {
 /// Internal geometry → classes lowering.
 struct PlanBuilder {
     hex: HexTiling,
-    offsets: Vec<[i64; 3]>,
+    /// The stencil's distinct axis-0 offsets, ascending.
+    axis0: Vec<i64>,
     s1: usize,
     time: usize,
     axis2: Option<SkewedAxis>,
@@ -403,159 +423,81 @@ impl PlanBuilder {
     /// Build the block classes of wavefront `w`: one class per distinct
     /// boundary tile plus one class covering all interior tiles.
     fn wavefront_classes(&self, w: usize) -> Vec<BlockClass> {
-        let hex = &self.hex;
-        let (phase, q) = hex.wavefront_phase(w);
-        let jr = hex.wavefront_tiles(w, self.s1, self.time);
-        if jr.is_empty() {
-            return Vec::new();
-        }
-        let (j_min, j_max) = (*jr.start(), *jr.end());
-        let rows = hex.time_rows(phase, q, self.time);
-        let reach = rows
-            .clone()
-            .map(|r| hex.row_halfwidth(r))
-            .max()
-            .unwrap_or(0);
-        let p = hex.pitch();
-        let base = match phase {
-            Phase::A => 0i64,
-            Phase::B => hex.t_s as i64 + hex.slope as i64 * hex.h(),
-        };
-        // Interior in s1: unclipped horizontal span within [0, S1).
-        let int_lo = {
-            // smallest j with j·p + base − reach ≥ 0 (ceil division)
-            let x = reach - base;
-            x.div_euclid(p) + i64::from(x.rem_euclid(p) != 0)
-        };
-        let int_hi = (self.s1 as i64 - 1 - base - hex.t_s as i64 - reach).div_euclid(p);
-
-        let mut classes = Vec::new();
-        let mut push_tile = |j: i64, count: u64| {
-            let id = TileId { q, phase, j };
-            if let Some(class) = self.block_class(id, count) {
-                classes.push(class);
-            }
-        };
-        if int_lo > int_hi {
-            // No interior tiles: enumerate everything.
-            for j in j_min..=j_max {
-                push_tile(j, 1);
-            }
-        } else {
-            for j in j_min..int_lo {
-                push_tile(j, 1);
-            }
-            push_tile(int_lo, (int_hi - int_lo + 1) as u64);
-            for j in (int_hi + 1)..=j_max {
-                push_tile(j, 1);
-            }
-        }
-        classes
+        let (phase, q) = self.hex.wavefront_phase(w);
+        let all = self.hex.wavefront_tiles(w, self.s1, self.time);
+        runs(all, self.hex.tile_columns(w, self.s1, self.time, true))
+            .filter_map(|(j, count)| self.block_class(TileId { q, phase, j }, count))
+            .collect()
     }
 
-    /// Build one block class from a representative tile.
+    /// Build one block class from a representative tile: its clipped
+    /// `(t, s1)` rows with their footprints, and its inner-axis classes.
     fn block_class(&self, id: TileId, count: u64) -> Option<BlockClass> {
-        let (t_lo, s1_widths, mi_rows, mo_rows) = self.hex_profile(id)?;
-        let nrows = s1_widths.len();
-        let axis2 = match self.axis2 {
-            Some(ax) => self.axis_classes(&ax, t_lo, nrows),
-            None => BlockClass::unit_axis(nrows),
-        };
-        let axis3 = match self.axis3 {
-            Some(ax) => self.axis_classes(&ax, t_lo, nrows),
-            None => BlockClass::unit_axis(nrows),
-        };
+        let hex = &self.hex;
+        let window = (0, self.s1 as i64 - 1);
+        let mut buf = Vec::new();
+        let (mut t_lo, mut s1_widths, mut mi_rows, mut mo_rows) =
+            (None, Vec::new(), Vec::new(), Vec::new());
+        for row in hex.tile_rows(id, self.s1, self.time) {
+            let (mi, mo) = hex.row_footprint(id, row, &self.axis0, window, &mut buf);
+            let width = row.width() as u64;
+            t_lo.get_or_insert(row.t);
+            s1_widths.push(width);
+            mi_rows.push(mi);
+            // The final time row is always written back as the result.
+            let last = row.t + 1 == self.time as i64;
+            mo_rows.push(if last { width } else { mo });
+        }
+        let (t_lo, nrows) = (t_lo?, s1_widths.len());
         Some(BlockClass {
             count,
             s1_widths,
             mi_rows,
             mo_rows,
-            axis2,
-            axis3,
+            axis2: axis_classes(self.axis2, t_lo, nrows),
+            axis3: axis_classes(self.axis3, t_lo, nrows),
         })
     }
+}
 
-    /// Run-length–grouped sub-tile classes along one skewed inner axis.
-    fn axis_classes(&self, ax: &SkewedAxis, t_lo: i64, nrows: usize) -> Vec<AxisClass> {
-        let t_hi = t_lo + nrows as i64 - 1;
-        let mut out: Vec<AxisClass> = Vec::new();
-        for l in ax.subtile_range(t_lo, t_hi) {
-            let widths: Vec<u64> = (0..nrows)
-                .map(|r| ax.width_at(l, t_lo + r as i64) as u64)
-                .collect();
-            if widths.iter().all(|&w| w == 0) {
-                continue;
-            }
-            match out.last_mut() {
-                Some(c) if c.widths == widths => c.count += 1,
-                _ => out.push(AxisClass { count: 1, widths }),
-            }
+/// Run-length–grouped sub-tile classes along one skewed inner axis (the
+/// unit axis for an unused one). The sub-tiles that are full-width on
+/// every row are one contiguous run and are visited once; only the
+/// clipped ones at either end are walked.
+fn axis_classes(ax: Option<SkewedAxis>, t_lo: i64, nrows: usize) -> Vec<AxisClass> {
+    let Some(ax) = ax else {
+        return BlockClass::unit_axis(nrows);
+    };
+    let t_hi = t_lo + nrows as i64 - 1;
+    let mut out: Vec<AxisClass> = Vec::new();
+    for (l, count) in runs(ax.subtile_range(t_lo, t_hi), ax.full_width_run(t_lo, t_hi)) {
+        let widths: Vec<u64> = (0..nrows)
+            .map(|r| ax.width_at(l, t_lo + r as i64) as u64)
+            .collect();
+        if widths.iter().all(|&w| w == 0) {
+            continue;
         }
-        out
+        match out.last_mut() {
+            Some(c) if c.widths == widths => c.count += count,
+            _ => out.push(AxisClass { count, widths }),
+        }
     }
+    out
+}
 
-    /// Exact per-row profile of a clipped hexagonal tile on the `(t, s1)`
-    /// plane: `(t_lo, row widths, input-footprint rows, output rows)`.
-    #[allow(clippy::type_complexity)]
-    fn hex_profile(&self, id: TileId) -> Option<(i64, Vec<u64>, Vec<u64>, Vec<u64>)> {
-        let hex = &self.hex;
-        let rows: Vec<_> = hex.tile_rows(id, self.s1, self.time).collect();
-        if rows.is_empty() {
-            return None;
-        }
-        let t_lo = rows[0].t;
-        let nrows = rows.len();
-        let widths: Vec<u64> = rows.iter().map(|r| r.width() as u64).collect();
-
-        // Input footprint: distinct producers (t−1, s1+a) outside the
-        // tile with s1+a inside the space domain, attributed to the
-        // earliest consuming row. Each row reads its own time step, so
-        // producers are distinct per row.
-        let mut mi = vec![0u64; nrows];
-        let mut producers: Vec<i64> = Vec::new();
-        for (r, row) in rows.iter().enumerate() {
-            producers.clear();
-            for s in row.lo..=row.hi {
-                // Out-of-domain neighbors are the boundary constant, not loads.
-                producers.extend(
-                    self.offsets
-                        .iter()
-                        .map(|off| s + off[0])
-                        .filter(|ps| (0..self.s1 as i64).contains(ps)),
-                );
-            }
-            producers.sort_unstable();
-            producers.dedup();
-            mi[r] = producers
-                .iter()
-                .filter(|&&ps| hex.tile_containing(row.t - 1, ps) != id)
-                .count() as u64;
-        }
-
-        // Output footprint: points consumed by other tiles, or points of
-        // the final time row (always written back as the result).
-        let mut mo = vec![0u64; nrows];
-        for (r, row) in rows.iter().enumerate() {
-            's: for s in row.lo..=row.hi {
-                if row.t + 1 == self.time as i64 {
-                    mo[r] += 1;
-                    continue 's;
-                }
-                for off in &self.offsets {
-                    let (ct, cs) = (row.t + 1, s - off[0]);
-                    if cs < 0 || cs >= self.s1 as i64 {
-                        continue;
-                    }
-                    if hex.tile_containing(ct, cs) != id {
-                        mo[r] += 1;
-                        continue 's;
-                    }
-                }
-            }
-        }
-
-        Some((t_lo, widths, mi, mo))
-    }
+/// The indices of `all` as `(index, 1)`, except that a non-empty
+/// sub-range `run` of identical positions is one `(run start, run length)`.
+fn runs(all: RangeInclusive<i64>, run: RangeInclusive<i64>) -> impl Iterator<Item = (i64, u64)> {
+    let (a_lo, a_hi) = all.into_inner();
+    let (r_lo, r_hi) = if run.is_empty() {
+        (a_hi + 1, a_hi)
+    } else {
+        run.into_inner()
+    };
+    (a_lo..r_lo)
+        .map(|j| (j, 1))
+        .chain((r_lo <= r_hi).then(|| (r_lo, (r_hi - r_lo + 1) as u64)))
+        .chain((r_hi + 1..=a_hi).map(|j| (j, 1)))
 }
 
 #[cfg(test)]
