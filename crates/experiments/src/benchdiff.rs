@@ -1,5 +1,5 @@
 //! Noise-aware comparison of two benchmark reports — the CI regression
-//! gate behind the `bench-diff` binary.
+//! gate behind `experiments bench-diff`.
 //!
 //! Absolute seconds (and absolute QPS) are useless across CI runners
 //! (different silicon, different neighbors), so the diff compares only

@@ -1,7 +1,7 @@
-//! The serve benchmark: load generation and reporting behind the
-//! `serve-bench` binary.
+//! The serve benchmark: load generation and reporting behind
+//! `experiments serve-bench`.
 //!
-//! The binary spawns (or connects to) the advisor's socket server and
+//! The command spawns (or connects to) the advisor's socket server and
 //! replays a zipf-skewed stream of queries over N concurrent
 //! pipelined connections — the traffic shape of a multi-tenant
 //! advisory service, where a few hot (device, stencil, size) cells
@@ -18,61 +18,6 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Instant;
 use stencil_core::StencilDescriptor;
-
-/// Default precompute/replay grid, shared by `experiments precompute`
-/// and `serve-bench` so a default store always covers the default
-/// replay universe. Sizes are per-dimension extents (a 2D stencil at
-/// 1024 is 1024²); the time horizons are typical paper-scale `T`s.
-pub const DEFAULT_DEVICES: &str = "GTX 980";
-pub const DEFAULT_STENCILS: &str = "Heat2D,Jacobi2D";
-pub const DEFAULT_SIZES: &str = "512,1024,2048";
-pub const DEFAULT_TIMES: &str = "64,128";
-
-/// Parse a comma-separated device preset list (`"GTX 980,Titan X"`).
-pub fn parse_devices(spec: &str) -> Result<Vec<DeviceConfig>, String> {
-    spec.split(',')
-        .map(|name| {
-            let name = name.trim();
-            DeviceConfig::preset(name).ok_or_else(|| {
-                format!(
-                    "unknown device preset '{name}' (known: {})",
-                    DeviceConfig::preset_names().join(", ")
-                )
-            })
-        })
-        .collect()
-}
-
-/// Parse a comma-separated stencil list (`"Heat2D,Jacobi3D"`),
-/// case-insensitively. Any named descriptor resolves — the paper's
-/// eight presets and the zoo alike.
-pub fn parse_stencils(spec: &str) -> Result<Vec<StencilDescriptor>, String> {
-    spec.split(',')
-        .map(|name| {
-            let name = name.trim();
-            StencilDescriptor::from_name(name).ok_or_else(|| {
-                let known: Vec<String> = StencilDescriptor::named()
-                    .into_iter()
-                    .map(|d| d.name)
-                    .collect();
-                format!("unknown stencil '{name}' (known: {})", known.join(", "))
-            })
-        })
-        .collect()
-}
-
-/// Parse a comma-separated positive-integer list (`"512,1024"`).
-pub fn parse_usizes(spec: &str, flag: &str) -> Result<Vec<usize>, String> {
-    spec.split(',')
-        .map(|v| {
-            v.trim()
-                .parse::<usize>()
-                .ok()
-                .filter(|n| *n >= 1)
-                .ok_or_else(|| format!("invalid {flag} entry '{}'", v.trim()))
-        })
-        .collect()
-}
 
 /// The JSON-lines request for one (device, stencil, size, time) cell —
 /// the wire twin of one `advisor::grid_queries` entry: the server
@@ -331,8 +276,8 @@ mod tests {
     fn wire_lines_canonicalize_to_the_precompute_grid_keys() {
         // The whole store design rests on this: a replayed line must
         // hit the key its grid twin was precomputed under.
-        let devices = parse_devices(DEFAULT_DEVICES).unwrap();
-        let stencils = parse_stencils("Heat2D,Jacobi3D").unwrap();
+        let devices = vec![DeviceConfig::gtx980()];
+        let stencils = vec![StencilDescriptor::heat2d(), StencilDescriptor::jacobi3d()];
         let sizes = vec![96, 128];
         let times = vec![8];
         let grid = advisor::grid_queries(&devices, &stencils, &sizes, &times, 0.10, 10).unwrap();

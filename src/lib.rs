@@ -18,8 +18,6 @@
 //! See `README.md` for a quickstart and `DESIGN.md` for the architecture
 //! and the hardware-substitution rationale.
 
-pub mod cli;
-
 pub use experiments;
 pub use gpu_sim as sim;
 pub use hhc_tiling as tiling;
