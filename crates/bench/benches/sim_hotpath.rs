@@ -2,8 +2,8 @@
 //! scheduler vs the exact O(total-blocks) dealing loop, the pooled
 //! wavefront-parallel executor vs the sequential fast path, full
 //! `simulate` calls over real tiling plans (one with hundreds of
-//! wavefronts), and the plan-geometry lowering every simulated tile
-//! pays first. Companion to
+//! wavefronts), one baseline tile's ten launches, and the plan-geometry
+//! lowering every simulated tile pays first. Companion to
 //! `experiments --bench-exec --parallel-exec`, which times the same
 //! paths on larger workloads and persists `BENCH_exec.json`.
 
@@ -15,7 +15,7 @@ use hhc_tiling::{
 };
 use std::hint::black_box;
 use stencil_core::{init, ProblemSize, StencilDescriptor, StencilDim};
-use tile_opt::strategy::baseline_tiles;
+use tile_opt::strategy::{baseline_tiles, thread_counts};
 use tile_opt::SpaceConfig;
 
 fn jacobi2d_workload() -> (DeviceConfig, SimWorkload) {
@@ -76,6 +76,24 @@ fn bench_kernel_scheduling(c: &mut Criterion) {
     let many = SimWorkload::from_plan(&plan);
     g.bench_function("simulate_many_wavefronts", |b| {
         b.iter(|| black_box(simulate(&device, &many).expect("launches").total_time))
+    });
+
+    // The unit the Baseline strategy repeats 85 times per study: one
+    // tile's geometry simulated under each of the ten thread counts.
+    let spec = StencilDescriptor::heat2d().spec();
+    let size = ProblemSize::new_2d(4096, 4096, 1024);
+    let tile = baseline_tiles(&device, StencilDim::D2, &SpaceConfig::default())[0];
+    let geometry = PlanGeometry::build(&spec, &size, tile).expect("baseline tile lowers");
+    let launches = thread_counts(StencilDim::D2);
+    g.bench_function("baseline_tile", |b| {
+        b.iter(|| {
+            launches
+                .iter()
+                .filter_map(|&launch| geometry.with_launch(launch).ok())
+                .filter_map(|plan| simulate(&device, &SimWorkload::from_plan(&plan)).ok())
+                .map(|report| report.total_time)
+                .sum::<f64>()
+        })
     });
     g.finish();
 }

@@ -88,6 +88,10 @@ fn sim_counters_match_simreport() {
         })
         .sum();
     assert_eq!(snap.counter("sim.blocks"), blocks);
+    // The wave scheduler runs once per distinct wave composition of each
+    // distinct kernel: for this plan (k = 2) those waves place 150
+    // segments between them.
+    assert_eq!(snap.counter("sim.wave_segments"), 150);
     // SM utilization samples are fractions in (0, 1].
     let util = snap.histogram("sim.sm_utilization").expect("utilization");
     assert!(util.count > 0);

@@ -33,7 +33,6 @@
 use crate::device::DeviceConfig;
 use crate::workload::SimWorkload;
 use hhc_tiling::plan::{AxisClass, BlockClass};
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Which pipe a segment occupies.
@@ -54,14 +53,18 @@ pub struct Segment {
     pub dur: f64,
 }
 
-/// A block lowered to its alternating segment sequence plus summary
-/// totals (used by the engine and its tests).
-#[derive(Debug, Clone, PartialEq)]
+/// A block class lowered to its periodic form: `chunks` identical
+/// `load → compute → store` chunks (sub-tiles are grouped into at most
+/// [`MAX_CHUNKS`] chunks; totals are exact), plus summary totals.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlockSegments {
-    /// The segments in execution order: one `load → compute → store`
-    /// triple per scheduled chunk (sub-tiles are grouped into at most
-    /// [`MAX_CHUNKS`] chunks; totals are exact).
-    pub segments: Vec<Segment>,
+    /// One chunk's segments in execution order; a phase whose block
+    /// total is zero is omitted.
+    chunk: [Segment; 3],
+    /// Segments per chunk (0–3).
+    phases: u8,
+    /// Identical chunks the block executes, at least 1.
+    pub chunks: u64,
     /// Total memory time (sum of `Mem` segments).
     pub mem_time: f64,
     /// Total compute time (sum of `Comp` segments).
@@ -69,6 +72,11 @@ pub struct BlockSegments {
 }
 
 impl BlockSegments {
+    /// One chunk's segments in execution order.
+    pub fn chunk(&self) -> &[Segment] {
+        &self.chunk[..self.phases as usize]
+    }
+
     /// Strictly sequential duration (no overlap) — what a `k = 1`
     /// residency costs.
     pub fn sequential(&self) -> f64 {
@@ -110,10 +118,17 @@ fn axis_active(axis: &[AxisClass], r: usize) -> u64 {
 /// (interior wavefronts share one `Arc`) are visited once.
 pub fn points_per_thread(wl: &SimWorkload) -> u64 {
     let [n1, n2, n3] = wl.threads_dims;
-    let mut seen = HashSet::new();
+    let mut seen = Vec::new();
     wl.kernels
         .iter()
-        .filter(|k| seen.insert(Arc::as_ptr(&k.classes)))
+        .filter(|k| {
+            let key = Arc::as_ptr(&k.classes);
+            let first = !seen.contains(&key);
+            if first {
+                seen.push(key);
+            }
+            first
+        })
         .flat_map(|k| k.classes.iter())
         .map(|c| {
             (0..c.row_count())
@@ -230,10 +245,10 @@ pub(crate) fn block_compute_time_spilled(
     rounds_total as f64 * issue_groups * citer * diverge * spill + barriers as f64 * device.tau_sync
 }
 
-/// Lower a block class to its segment sequence.
+/// Lower a block class to its periodic segment chunk.
 ///
-/// The block's exact totals (loads, stores, compute) are distributed over
-/// `min(sub-tiles, MAX_CHUNKS)` uniform `load → compute → store` triples,
+/// The block's exact totals (loads, stores, compute) are divided over
+/// `min(sub-tiles, MAX_CHUNKS)` uniform `load → compute → store` chunks,
 /// preserving both the totals and the alternation the two-pipe engine
 /// interleaves across co-resident blocks.
 pub fn lower_block(device: &DeviceConfig, wl: &SimWorkload, class: &BlockClass) -> BlockSegments {
@@ -252,30 +267,25 @@ pub(crate) fn lower_block_spilled(
     let store = transfer_time(device, wl, class.store_words_per_block(), n_sub.max(1));
     let comp = block_compute_time_spilled(device, wl, class, spill);
     let chunks = n_sub.clamp(1, MAX_CHUNKS);
-    let mut segments = Vec::with_capacity(3 * chunks as usize);
-    for _ in 0..chunks {
-        let c = chunks as f64;
-        if load > 0.0 {
-            segments.push(Segment {
-                pipe: Pipe::Mem,
-                dur: load / c,
-            });
-        }
-        if comp > 0.0 {
-            segments.push(Segment {
-                pipe: Pipe::Comp,
-                dur: comp / c,
-            });
-        }
-        if store > 0.0 {
-            segments.push(Segment {
-                pipe: Pipe::Mem,
-                dur: store / c,
-            });
+    let c = chunks as f64;
+    let mut chunk = [Segment {
+        pipe: Pipe::Mem,
+        dur: 0.0,
+    }; 3];
+    let mut phases = 0u8;
+    for (pipe, total) in [(Pipe::Mem, load), (Pipe::Comp, comp), (Pipe::Mem, store)] {
+        if total > 0.0 {
+            chunk[phases as usize] = Segment {
+                pipe,
+                dur: total / c,
+            };
+            phases += 1;
         }
     }
     BlockSegments {
-        segments,
+        chunk,
+        phases,
+        chunks,
         mem_time: load + store,
         comp_time: comp,
     }
@@ -408,11 +418,14 @@ mod tests {
         wl.threads_dims = [128, 1, 1];
         let class = only_class(&wl);
         let b = lower_block(&d, &wl, &class);
-        let sum: f64 = b.segments.iter().map(|s| s.dur).sum();
+        let sum: f64 = b.chunk().iter().map(|s| s.dur).sum::<f64>() * b.chunks as f64;
         assert!((sum - b.sequential()).abs() < 1e-15);
         assert!(b.mem_time > 0.0 && b.comp_time > 0.0);
         // 3 sub-tiles → 3 chunks of (load, comp, store).
-        assert_eq!(b.segments.len(), 9);
+        assert_eq!(b.chunks, 3);
+        let pipes: Vec<Pipe> = b.chunk().iter().map(|s| s.pipe).collect();
+        assert_eq!(pipes, [Pipe::Mem, Pipe::Comp, Pipe::Mem]);
+        assert_eq!(b.chunks * b.chunk().len() as u64, 9);
     }
 
     #[test]
@@ -422,7 +435,7 @@ mod tests {
         wl.threads_dims = [128, 1, 1];
         let class = only_class(&wl);
         let b = lower_block(&d, &wl, &class);
-        assert!(b.segments.len() <= 3 * MAX_CHUNKS as usize);
+        assert!(b.chunks * b.chunk().len() as u64 <= 3 * MAX_CHUNKS);
     }
 
     #[test]

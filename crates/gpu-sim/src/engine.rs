@@ -13,7 +13,10 @@
 //!
 //! Everything is deterministic: ties break on block index, and identical
 //! kernels (interior wavefronts share their class vectors via `Arc`) are
-//! computed once and reused.
+//! computed once and reused. Blocks enter the scheduler in their periodic
+//! form (one chunk of segments repeated `chunks` times, see
+//! [`cost::lower_block`]); [`schedule_wave`] is the one two-pipe
+//! scheduler, shared with [`crate::trace`] through an observer.
 //!
 //! Scheduling is closed-form where possible: round-robin dealing of
 //! class runs is periodic, so [`kernel_time`] derives each SM's wave
@@ -24,13 +27,12 @@
 //! compositions and fold per-SM finish times in the same order, so they
 //! agree to exact `f64` bit equality.
 
-use crate::cost::{self, BlockSegments, Pipe};
+use crate::cost::{self, BlockSegments, Pipe, Segment};
 use crate::device::DeviceConfig;
 use crate::occupancy::{occupancy_for_demand, LaunchError};
 use crate::report::SimReport;
 use crate::workload::SimWorkload;
 use hhc_tiling::plan::BlockClass;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Simulate `wl` on `device`, returning the machine's measured time.
@@ -76,7 +78,10 @@ fn simulate_core(
     let demand = cost::unrolled_regs_per_thread(wl);
     let occ = occupancy_for_demand(device, wl, demand)?;
     let spill = cost::spill_for_demand(device, demand);
-    let mut cache: HashMap<usize, KernelStats> = HashMap::new();
+    // One schedule per distinct class vector. A plan has a handful (the
+    // interior wavefronts share one `Arc`), so a linear scan finds them.
+    let mut distinct: Vec<(*const Vec<BlockClass>, KernelStats)> = Vec::new();
+    let mut segments = 0u64;
     let mut total = 0.0f64;
     let mut mem_busy = 0.0f64;
     let mut comp_busy = 0.0f64;
@@ -87,10 +92,18 @@ fn simulate_core(
     let mut waves_total = 0u64;
     let mut kernels = Vec::with_capacity(if detailed { wl.kernels.len() } else { 0 });
     for (index, kernel) in wl.kernels.iter().enumerate() {
-        let key = Arc::as_ptr(&kernel.classes) as usize;
-        let stats = cache
-            .entry(key)
-            .or_insert_with(|| kernel_time_spilled(device, wl, &kernel.classes, occ.k, spill));
+        let key = Arc::as_ptr(&kernel.classes);
+        let at = distinct
+            .iter()
+            .position(|(seen, _)| *seen == key)
+            .unwrap_or_else(|| {
+                let (stats, placed) =
+                    kernel_time_spilled(device, wl, &kernel.classes, occ.k, spill);
+                segments += placed;
+                distinct.push((key, stats));
+                distinct.len() - 1
+            });
+        let stats = &distinct[at].1;
         total += stats.makespan + device.t_launch;
         mem_busy += stats.mem_busy;
         comp_busy += stats.comp_busy;
@@ -123,13 +136,14 @@ fn simulate_core(
         obs::counter("sim.kernel_launches", wl.kernels.len() as u64);
         obs::counter("sim.blocks", blocks_total);
         obs::counter("sim.waves", waves_total);
+        obs::counter("sim.wave_segments", segments);
         obs::histogram("sim.total_time_s", total);
         obs::histogram("sim.pipe_mem_busy_s", mem_busy);
         obs::histogram("sim.pipe_comp_busy_s", comp_busy);
         // Utilization is a property of each distinct kernel schedule, so
-        // sample once per cache entry rather than once per launch.
+        // sample once per distinct kernel rather than once per launch.
         let (mut util_sum, mut util_n) = (0.0f64, 0u64);
-        for stats in cache.values() {
+        for (_, stats) in &distinct {
             if stats.makespan > 0.0 {
                 for &finish in &stats.sm_finish {
                     let u = finish / stats.makespan;
@@ -193,7 +207,7 @@ pub struct KernelBreakdown {
 /// compute the launch-wide aggregates that both scheduling paths share.
 /// The pipe-busy sums iterate the classes in declaration order so both
 /// paths fold identically.
-fn lower_classes(
+pub(crate) fn lower_classes(
     device: &DeviceConfig,
     wl: &SimWorkload,
     classes: &[BlockClass],
@@ -222,38 +236,41 @@ pub fn kernel_time(
     classes: &[BlockClass],
     k: usize,
 ) -> KernelStats {
-    kernel_time_spilled(device, wl, classes, k, cost::spill_factor(device, wl))
+    kernel_time_spilled(device, wl, classes, k, cost::spill_factor(device, wl)).0
+}
+
+/// The stats of a launch without blocks.
+fn empty_kernel() -> KernelStats {
+    KernelStats {
+        makespan: 0.0,
+        mem_busy: 0.0,
+        comp_busy: 0.0,
+        blocks: 0,
+        waves: 0,
+        sm_finish: Vec::new(),
+    }
 }
 
 /// [`kernel_time`] with the workload's spill factor given: [`simulate`]
-/// computes it once, not once per kernel.
+/// computes it once, not once per kernel. Also returns the segments the
+/// wave scheduler placed.
 fn kernel_time_spilled(
     device: &DeviceConfig,
     wl: &SimWorkload,
     classes: &[BlockClass],
     k: usize,
     spill: f64,
-) -> KernelStats {
+) -> (KernelStats, u64) {
     let (lowered, total_blocks, mem_busy, comp_busy) = lower_classes(device, wl, classes, spill);
     if total_blocks == 0 {
-        return KernelStats {
-            makespan: 0.0,
-            mem_busy: 0.0,
-            comp_busy: 0.0,
-            blocks: 0,
-            waves: 0,
-            sm_finish: Vec::new(),
-        };
+        return (empty_kernel(), 0);
     }
     let n_sm = device.n_sm;
     let k = k.max(1);
     let mut table = WaveCostTable::default();
     let (schedule, steady) = match schedule_steady(n_sm, k, total_blocks, &lowered, &mut table) {
         Some(s) => (s, true),
-        None => (
-            schedule_dealing(n_sm, k, total_blocks, &lowered, &mut table),
-            false,
-        ),
+        None => (schedule_dealing(n_sm, k, &lowered, &mut table), false),
     };
     if obs::active() {
         obs::counter(
@@ -265,14 +282,15 @@ fn kernel_time_spilled(
             1,
         );
     }
-    KernelStats {
+    let stats = KernelStats {
         makespan: schedule.makespan,
         mem_busy,
         comp_busy,
         blocks: total_blocks,
         waves: schedule.waves,
         sm_finish: schedule.sm_finish,
-    }
+    };
+    (stats, table.segments)
 }
 
 /// Reference oracle: [`kernel_time`] computed by materializing the full
@@ -287,17 +305,10 @@ pub fn kernel_time_dealing(
     let spill = cost::spill_factor(device, wl);
     let (lowered, total_blocks, mem_busy, comp_busy) = lower_classes(device, wl, classes, spill);
     if total_blocks == 0 {
-        return KernelStats {
-            makespan: 0.0,
-            mem_busy: 0.0,
-            comp_busy: 0.0,
-            blocks: 0,
-            waves: 0,
-            sm_finish: Vec::new(),
-        };
+        return empty_kernel();
     }
     let mut table = WaveCostTable::default();
-    let schedule = schedule_dealing(device.n_sm, k.max(1), total_blocks, &lowered, &mut table);
+    let schedule = schedule_dealing(device.n_sm, k.max(1), &lowered, &mut table);
     KernelStats {
         makespan: schedule.makespan,
         mem_busy,
@@ -317,9 +328,8 @@ const MAX_WAVE_RUNS: usize = 6;
 /// executes `runs[0].1` blocks of class `runs[0].0`, then `runs[1].1`
 /// blocks of class `runs[1].0`, and so on. Round-robin dealing preserves
 /// dispatch order per SM, so class indices are non-decreasing and the
-/// encoding is canonical — equal compositions hash equal, replacing the
-/// `Vec<u16>` clone the wave cache used to key on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+/// encoding is canonical: equal compositions compare equal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 struct WaveComp {
     runs: [(u32, u32); MAX_WAVE_RUNS],
     len: u8,
@@ -368,23 +378,31 @@ impl WaveComp {
 }
 
 /// Interns wave compositions and computes each distinct wave's cost
-/// exactly once.
+/// exactly once. A kernel has a handful of distinct waves, so the
+/// compositions are found by a linear scan.
 #[derive(Default)]
 struct WaveCostTable {
-    ids: HashMap<WaveComp, u32>,
+    comps: Vec<WaveComp>,
     costs: Vec<f64>,
+    /// Segments placed by the scheduler so far.
+    segments: u64,
 }
 
 impl WaveCostTable {
     fn id_of(&mut self, comp: WaveComp, lowered: &[(u64, BlockSegments)]) -> u32 {
-        if let Some(&id) = self.ids.get(&comp) {
-            return id;
+        if let Some(id) = self.comps.iter().position(|c| *c == comp) {
+            return id as u32;
         }
-        let cost = wave_cost(comp.blocks(lowered));
-        let id = self.costs.len() as u32;
+        let cost = self.wave_cost(comp.blocks(lowered));
+        self.comps.push(comp);
         self.costs.push(cost);
-        self.ids.insert(comp, id);
-        id
+        self.costs.len() as u32 - 1
+    }
+
+    /// Schedule one wave, counting the segments it places.
+    fn wave_cost<'a>(&mut self, blocks: impl Iterator<Item = &'a BlockSegments>) -> f64 {
+        let placed = &mut self.segments;
+        schedule_wave(blocks, |_, _, _, _| *placed += 1)
     }
 
     fn cost(&self, id: u32) -> f64 {
@@ -559,26 +577,32 @@ fn comp_of_slice(wave: &[u16]) -> Option<WaveComp> {
     Some(comp)
 }
 
-/// Exact reference schedule: expand the dispatch order (class after
-/// class) and deal round-robin to SMs, as the hardware's block scheduler
-/// does for a grid. Wave costs are still interned by composition —
-/// virtually all waves are identical — with an uncached [`wave_cost`]
-/// for the rare composition that overflows the inline encoding.
+/// Expand the dispatch order (class after class) and deal it round-robin
+/// to `n_sm` SMs, as the hardware's block scheduler does for a grid: the
+/// class index of every block, per SM, in dispatch order.
+pub(crate) fn deal(n_sm: usize, lowered: &[(u64, BlockSegments)]) -> Vec<Vec<u16>> {
+    let mut per_sm: Vec<Vec<u16>> = vec![Vec::new(); n_sm];
+    let order = lowered
+        .iter()
+        .enumerate()
+        .flat_map(|(idx, (count, _))| std::iter::repeat_n(idx as u16, *count as usize));
+    for (pos, cls) in order.enumerate() {
+        per_sm[pos % n_sm].push(cls);
+    }
+    per_sm
+}
+
+/// Exact reference schedule over the [`deal`]t dispatch order. Wave costs
+/// are still interned by composition — virtually all waves are identical
+/// — and scheduled uncached for the rare composition that overflows the
+/// inline encoding.
 fn schedule_dealing(
     n_sm: usize,
     k: usize,
-    total: u64,
     lowered: &[(u64, BlockSegments)],
     table: &mut WaveCostTable,
 ) -> Schedule {
-    let mut order: Vec<u16> = Vec::with_capacity(total as usize);
-    for (idx, (count, _)) in lowered.iter().enumerate() {
-        order.extend(std::iter::repeat_n(idx as u16, *count as usize));
-    }
-    let mut per_sm: Vec<Vec<u16>> = vec![Vec::new(); n_sm];
-    for (pos, cls) in order.iter().enumerate() {
-        per_sm[pos % n_sm].push(*cls);
-    }
+    let per_sm = deal(n_sm, lowered);
     let mut makespan = 0.0f64;
     let mut waves = 0u64;
     let mut sm_finish = vec![0.0f64; n_sm];
@@ -591,7 +615,7 @@ fn schedule_dealing(
                     let id = table.id_of(comp, lowered);
                     table.cost(id)
                 }
-                None => wave_cost(wave.iter().map(|&c| &lowered[c as usize].1)),
+                None => table.wave_cost(wave.iter().map(|&c| &lowered[c as usize].1)),
             };
             t += cost;
         }
@@ -605,54 +629,75 @@ fn schedule_dealing(
     }
 }
 
-/// Two-pipe greedy list schedule of the co-resident blocks of one wave.
+/// Two-pipe greedy list schedule of the co-resident blocks of one wave,
+/// from time 0.
 ///
-/// Each block is a sequential chain of segments; the memory pipe and the
-/// compute pipe each execute one segment at a time. At every step the
-/// block whose next segment can start earliest (ties: lowest block
-/// index) is scheduled. Returns the completion time of the last segment.
-fn wave_cost<'a>(blocks: impl Iterator<Item = &'a BlockSegments>) -> f64 {
-    struct St<'a> {
-        segs: &'a [cost::Segment],
-        next: usize,
+/// Each block is a chain of `chunks` repetitions of its chunk's segments;
+/// the memory pipe and the compute pipe each execute one segment at a
+/// time. At every step the block whose next segment can start earliest
+/// (ties: lowest block index) is placed, and `on_segment(block, pipe,
+/// start, end)` observes the placement: the engine passes a no-op, the
+/// tracer records it. Returns the completion time of the last segment.
+pub(crate) fn schedule_wave<'a>(
+    blocks: impl Iterator<Item = &'a BlockSegments>,
+    mut on_segment: impl FnMut(usize, Pipe, f64, f64),
+) -> f64 {
+    /// A block's position in its chain: `left` chunks to go, at `phase`
+    /// within the current one, whose segment `next` can start once the
+    /// previous segment ends at `ready`.
+    struct Live<'a> {
+        block: usize,
+        chunk: &'a [Segment],
+        phase: usize,
+        left: u64,
+        next: Segment,
         ready: f64,
     }
-    let mut st: Vec<St<'_>> = blocks
-        .map(|b| St {
-            segs: &b.segments,
-            next: 0,
-            ready: 0.0,
+    // Finished blocks leave `live`, which stays in block order.
+    let mut live: Vec<Live<'a>> = blocks
+        .enumerate()
+        .filter_map(|(block, b)| {
+            let (chunk, left) = (b.chunk(), b.chunks);
+            let next = *chunk.first()?;
+            Some(Live {
+                block,
+                chunk,
+                phase: 0,
+                left,
+                next,
+                ready: 0.0,
+            })
         })
         .collect();
-    let mut mem_free = 0.0f64;
-    let mut comp_free = 0.0f64;
+    // When each pipe is next free, indexed by `Pipe as usize`.
+    let mut free = [0.0f64; 2];
     let mut finish = 0.0f64;
-    loop {
+    let start_of = |b: &Live<'_>, free: &[f64; 2]| b.ready.max(free[b.next.pipe as usize]);
+    while let Some(first) = live.first() {
         // Find the runnable segment with the earliest possible start.
-        let mut best: Option<(f64, usize)> = None;
-        for (i, s) in st.iter().enumerate() {
-            if s.next >= s.segs.len() {
+        let (mut i, mut start) = (0, start_of(first, &free));
+        for (j, b) in live.iter().enumerate().skip(1) {
+            let s = start_of(b, &free);
+            if s < start {
+                (i, start) = (j, s);
+            }
+        }
+        let b = &mut live[i];
+        let end = start + b.next.dur;
+        free[b.next.pipe as usize] = end;
+        on_segment(b.block, b.next.pipe, start, end);
+        b.ready = end;
+        finish = finish.max(end);
+        b.phase += 1;
+        if b.phase == b.chunk.len() {
+            b.phase = 0;
+            b.left -= 1;
+            if b.left == 0 {
+                live.remove(i);
                 continue;
             }
-            let pipe_free = match s.segs[s.next].pipe {
-                Pipe::Mem => mem_free,
-                Pipe::Comp => comp_free,
-            };
-            let start = s.ready.max(pipe_free);
-            if best.is_none_or(|(bs, _)| start < bs) {
-                best = Some((start, i));
-            }
         }
-        let Some((start, i)) = best else { break };
-        let seg = st[i].segs[st[i].next];
-        let end = start + seg.dur;
-        match seg.pipe {
-            Pipe::Mem => mem_free = end,
-            Pipe::Comp => comp_free = end,
-        }
-        st[i].ready = end;
-        st[i].next += 1;
-        finish = finish.max(end);
+        b.next = b.chunk[b.phase];
     }
     finish
 }

@@ -2,17 +2,17 @@
 //! timed segments, for inspection, visualization, and scheduler tests.
 //!
 //! [`trace_kernel`] replays exactly the schedule the engine times (same
-//! block dealing, same waves, same greedy earliest-start policy) while
-//! recording every segment's placement. It is the slow, observable
-//! sibling of `engine::simulate` — used by examples and the scheduler's
-//! own invariants tests (no pipe overlap, chain order preserved, busy
-//! times match the cost model).
+//! block dealing, same waves, the engine's own wave scheduler, same fold
+//! of wave costs) while recording every segment's placement. It is the
+//! slow, observable sibling of `engine::simulate` — used by examples and
+//! the scheduler's own invariants tests (no pipe overlap, chain order
+//! preserved, busy times match the cost model).
 
 use crate::cost::{self, Pipe};
 use crate::device::DeviceConfig;
+use crate::engine::{deal, lower_classes, schedule_wave};
 use crate::occupancy::{occupancy, LaunchError};
 use crate::workload::SimWorkload;
-use hhc_tiling::plan::BlockClass;
 use serde::{Deserialize, Serialize};
 
 /// Which pipe a traced segment ran on (serializable mirror of
@@ -210,48 +210,32 @@ pub fn trace_kernel(
 ) -> Result<KernelTrace, LaunchError> {
     let occ = occupancy(device, wl)?;
     let k = occ.k;
-    let classes: &[BlockClass] = &wl.kernels[index].classes;
-    let lowered: Vec<(u64, cost::BlockSegments)> = classes
-        .iter()
-        .map(|c| (c.count, cost::lower_block(device, wl, c)))
-        .collect();
-
-    // Deal blocks to SMs round-robin in class order (as the engine does).
-    let mut order: Vec<u16> = Vec::new();
-    for (idx, (count, _)) in lowered.iter().enumerate() {
-        order.extend(std::iter::repeat_n(idx as u16, *count as usize));
-    }
-    let n_sm = device.n_sm;
-    let mut per_sm: Vec<Vec<u16>> = vec![Vec::new(); n_sm];
-    for (pos, cls) in order.iter().enumerate() {
-        per_sm[pos % n_sm].push(*cls);
-    }
+    let spill = cost::spill_factor(device, wl);
+    let (lowered, ..) = lower_classes(device, wl, &wl.kernels[index].classes, spill);
 
     let mut events = Vec::new();
     let mut makespan = 0.0f64;
-    for (sm, blocks) in per_sm.iter().enumerate() {
-        let mut t0 = 0.0f64;
-        for (wave_idx, wave) in blocks.chunks(k.max(1)).enumerate() {
-            let segs: Vec<&[cost::Segment]> = wave
-                .iter()
-                .map(|&c| lowered[c as usize].1.segments.as_slice())
-                .collect();
-            let end = schedule_wave(&segs, t0, |block, pipe, start, end| {
+    for (sm, dealt) in deal(device.n_sm, &lowered).iter().enumerate() {
+        // Each wave is scheduled from 0 and its cost added to the SM's
+        // clock, exactly as the engine folds wave costs.
+        let mut t = 0.0f64;
+        for (wave, classes) in dealt.chunks(k.max(1)).enumerate() {
+            let blocks = classes.iter().map(|&c| &lowered[c as usize].1);
+            t += schedule_wave(blocks, |block, pipe, start, end| {
                 events.push(TraceEvent {
                     sm,
-                    wave: wave_idx,
+                    wave,
                     block,
                     pipe: match pipe {
                         Pipe::Mem => TracePipe::Mem,
                         Pipe::Comp => TracePipe::Comp,
                     },
-                    start,
-                    end,
+                    start: t + start,
+                    end: t + end,
                 });
             });
-            t0 = end;
         }
-        makespan = makespan.max(t0);
+        makespan = makespan.max(t);
     }
     Ok(KernelTrace {
         k,
@@ -260,63 +244,12 @@ pub fn trace_kernel(
     })
 }
 
-/// The engine's greedy earliest-start two-pipe list scheduler, with an
-/// observer. Must stay behaviorally identical to `engine::wave_cost`.
-fn schedule_wave(
-    blocks: &[&[cost::Segment]],
-    t0: f64,
-    mut on_event: impl FnMut(usize, Pipe, f64, f64),
-) -> f64 {
-    struct St<'a> {
-        segs: &'a [cost::Segment],
-        next: usize,
-        ready: f64,
-    }
-    let mut st: Vec<St<'_>> = blocks
-        .iter()
-        .map(|b| St {
-            segs: b,
-            next: 0,
-            ready: t0,
-        })
-        .collect();
-    let mut mem_free = t0;
-    let mut comp_free = t0;
-    let mut finish = t0;
-    loop {
-        let mut best: Option<(f64, usize)> = None;
-        for (i, s) in st.iter().enumerate() {
-            if s.next >= s.segs.len() {
-                continue;
-            }
-            let pipe_free = match s.segs[s.next].pipe {
-                Pipe::Mem => mem_free,
-                Pipe::Comp => comp_free,
-            };
-            let start = s.ready.max(pipe_free);
-            if best.is_none_or(|(bs, _)| start < bs) {
-                best = Some((start, i));
-            }
-        }
-        let Some((start, i)) = best else { break };
-        let seg = st[i].segs[st[i].next];
-        let end = start + seg.dur;
-        match seg.pipe {
-            Pipe::Mem => mem_free = end,
-            Pipe::Comp => comp_free = end,
-        }
-        on_event(i, seg.pipe, start, end);
-        st[i].ready = end;
-        st[i].next += 1;
-        finish = finish.max(end);
-    }
-    finish
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::simulate_detailed;
+    use hhc_tiling::{LaunchConfig, TileSizes, TilingPlan};
+    use stencil_core::{ProblemSize, StencilDescriptor};
 
     fn workload() -> SimWorkload {
         let mut wl = SimWorkload::uniform(
@@ -335,16 +268,28 @@ mod tests {
 
     #[test]
     fn trace_reproduces_engine_makespan() {
+        // Every kernel of a multi-class plan, bit for bit.
         let d = DeviceConfig::gtx980();
-        let wl = workload();
+        let plan = TilingPlan::build(
+            &StencilDescriptor::jacobi2d().spec(),
+            &ProblemSize::new_2d(256, 256, 32),
+            TileSizes::new_2d(8, 32, 128),
+            LaunchConfig::new_2d(4, 32),
+        )
+        .unwrap();
+        let wl = SimWorkload::from_plan(&plan);
+        assert!(wl.kernels.iter().any(|k| k.classes.len() > 1));
         let (_, kernels) = simulate_detailed(&d, &wl).unwrap();
-        let trace = trace_kernel(&d, &wl, 0).unwrap();
-        assert!(
-            (trace.makespan - kernels[0].makespan).abs() < 1e-15,
-            "trace {} vs engine {}",
-            trace.makespan,
-            kernels[0].makespan
-        );
+        for (index, kernel) in kernels.iter().enumerate() {
+            let trace = trace_kernel(&d, &wl, index).unwrap();
+            assert_eq!(
+                trace.makespan.to_bits(),
+                kernel.makespan.to_bits(),
+                "kernel {index}: trace {} vs engine {}",
+                trace.makespan,
+                kernel.makespan
+            );
+        }
     }
 
     #[test]
