@@ -9,10 +9,11 @@ use gpu_sim::{simulate, DeviceConfig, SimWorkload};
 use hhc_tiling::{exec, HexTiling, LaunchConfig, TileSizes, TilingPlan};
 use std::hint::black_box;
 use stencil_core::{reference, Grid, ProblemSize, StencilDescriptor};
-use time_model::{predict, MeasuredParams, ModelParams};
+use time_model::{DimSpec, MeasuredParams, ModelParams};
 
 fn bench(c: &mut Criterion) {
-    let spec = StencilDescriptor::jacobi2d().spec();
+    let stencil = StencilDescriptor::jacobi2d();
+    let spec = stencil.spec();
     let device = DeviceConfig::gtx980();
 
     let mut g = c.benchmark_group("substrate");
@@ -52,8 +53,9 @@ fn bench(c: &mut Criterion) {
 
     // Model evaluation (the unit of the exhaustive sweep).
     let params = ModelParams::from_measured(&device, &MeasuredParams::paper_gtx980(3.39e-8));
+    let model = DimSpec::for_stencil(&stencil);
     g.bench_function("model_predict", |b| {
-        b.iter(|| black_box(predict(&params, &size, &tiles).talg))
+        b.iter(|| black_box(model.predict(&params, &size, &tiles).talg))
     });
 
     // Functional tiled execution vs the reference executor (validation

@@ -13,8 +13,8 @@ use gpu_sim::{SimWorkload, Workload};
 use hhc_tiling::{LaunchConfig, TileSizes, TilingPlan};
 use stencil_core::{reference, ProblemSize, StencilDim};
 use tile_opt::strategy::{empirical_launch, DataPoint};
-use tile_opt::{feasible_space, model_sweep, talg_min, within_fraction, SpaceConfig};
-use time_model::ModelParams;
+use tile_opt::{feasible_space, model_sweep_spec, talg_min, within_fraction, SpaceConfig};
+use time_model::{DimSpec, ModelParams};
 
 /// A problem size from `--size` extents: the space extents, then time.
 pub fn problem_size(v: &[usize], dim: StencilDim) -> Result<ProblemSize, String> {
@@ -101,7 +101,8 @@ pub fn predict(m: &Matches) -> Result<String, String> {
     let c = CommonArgs::from(m)?;
     let tiles = c.tiles(m, &TILE)?;
     let params = measured_params(&c);
-    let p = time_model::predict(&params, &c.workload.size, &tiles);
+    let w = &c.workload;
+    let p = DimSpec::for_stencil(&w.stencil).predict(&params, &w.size, &tiles);
     Ok(format!(
         "T_alg = {:.6} s\n  k = {}   kernels = {}   blocks/kernel = {}\n  m' = {:.3e} s   c = {:.3e} s ({})\n  M_tile = {} words ({} KB)",
         p.talg,
@@ -171,7 +172,8 @@ pub fn tune(m: &Matches) -> Result<String, String> {
     let spec = w.spec();
     let params = measured_params(&c);
     let space = feasible_space(w, &SpaceConfig::default());
-    let sweep = model_sweep(&params, &w.size, &space);
+    let model = DimSpec::for_stencil(&w.stencil);
+    let sweep = model_sweep_spec(model, &params, &w.size, &space, None);
     let (tmin, pmin) = talg_min(&sweep).ok_or("empty feasible space")?;
     let within = within_fraction(&sweep, 0.10);
 
@@ -242,8 +244,9 @@ pub fn compare(m: &Matches) -> Result<String, String> {
         "tiles (tT,tS..)", "T_alg [s]", "T_exec [s]", "GFLOPS/s"
     )];
     let flops = reference::total_flops(&spec, &w.size) as f64;
+    let dspec = DimSpec::for_stencil(&w.stencil);
     for tiles in [a, b] {
-        let pred = time_model::predict(&params, &w.size, &tiles);
+        let pred = dspec.predict(&params, &w.size, &tiles);
         let launch = empirical_launch(w.dim(), &tiles);
         let meas = TilingPlan::build(&spec, &w.size, tiles, launch)
             .ok()

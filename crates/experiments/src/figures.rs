@@ -8,6 +8,7 @@ use serde::{Deserialize, Serialize};
 use stencil_core::{ProblemSize, StencilDescriptor, StencilDim};
 use tile_opt::strategy::{study, DataPoint, Strategy, StrategyContext, Study};
 use tile_opt::{baseline_points, evaluate_points, Evaluated, SpaceConfig};
+use time_model::DimSpec;
 
 /// One (device, benchmark, size) validation experiment — a point set of
 /// the paper's Figure 3 plus the §5.3 RMSE numbers.
@@ -210,14 +211,15 @@ pub fn figure4(lab: &Lab) -> SurfaceResult {
         .copied()
         .unwrap_or_else(|| ProblemSize::new_2d(4096, 4096, 1024));
     let params = lab.model_params(device, &stencil);
+    let spec = DimSpec::for_stencil(&stencil);
     let t_s1 = 8usize;
     let mut cells = Vec::new();
     let mut min_cell: Option<SurfaceCell> = None;
     for t_t in (2..=48).step_by(2) {
         for t_s2 in (32..=512).step_by(32) {
             let tiles = TileSizes::new_2d(t_t, t_s1, t_s2);
-            let feasible = tile_opt::is_feasible(device, size.dim, &tiles);
-            let talg = feasible.then(|| time_model::predict(&params, &size, &tiles).talg);
+            let feasible = tile_opt::is_feasible(device, spec, &tiles);
+            let talg = feasible.then(|| spec.predict(&params, &size, &tiles).talg);
             let cell = SurfaceCell { t_t, t_s2, talg };
             if let Some(v) = talg {
                 if min_cell.and_then(|c| c.talg).is_none_or(|m| v < m) {

@@ -39,6 +39,30 @@ fn model_commands_match_the_fixture() {
     std::fs::remove_dir_all(dir).ok();
 }
 
+/// `predict` models a radius-2 stencil at its own radius: the `M_tile`
+/// and `k` it prints are the ones the advisor ranks Lap4_2D with.
+#[test]
+fn predict_uses_the_stencil_radius() {
+    let dir = scratch("radius");
+    let out = experiments(
+        &[
+            "predict",
+            "--stencil",
+            "lap4_2d",
+            "--size",
+            "1024x1024xT64",
+            "--tile",
+            "2,6,96",
+        ],
+        &dir,
+    );
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("M_tile = 2448 words"), "{stdout}");
+    assert!(stdout.contains("  k = 4   "), "{stdout}");
+    std::fs::remove_dir_all(dir).ok();
+}
+
 #[test]
 fn bad_input_exits_2_before_any_work() {
     let dir = scratch("bad");

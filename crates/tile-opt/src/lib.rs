@@ -30,12 +30,9 @@ pub use run::{
     SkippedCandidate,
 };
 pub use solver::{coordinate_descent, simulated_annealing, SolverResult};
-pub use space::{
-    coordinate_axes, feasible_space, feasible_tiles, feasible_tiles_r, is_feasible, is_feasible_r,
-    SpaceConfig,
-};
+pub use space::{coordinate_axes, feasible_space, feasible_tiles, is_feasible, SpaceConfig};
 pub use strategy::{
     baseline_points, best_measured, evaluate_points, simulate_point, study, thread_counts,
     DataPoint, EvalCache, Evaluated, Strategy, StrategyContext, StrategyOutcome, Study,
 };
-pub use sweep::{model_sweep, model_sweep_spec, model_sweep_with, talg_min, within_fraction};
+pub use sweep::{model_sweep, model_sweep_spec, talg_min, within_fraction};

@@ -20,12 +20,12 @@
 //! exhaustive sweep's `T_alg min` over many instances.
 
 use crate::space::{coordinate_axes, is_feasible, SpaceConfig};
-use gpu_sim::DeviceConfig;
+use gpu_sim::Workload;
 use hhc_tiling::TileSizes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use stencil_core::{ProblemSize, StencilDim};
-use time_model::{predict, ModelParams};
+use stencil_core::StencilDim;
+use time_model::{DimSpec, ModelParams};
 
 /// Outcome of a heuristic solve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,40 +42,33 @@ fn make_tiles(dim: StencilDim, coords: &[usize]) -> TileSizes {
     TileSizes::from_coords(dim, coords).expect("solver coordinates match the rank")
 }
 
-/// Objective: `T_alg`, or `+inf` when infeasible.
-fn objective(
-    device: &DeviceConfig,
-    params: &ModelParams,
-    size: &ProblemSize,
-    dim: StencilDim,
-    coords: &[usize],
-    evals: &mut usize,
-) -> f64 {
-    let tiles = make_tiles(dim, coords);
-    if !is_feasible(device, dim, &tiles) {
+/// Objective: the workload's `T_alg`, or `+inf` when infeasible.
+fn objective(w: &Workload, params: &ModelParams, coords: &[usize], evals: &mut usize) -> f64 {
+    let spec = DimSpec::for_stencil(&w.stencil);
+    let tiles = make_tiles(w.dim(), coords);
+    if !is_feasible(&w.device, spec, &tiles) {
         return f64::INFINITY;
     }
     *evals += 1;
-    predict(params, size, &tiles).talg
+    spec.predict(params, &w.size, &tiles).talg
 }
 
 /// Coordinate descent from a starting point: repeatedly set each
 /// coordinate to its best candidate value with the others fixed, until
 /// no coordinate moves.
 pub fn coordinate_descent(
-    device: &DeviceConfig,
+    w: &Workload,
     params: &ModelParams,
-    size: &ProblemSize,
     cfg: &SpaceConfig,
     start: &TileSizes,
 ) -> SolverResult {
-    let dim = size.dim;
+    let dim = w.dim();
     // The same candidate-value axes the exhaustive sweep enumerates, so
     // the comparison is apples-to-apples.
     let values = coordinate_axes(cfg, dim);
     let mut coords: Vec<usize> = start.coords(dim);
     let mut evals = 0usize;
-    let mut best = objective(device, params, size, dim, &coords, &mut evals);
+    let mut best = objective(w, params, &coords, &mut evals);
     loop {
         let mut moved = false;
         for d in 0..coords.len() {
@@ -83,7 +76,7 @@ pub fn coordinate_descent(
             let mut best_v = saved;
             for &v in values[d] {
                 coords[d] = v;
-                let f = objective(device, params, size, dim, &coords, &mut evals);
+                let f = objective(w, params, &coords, &mut evals);
                 if f < best {
                     best = f;
                     best_v = v;
@@ -106,15 +99,14 @@ pub fn coordinate_descent(
 /// Simulated annealing with `restarts` random starts and a fixed
 /// move/cooling budget per start. Deterministic for a given `seed`.
 pub fn simulated_annealing(
-    device: &DeviceConfig,
+    w: &Workload,
     params: &ModelParams,
-    size: &ProblemSize,
     cfg: &SpaceConfig,
     restarts: usize,
     steps: usize,
     seed: u64,
 ) -> SolverResult {
-    let dim = size.dim;
+    let dim = w.dim();
     let values = coordinate_axes(cfg, dim);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut evals = 0usize;
@@ -133,7 +125,7 @@ pub fn simulated_annealing(
                 .map(|vs| vs[rng.gen_range(0..vs.len())])
                 .collect()
         };
-        let mut f = objective(device, params, size, dim, &coords, &mut evals);
+        let mut f = objective(w, params, &coords, &mut evals);
         let mut temp = 1.0f64;
         for _ in 0..steps {
             // Neighbor: bump one coordinate to an adjacent candidate.
@@ -146,7 +138,7 @@ pub fn simulated_annealing(
             };
             let saved = coords[d];
             coords[d] = values[d][nidx];
-            let nf = objective(device, params, size, dim, &coords, &mut evals);
+            let nf = objective(w, params, &coords, &mut evals);
             let accept = nf < f
                 || (nf.is_finite()
                     && f.is_finite()
@@ -173,38 +165,42 @@ pub fn simulated_annealing(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::space::feasible_tiles;
-    use crate::sweep::{model_sweep, talg_min};
+    use crate::space::feasible_space;
+    use crate::sweep::{model_sweep_spec, talg_min};
+    use gpu_sim::DeviceConfig;
+    use stencil_core::{ProblemSize, StencilDescriptor};
     use time_model::MeasuredParams;
 
-    fn setup() -> (DeviceConfig, ModelParams, ProblemSize, SpaceConfig) {
+    fn setup() -> (Workload, ModelParams, SpaceConfig) {
         let device = DeviceConfig::gtx980();
         let params = ModelParams::from_measured(&device, &MeasuredParams::paper_gtx980(3.39e-8));
-        (
+        let w = Workload::new(
             device,
-            params,
+            StencilDescriptor::heat2d(),
             ProblemSize::new_2d(2048, 2048, 512),
-            SpaceConfig::default(),
         )
+        .unwrap();
+        (w, params, SpaceConfig::default())
     }
 
     #[test]
     fn coordinate_descent_finds_feasible_local_optimum() {
-        let (device, params, size, cfg) = setup();
+        let (w, params, cfg) = setup();
+        let spec = DimSpec::for_stencil(&w.stencil);
         let start = TileSizes::new_2d(8, 8, 64);
-        let r = coordinate_descent(&device, &params, &size, &cfg, &start);
+        let r = coordinate_descent(&w, &params, &cfg, &start);
         assert!(r.talg.is_finite());
-        assert!(is_feasible(&device, size.dim, &r.tiles));
+        assert!(is_feasible(&w.device, spec, &r.tiles));
         // A local optimum: never worse than its start.
-        let f0 = predict(&params, &size, &start).talg;
+        let f0 = spec.predict(&params, &w.size, &start).talg;
         assert!(r.talg <= f0);
     }
 
     #[test]
     fn annealing_is_deterministic_for_seed() {
-        let (device, params, size, cfg) = setup();
-        let a = simulated_annealing(&device, &params, &size, &cfg, 3, 60, 11);
-        let b = simulated_annealing(&device, &params, &size, &cfg, 3, 60, 11);
+        let (w, params, cfg) = setup();
+        let a = simulated_annealing(&w, &params, &cfg, 3, 60, 11);
+        let b = simulated_annealing(&w, &params, &cfg, 3, 60, 11);
         assert_eq!(a.tiles, b.tiles);
         assert_eq!(a.talg.to_bits(), b.talg.to_bits());
     }
@@ -214,13 +210,14 @@ mod tests {
         // The paper's §6.1 finding: heuristic solvers give relatively
         // good but suboptimal answers; the exhaustive model sweep is the
         // reliable tool.
-        let (device, params, size, cfg) = setup();
-        let space = feasible_tiles(&device, size.dim, &cfg);
-        let sweep = model_sweep(&params, &size, &space);
+        let (w, params, cfg) = setup();
+        let space = feasible_space(&w, &cfg);
+        let spec = DimSpec::for_stencil(&w.stencil);
+        let sweep = model_sweep_spec(spec, &params, &w.size, &space, None);
         let (_, best) = talg_min(&sweep).unwrap();
 
-        let cd = coordinate_descent(&device, &params, &size, &cfg, &TileSizes::new_2d(4, 4, 32));
-        let sa = simulated_annealing(&device, &params, &size, &cfg, 2, 50, 3);
+        let cd = coordinate_descent(&w, &params, &cfg, &TileSizes::new_2d(4, 4, 32));
+        let sa = simulated_annealing(&w, &params, &cfg, 2, 50, 3);
         // Never better than the exhaustive optimum…
         assert!(cd.talg >= best.talg * (1.0 - 1e-12));
         assert!(sa.talg >= best.talg * (1.0 - 1e-12));

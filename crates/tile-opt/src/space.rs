@@ -15,6 +15,7 @@ use gpu_sim::{DeviceConfig, Workload};
 use hhc_tiling::TileSizes;
 use serde::{Deserialize, Serialize};
 use stencil_core::StencilDim;
+use time_model::DimSpec;
 
 /// Bounds of the enumerated feasible space. The defaults cover the same
 /// ranges the paper's experiments explore; enlarging them only grows the
@@ -42,19 +43,6 @@ impl Default for SpaceConfig {
     }
 }
 
-/// The model-level `M_tile` for a tile-size candidate (the
-/// dimension-generic [`time_model::DimSpec`] footprint).
-pub fn mtile_words(dim: StencilDim, tiles: &TileSizes) -> u64 {
-    time_model::mtile_words(dim, tiles)
-}
-
-/// [`mtile_words`] for a radius-`r` stencil: halos and skews widen with
-/// the hexagon slope, so larger-radius descriptors fit fewer candidate
-/// tiles under the shared-memory cap.
-pub fn mtile_words_r(dim: StencilDim, radius: u64, tiles: &TileSizes) -> u64 {
-    time_model::DimSpec::with_radius(dim, radius).mtile_words(tiles)
-}
-
 /// The candidate-value axes of the feasible space, in coordinate order
 /// `[t_T, t_S1, (t_S_mid…,) t_S_inner]`: the hexagon base and time
 /// extent always, then the free middle extents, then the warp-aligned
@@ -75,44 +63,23 @@ pub fn coordinate_axes(cfg: &SpaceConfig, dim: StencilDim) -> Vec<&[usize]> {
     axes
 }
 
-/// Whether a candidate satisfies Eqn 31's constraints on `device`.
-pub fn is_feasible(device: &DeviceConfig, dim: StencilDim, tiles: &TileSizes) -> bool {
-    is_feasible_r(device, dim, 1, tiles)
-}
-
-/// [`is_feasible`] for a radius-`r` stencil (radius-aware `M_tile`).
-pub fn is_feasible_r(
-    device: &DeviceConfig,
-    dim: StencilDim,
-    radius: u64,
-    tiles: &TileSizes,
-) -> bool {
-    if tiles.validate(dim).is_err() {
-        return false;
-    }
-    let mtile = mtile_words_r(dim, radius, tiles);
+/// Whether a candidate satisfies Eqn 31's constraints on `device` for
+/// a stencil of shape `spec` (its radius widens the modeled `M_tile`,
+/// so larger-radius stencils fit fewer candidate tiles).
+pub fn is_feasible(device: &DeviceConfig, spec: DimSpec, tiles: &TileSizes) -> bool {
     // M_tile ≤ M_SM/threadblock (the 48 KB per-block cap); the k·M_tile
     // ≤ M_SM and k ≤ MTB_SM constraints are then satisfied by the
     // definition of k (Eqn 11).
-    mtile <= device.shared_per_block_words
+    tiles.validate(spec.dim()).is_ok() && spec.mtile_words(tiles) <= device.shared_per_block_words
 }
 
-/// Enumerate the feasible tile-size space for a stencil dimensionality:
-/// the cartesian product of [`coordinate_axes`] in lexicographic order
-/// (last axis fastest), filtered by [`is_feasible`].
-pub fn feasible_tiles(device: &DeviceConfig, dim: StencilDim, cfg: &SpaceConfig) -> Vec<TileSizes> {
-    feasible_tiles_r(device, dim, 1, cfg)
-}
-
-/// [`feasible_tiles`] for a radius-`r` stencil. Radius 1 enumerates the
-/// identical space in the identical order (the radius only enters the
-/// `M_tile` filter, through exact integer arithmetic).
-pub fn feasible_tiles_r(
-    device: &DeviceConfig,
-    dim: StencilDim,
-    radius: u64,
-    cfg: &SpaceConfig,
-) -> Vec<TileSizes> {
+/// Enumerate the feasible tile-size space for a stencil shape: the
+/// cartesian product of [`coordinate_axes`] in lexicographic order (last
+/// axis fastest), filtered by [`is_feasible`]. The radius only enters
+/// the `M_tile` filter, so a larger radius keeps a subsequence of the
+/// radius-1 space in the same order.
+pub fn feasible_tiles(device: &DeviceConfig, spec: DimSpec, cfg: &SpaceConfig) -> Vec<TileSizes> {
+    let dim = spec.dim();
     let axes = coordinate_axes(cfg, dim);
     let mut out = Vec::new();
     let mut enumerated = 0u64;
@@ -125,7 +92,7 @@ pub fn feasible_tiles_r(
             }
             let t = TileSizes::from_coords(dim, &coords).expect("one coordinate per axis");
             enumerated += 1;
-            if is_feasible_r(device, dim, radius, &t) {
+            if is_feasible(device, spec, &t) {
                 out.push(t);
             }
             let mut d = axes.len();
@@ -149,9 +116,9 @@ pub fn feasible_tiles_r(
 }
 
 /// [`feasible_tiles`] for a [`Workload`]: the space of Eqn 31 for the
-/// workload's device, dimensionality, and stencil radius.
+/// workload's device and stencil shape.
 pub fn feasible_space(w: &Workload, cfg: &SpaceConfig) -> Vec<TileSizes> {
-    feasible_tiles_r(&w.device, w.dim(), w.radius().max(1) as u64, cfg)
+    feasible_tiles(&w.device, DimSpec::for_stencil(&w.stencil), cfg)
 }
 
 #[cfg(test)]
@@ -163,10 +130,13 @@ mod tests {
         let d = DeviceConfig::gtx980();
         let cfg = SpaceConfig::default();
         for dim in [StencilDim::D1, StencilDim::D2, StencilDim::D3] {
-            let tiles = feasible_tiles(&d, dim, &cfg);
+            let tiles = feasible_tiles(&d, DimSpec::of(dim), &cfg);
             assert!(tiles.len() > 50, "{dim:?}: {}", tiles.len());
             for t in &tiles {
-                assert!(mtile_words(dim, t) <= d.shared_per_block_words, "{t:?}");
+                assert!(
+                    DimSpec::of(dim).mtile_words(t) <= d.shared_per_block_words,
+                    "{t:?}"
+                );
                 assert_eq!(t.t_t % 2, 0);
             }
         }
@@ -177,17 +147,17 @@ mod tests {
         let d = DeviceConfig::gtx980();
         // 2(65+57)(513+57)-ish ≫ 12288 words.
         let t = TileSizes::new_2d(56, 64, 512);
-        assert!(!is_feasible(&d, StencilDim::D2, &t));
+        assert!(!is_feasible(&d, DimSpec::of(StencilDim::D2), &t));
     }
 
     #[test]
     fn inner_dimension_is_warp_aligned() {
         let d = DeviceConfig::gtx980();
         let cfg = SpaceConfig::default();
-        for t in feasible_tiles(&d, StencilDim::D2, &cfg) {
+        for t in feasible_tiles(&d, DimSpec::of(StencilDim::D2), &cfg) {
             assert_eq!(t.t_s[1] % 32, 0, "{t:?}");
         }
-        for t in feasible_tiles(&d, StencilDim::D3, &cfg) {
+        for t in feasible_tiles(&d, DimSpec::of(StencilDim::D3), &cfg) {
             assert_eq!(t.t_s[2] % 32, 0, "{t:?}");
         }
     }
@@ -199,7 +169,7 @@ mod tests {
             t_t: 3,
             t_s: [8, 32, 1],
         };
-        assert!(!is_feasible(&d, StencilDim::D2, &t));
+        assert!(!is_feasible(&d, DimSpec::of(StencilDim::D2), &t));
     }
 
     #[test]
@@ -208,14 +178,14 @@ mod tests {
         // order exactly (result files are diffed byte-for-byte).
         let d = DeviceConfig::gtx980();
         let cfg = SpaceConfig::default();
-        let got = feasible_tiles(&d, StencilDim::D3, &cfg);
+        let got = feasible_tiles(&d, DimSpec::of(StencilDim::D3), &cfg);
         let mut expect = Vec::new();
         for &t_t in &cfg.t_t {
             for &s1 in &cfg.t_s1 {
                 for &s2 in &cfg.t_s_mid {
                     for &s3 in &cfg.t_s_inner {
                         let t = TileSizes::new_3d(t_t, s1, s2, s3);
-                        if is_feasible(&d, StencilDim::D3, &t) {
+                        if is_feasible(&d, DimSpec::of(StencilDim::D3), &t) {
                             expect.push(t);
                         }
                     }
@@ -237,7 +207,7 @@ mod tests {
         .unwrap();
         assert_eq!(
             feasible_space(&w, &cfg),
-            feasible_tiles(&d, StencilDim::D2, &cfg)
+            feasible_tiles(&d, DimSpec::of(StencilDim::D2), &cfg)
         );
     }
 
@@ -246,9 +216,8 @@ mod tests {
         let d = DeviceConfig::gtx980();
         let cfg = SpaceConfig::default();
         for dim in [StencilDim::D1, StencilDim::D2, StencilDim::D3] {
-            let r1 = feasible_tiles_r(&d, dim, 1, &cfg);
-            let r2 = feasible_tiles_r(&d, dim, 2, &cfg);
-            assert_eq!(r1, feasible_tiles(&d, dim, &cfg));
+            let r1 = feasible_tiles(&d, DimSpec::of(dim), &cfg);
+            let r2 = feasible_tiles(&d, DimSpec::with_radius(dim, 2), &cfg);
             assert!(!r2.is_empty(), "{dim:?}");
             assert!(r2.len() <= r1.len(), "{dim:?}");
             // Radius 2 is a filtered subsequence of radius 1.
@@ -271,7 +240,7 @@ mod tests {
         .unwrap();
         assert_eq!(
             feasible_space(&w, &cfg),
-            feasible_tiles_r(&d, StencilDim::D2, 2, &cfg)
+            feasible_tiles(&d, DimSpec::with_radius(StencilDim::D2, 2), &cfg)
         );
     }
 
@@ -281,7 +250,7 @@ mod tests {
         // baseline per experiment when thread counts are included; the
         // tile-size grid alone lands in the low thousands.
         let d = DeviceConfig::gtx980();
-        let n = feasible_tiles(&d, StencilDim::D2, &SpaceConfig::default()).len();
+        let n = feasible_tiles(&d, DimSpec::of(StencilDim::D2), &SpaceConfig::default()).len();
         assert!((200..20_000).contains(&n), "n = {n}");
     }
 }

@@ -5,42 +5,23 @@
 use hhc_tiling::TileSizes;
 use rayon::prelude::*;
 use stencil_core::ProblemSize;
-use time_model::{predict, predict_with, Correction, DimSpec, ModelParams, Prediction};
+use time_model::{Correction, DimSpec, ModelParams, Prediction};
 
-/// Evaluate `T_alg` for every candidate, in parallel.
+/// The paper's radius-1 sweep: `T_alg` for every candidate at
+/// `size`'s dimensionality — [`model_sweep_spec`] with
+/// `DimSpec::of(size.dim)` and no correction.
 pub fn model_sweep(
     params: &ModelParams,
     size: &ProblemSize,
     tiles: &[TileSizes],
 ) -> Vec<(TileSizes, Prediction)> {
-    tiles
-        .par_iter()
-        .map(|t| (*t, predict(params, size, t)))
-        .collect()
+    model_sweep_spec(DimSpec::of(size.dim), params, size, tiles, None)
 }
 
-/// [`model_sweep`] under an optional calibration [`Correction`] — what
-/// the advisor ranks when a calibration store has enough evidence for
-/// the queried (device, stencil, dim) segment. `None` routes through
-/// the plain [`predict`] path and is bit-identical to [`model_sweep`].
-pub fn model_sweep_with(
-    params: &ModelParams,
-    size: &ProblemSize,
-    tiles: &[TileSizes],
-    corr: Option<&Correction>,
-) -> Vec<(TileSizes, Prediction)> {
-    match corr {
-        None => model_sweep(params, size, tiles),
-        Some(corr) => tiles
-            .par_iter()
-            .map(|t| (*t, predict_with(params, size, t, Some(corr))))
-            .collect(),
-    }
-}
-
-/// [`model_sweep_with`] for an explicit [`DimSpec`] — the descriptor
-/// path, where the stencil radius widens halos and row sums. A radius-1
-/// spec is bit-identical to [`model_sweep_with`] (which it subsumes).
+/// Evaluate `T_alg` for every candidate, in parallel, for a stencil of
+/// shape `spec` under an optional calibration [`Correction`] — what the
+/// optimizer and the advisor rank. The stencil radius widens halos and
+/// row sums; `None` is the uncorrected model, bit for bit.
 pub fn model_sweep_spec(
     spec: DimSpec,
     params: &ModelParams,
@@ -109,7 +90,7 @@ mod tests {
 
     fn sweep_2d() -> Vec<(TileSizes, Prediction)> {
         let d = DeviceConfig::gtx980();
-        let tiles = feasible_tiles(&d, StencilDim::D2, &SpaceConfig::default());
+        let tiles = feasible_tiles(&d, DimSpec::of(StencilDim::D2), &SpaceConfig::default());
         model_sweep(&params(), &ProblemSize::new_2d(1024, 1024, 512), &tiles)
     }
 
@@ -157,24 +138,10 @@ mod tests {
     }
 
     #[test]
-    fn spec_sweep_at_radius_one_matches_legacy_bitwise() {
-        let d = DeviceConfig::gtx980();
-        let tiles = feasible_tiles(&d, StencilDim::D2, &SpaceConfig::default());
-        let size = ProblemSize::new_2d(1024, 1024, 512);
-        let legacy = model_sweep_with(&params(), &size, &tiles, None);
-        let spec = model_sweep_spec(DimSpec::of(StencilDim::D2), &params(), &size, &tiles, None);
-        assert_eq!(legacy.len(), spec.len());
-        for (a, b) in legacy.iter().zip(&spec) {
-            assert_eq!(a.0, b.0);
-            assert_eq!(a.1.talg.to_bits(), b.1.talg.to_bits());
-        }
-    }
-
-    #[test]
     fn radius_enters_the_spec_sweep() {
         let d = DeviceConfig::gtx980();
         let size = ProblemSize::new_2d(1024, 1024, 512);
-        let tiles = feasible_tiles(&d, StencilDim::D2, &SpaceConfig::default());
+        let tiles = feasible_tiles(&d, DimSpec::of(StencilDim::D2), &SpaceConfig::default());
         let r1 = model_sweep_spec(DimSpec::of(StencilDim::D2), &params(), &size, &tiles, None);
         let r2 = model_sweep_spec(
             DimSpec::with_radius(StencilDim::D2, 2),

@@ -1,5 +1,5 @@
 //! Ranking invariants of the corrected sweep: whatever positive factors
-//! a calibration store serves, [`model_sweep_with`] must evaluate the
+//! a calibration store serves, [`model_sweep_spec`] must evaluate the
 //! same Eqn-31 candidate set in the same order, its ranking helpers must
 //! stay internally consistent, and the no-correction / identity paths
 //! must reproduce the uncorrected sweep bit for bit.
@@ -9,8 +9,8 @@ use hhc_tiling::TileSizes;
 use proptest::prelude::*;
 use stencil_core::{ProblemSize, StencilDim};
 use tile_opt::space::{feasible_tiles, SpaceConfig};
-use tile_opt::{model_sweep, model_sweep_with, talg_min, within_fraction};
-use time_model::{Correction, MeasuredParams, ModelParams};
+use tile_opt::{model_sweep, model_sweep_spec, talg_min, within_fraction};
+use time_model::{Correction, DimSpec, MeasuredParams, ModelParams};
 
 fn params() -> ModelParams {
     ModelParams::from_measured(
@@ -19,12 +19,12 @@ fn params() -> ModelParams {
     )
 }
 
+fn spec() -> DimSpec {
+    DimSpec::of(StencilDim::D2)
+}
+
 fn space() -> Vec<TileSizes> {
-    feasible_tiles(
-        &DeviceConfig::gtx980(),
-        StencilDim::D2,
-        &SpaceConfig::default(),
-    )
+    feasible_tiles(&DeviceConfig::gtx980(), spec(), &SpaceConfig::default())
 }
 
 /// Positive, finite factors spanning past the fitter's clamp range
@@ -50,11 +50,11 @@ proptest! {
         let tiles = space();
         let corr = Correction { citer_scale, mem_scale };
         let raw = model_sweep(&p, &size, &tiles);
-        let cal = model_sweep_with(&p, &size, &tiles, Some(&corr));
+        let cal = model_sweep_spec(spec(), &p, &size, &tiles, Some(&corr));
         prop_assert_eq!(cal.len(), raw.len());
         for (i, ((ct, cp), (rt, _))) in cal.iter().zip(&raw).enumerate() {
             prop_assert_eq!(ct, rt, "candidate order changed at {}", i);
-            let direct = time_model::predict_with(&p, &size, ct, Some(&corr));
+            let direct = spec().predict_with(&p, &size, ct, Some(&corr));
             prop_assert_eq!(cp.talg.to_bits(), direct.talg.to_bits());
             prop_assert_eq!(
                 (cp.k, cp.nw, cp.w, cp.mtile_words),
@@ -81,8 +81,8 @@ proptest! {
         let tiles = space();
         let raw = model_sweep(&p, &size, &tiles);
         for cal in [
-            model_sweep_with(&p, &size, &tiles, None),
-            model_sweep_with(&p, &size, &tiles, Some(&Correction::IDENTITY)),
+            model_sweep_spec(spec(), &p, &size, &tiles, None),
+            model_sweep_spec(spec(), &p, &size, &tiles, Some(&Correction::IDENTITY)),
         ] {
             prop_assert_eq!(cal.len(), raw.len());
             for ((ct, cp), (rt, rp)) in cal.iter().zip(&raw) {

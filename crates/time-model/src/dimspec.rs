@@ -13,15 +13,15 @@
 //!   sub-tiles (Section 4.2.2 / Eqn 23);
 //! * the per-wave unit time and the grid quantization are Eqns 6/17/30.
 //!
-//! [`DimSpec`] captures the rank once and evaluates each of those
-//! pieces generically; [`crate::predict`] routes through it. The legacy
-//! per-dimension modules ([`crate::hex1d`], [`crate::hybrid2d`],
-//! [`crate::hybrid3d`]) are retained as a bit-exact oracle — the tests
-//! here and the workspace-level `model_equivalence` suite assert
-//! `to_bits()` equality against them, which holds because every
-//! floating-point expression below keeps the oracle's operand order
-//! (e.g. `2.0 · mi` is an exact f64 doubling, so the 1D oracle's
-//! pre-doubled `m_io = 2(t_S + 2t_T)` and the generic
+//! [`DimSpec`] captures the rank and halo radius once and evaluates
+//! each of those pieces generically; it is the model's one entry point.
+//! The legacy per-dimension modules ([`crate::hex1d`],
+//! [`crate::hybrid2d`], [`crate::hybrid3d`]) are retained as a
+//! bit-exact oracle — the tests here and the workspace-level
+//! `model_equivalence` suite assert `to_bits()` equality against them,
+//! which holds because every floating-point expression below keeps the
+//! oracle's operand order (e.g. `2.0 · mi` is an exact f64 doubling, so
+//! the 1D oracle's pre-doubled `m_io = 2(t_S + 2t_T)` and the generic
 //! `2 · inner·(t_S1 + 2t_T)` produce identical products).
 
 use crate::common;
@@ -74,6 +74,12 @@ impl DimSpec {
         Self::with_radius(stencil.dim, stencil.radius.max(1) as u64)
     }
 
+    /// The dimensionality this spec's rank stands for.
+    #[inline]
+    pub fn dim(&self) -> StencilDim {
+        StencilDim::ALL[self.rank - 1]
+    }
+
     /// The inner-extent product `∏_{d>1} t_Sd` (1 for 1D, `t_S2` for 2D,
     /// `t_S2·t_S3` for 3D) — the cross-section every hexagon row is
     /// extruded through.
@@ -98,9 +104,14 @@ impl DimSpec {
     /// the row widths stepping by `2r` between the radius-`r` hexagon's
     /// rows.
     pub fn compute_time(&self, p: &ModelParams, tiles: &TileSizes) -> f64 {
+        self.iter_time(p, tiles) + tiles.t_t as f64 * p.tau_sync()
+    }
+
+    /// The `2 C_iter Σ` product of [`compute_time`](DimSpec::compute_time)
+    /// — the part a calibration's `citer_scale` rescales.
+    fn iter_time(&self, p: &ModelParams, tiles: &TileSizes) -> f64 {
         2.0 * p.citer()
             * common::row_sum_r(p, tiles.t_s[0], tiles.t_t, self.inner(tiles), self.radius) as f64
-            + tiles.t_t as f64 * p.tau_sync()
     }
 
     /// Shared-memory footprint `M_tile` in words: `2(t_S + r·t_T)` for
@@ -150,6 +161,21 @@ impl DimSpec {
     }
 
     /// Full prediction — Eqns 6/17/30, generic over rank.
+    ///
+    /// ```
+    /// use gpu_sim::DeviceConfig;
+    /// use hhc_tiling::TileSizes;
+    /// use stencil_core::{ProblemSize, StencilDescriptor};
+    /// use time_model::{DimSpec, MeasuredParams, ModelParams};
+    ///
+    /// let device = DeviceConfig::gtx980();
+    /// let params = ModelParams::from_measured(&device, &MeasuredParams::paper_gtx980(3.39e-8));
+    /// let spec = DimSpec::for_stencil(&StencilDescriptor::jacobi2d());
+    /// let size = ProblemSize::new_2d(4096, 4096, 1024);
+    /// let pred = spec.predict(&params, &size, &TileSizes::new_2d(8, 16, 128));
+    /// assert!(pred.talg > 0.0);
+    /// assert_eq!(pred.nw, 2 * 1024 / 8); // Eqn 3
+    /// ```
     pub fn predict(&self, p: &ModelParams, size: &ProblemSize, tiles: &TileSizes) -> Prediction {
         self.predict_with(p, size, tiles, None)
     }
@@ -168,25 +194,12 @@ impl DimSpec {
         tiles: &TileSizes,
         corr: Option<&Correction>,
     ) -> Prediction {
-        let nw = common::wavefronts(size.time, tiles.t_t);
-        let w = common::wavefront_width_r(size.space[0], tiles.t_s[0], tiles.t_t, self.radius);
-        let mtile = self.mtile_words(tiles);
-        let k = common::effective_k(p, w, common::hyperthreading(p, mtile));
+        let (nw, w, mtile, k) = self.geometry(p, size, tiles);
         let (m, c) = match corr {
             None => (self.m_prime(p, tiles), self.compute_time(p, tiles)),
             Some(corr) => (
                 corr.mem_scale * self.m_prime(p, tiles),
-                corr.citer_scale
-                    * (2.0
-                        * p.citer()
-                        * common::row_sum_r(
-                            p,
-                            tiles.t_s[0],
-                            tiles.t_t,
-                            self.inner(tiles),
-                            self.radius,
-                        ) as f64)
-                    + tiles.t_t as f64 * p.tau_sync(),
+                corr.citer_scale * self.iter_time(p, tiles) + tiles.t_t as f64 * p.tau_sync(),
             ),
         };
         let unit = self.unit_time(m, c, k, self.subunits(size, tiles));
@@ -200,6 +213,23 @@ impl DimSpec {
             c,
             mtile_words: mtile,
         }
+    }
+
+    /// The geometry every prediction shares: `(N_w, w, M_tile, k)` —
+    /// the wavefront count (Eqn 3), blocks per wavefront at the
+    /// radius-`r` pitch (Eqn 5), the shared-memory footprint, and the
+    /// effective hyper-threading factor (Eqn 11).
+    pub(crate) fn geometry(
+        &self,
+        p: &ModelParams,
+        size: &ProblemSize,
+        tiles: &TileSizes,
+    ) -> (usize, u64, u64, usize) {
+        let nw = common::wavefronts(size.time, tiles.t_t);
+        let w = common::wavefront_width_r(size.space[0], tiles.t_s[0], tiles.t_t, self.radius);
+        let mtile = self.mtile_words(tiles);
+        let k = common::effective_k(p, w, common::hyperthreading(p, mtile));
+        (nw, w, mtile, k)
     }
 }
 

@@ -20,6 +20,9 @@
 //! boundary raggedness, and memory latency — that is the point: it is
 //! accurate *where it matters* (within 20 % of the best) and cheap
 //! enough to drive tile-size selection (the `tile-opt` crate).
+//!
+//! The one way into the model is [`DimSpec`], the stencil's rank and
+//! halo radius: `DimSpec::for_stencil(&stencil).predict(..)`.
 
 pub mod dimspec;
 pub mod hex1d;
@@ -31,11 +34,8 @@ pub mod roofline;
 
 pub use dimspec::DimSpec;
 pub use params::{MeasuredParams, ModelParams};
-pub use refined::predict_refined;
 
-use hhc_tiling::TileSizes;
 use serde::{Deserialize, Serialize};
-use stencil_core::{ProblemSize, StencilDim};
 
 /// The model's output for one configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -87,10 +87,10 @@ impl Prediction {
 /// touched: calibration refines *time*, not geometry. A scaled tile
 /// can, however, legitimately flip [`Prediction::memory_bound`].
 ///
-/// [`predict`] is exactly [`predict_with`] with `None`: when no
-/// correction is supplied the arithmetic is the pre-calibration
-/// expression, not a multiplication by `1.0` — uncorrected
-/// predictions stay bit-identical by construction.
+/// [`DimSpec::predict`] is exactly [`DimSpec::predict_with`] with
+/// `None`: when no correction is supplied the arithmetic is the
+/// pre-calibration expression, not a multiplication by `1.0` —
+/// uncorrected predictions stay bit-identical by construction.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Correction {
     /// Factor on the `2 C_iter Σ` compute product.
@@ -122,76 +122,6 @@ impl Correction {
             && self.mem_scale.is_finite()
             && self.mem_scale > 0.0
     }
-}
-
-/// Evaluate `T_alg` for a stencil of dimensionality `dim` with measured
-/// parameters `p`, problem size `size`, and tile sizes `tiles`.
-///
-/// Evaluates the dimension-generic [`DimSpec`] model, which instantiates
-/// the 1D hexagonal model (Section 4.1), the 2D hybrid model (4.2), or
-/// the 3D hybrid model (4.3) from one set of formulas. The legacy
-/// per-dimension modules remain as a bit-exact oracle (see
-/// [`mod@dimspec`]).
-///
-/// ```
-/// use gpu_sim::DeviceConfig;
-/// use hhc_tiling::TileSizes;
-/// use stencil_core::ProblemSize;
-/// use time_model::{predict, MeasuredParams, ModelParams};
-///
-/// let device = DeviceConfig::gtx980();
-/// let params = ModelParams::from_measured(&device, &MeasuredParams::paper_gtx980(3.39e-8));
-/// let size = ProblemSize::new_2d(4096, 4096, 1024);
-/// let pred = predict(&params, &size, &TileSizes::new_2d(8, 16, 128));
-/// assert!(pred.talg > 0.0);
-/// assert_eq!(pred.nw, 2 * 1024 / 8); // Eqn 3
-/// ```
-pub fn predict(p: &ModelParams, size: &ProblemSize, tiles: &TileSizes) -> Prediction {
-    DimSpec::of(size.dim).predict(p, size, tiles)
-}
-
-/// [`predict`] with an optional calibration [`Correction`] applied to
-/// the model's time terms (see [`Correction`] for exactly what is and
-/// is not rescaled). `predict_with(p, size, tiles, None)` is
-/// *definitionally* [`predict`] — same code path, no extra arithmetic.
-pub fn predict_with(
-    p: &ModelParams,
-    size: &ProblemSize,
-    tiles: &TileSizes,
-    corr: Option<&Correction>,
-) -> Prediction {
-    DimSpec::of(size.dim).predict_with(p, size, tiles, corr)
-}
-
-/// Modeled shared-memory footprint `M_tile` in words for any
-/// dimensionality (Section 4.1.1 / Eqn 19 / its 3D extension) — the
-/// feasibility bound `tile-opt` enumerates against.
-pub fn mtile_words(dim: StencilDim, tiles: &TileSizes) -> u64 {
-    DimSpec::of(dim).mtile_words(tiles)
-}
-
-/// [`predict`] for an arbitrary stencil descriptor: the halo geometry
-/// (pitch, row widths, footprints, skews) scales with the descriptor's
-/// radius. For every radius-1 descriptor — all paper presets — this is
-/// bit-identical to [`predict`].
-pub fn predict_stencil(
-    p: &ModelParams,
-    stencil: &stencil_core::StencilDescriptor,
-    size: &ProblemSize,
-    tiles: &TileSizes,
-) -> Prediction {
-    DimSpec::for_stencil(stencil).predict(p, size, tiles)
-}
-
-/// [`predict_stencil`] with an optional calibration [`Correction`].
-pub fn predict_stencil_with(
-    p: &ModelParams,
-    stencil: &stencil_core::StencilDescriptor,
-    size: &ProblemSize,
-    tiles: &TileSizes,
-    corr: Option<&Correction>,
-) -> Prediction {
-    DimSpec::for_stencil(stencil).predict_with(p, size, tiles, corr)
 }
 
 /// Shared model pieces used by all three dimensionalities.
@@ -284,6 +214,12 @@ pub(crate) mod common {
 mod tests {
     use super::*;
     use gpu_sim::DeviceConfig;
+    use hhc_tiling::TileSizes;
+    use stencil_core::ProblemSize;
+
+    fn predict(p: &ModelParams, size: &ProblemSize, tiles: &TileSizes) -> Prediction {
+        DimSpec::of(size.dim).predict(p, size, tiles)
+    }
 
     fn params() -> ModelParams {
         ModelParams::from_measured(

@@ -9,8 +9,8 @@
 //! configurations in between full waves — measurably so at the paper's
 //! 3D sizes, where a wavefront is only a few tens of blocks.
 //!
-//! [`predict_refined`] keeps every per-tile term as printed and replaces
-//! only the grid quantization:
+//! [`DimSpec::predict_refined`] keeps every per-tile term as printed and
+//! replaces only the grid quantization:
 //!
 //! ```text
 //! full   = ⌊w / (k·n_SM)⌋                 # complete waves
@@ -24,37 +24,41 @@
 
 use crate::dimspec::DimSpec;
 use crate::params::ModelParams;
-use crate::{common, Prediction};
+use crate::Prediction;
 use hhc_tiling::TileSizes;
 use stencil_core::ProblemSize;
 
-/// Tail-aware prediction: identical per-tile terms, fractional last wave.
-pub fn predict_refined(p: &ModelParams, size: &ProblemSize, tiles: &TileSizes) -> Prediction {
-    let spec = DimSpec::of(size.dim);
-    let nw = common::wavefronts(size.time, tiles.t_t);
-    let w = common::wavefront_width(size.space[0], tiles.t_s[0], tiles.t_t);
-    let mtile = spec.mtile_words(tiles);
-    let m = spec.m_prime(p, tiles);
-    let c = spec.compute_time(p, tiles);
-    let n_sub = spec.subunits(size, tiles);
-    let k = common::effective_k(p, w, common::hyperthreading(p, mtile));
-    let slots = (k * p.n_sm) as u64;
-    let full = w / slots;
-    let rem_blocks = w - full * slots;
-    let rem_k = rem_blocks.div_ceil(p.n_sm as u64) as usize;
-    let mut per_kernel = full as f64 * spec.unit_time(m, c, k, n_sub);
-    if rem_k > 0 {
-        per_kernel += spec.unit_time(m, c, rem_k, n_sub);
-    }
-    let talg = nw as f64 * (p.t_sync() + per_kernel);
-    Prediction {
-        talg,
-        k,
-        nw,
-        w,
-        m_prime: m,
-        c,
-        mtile_words: mtile,
+impl DimSpec {
+    /// Tail-aware prediction: identical per-tile terms, fractional last
+    /// wave.
+    pub fn predict_refined(
+        &self,
+        p: &ModelParams,
+        size: &ProblemSize,
+        tiles: &TileSizes,
+    ) -> Prediction {
+        let (nw, w, mtile, k) = self.geometry(p, size, tiles);
+        let m = self.m_prime(p, tiles);
+        let c = self.compute_time(p, tiles);
+        let n_sub = self.subunits(size, tiles);
+        let slots = (k * p.n_sm) as u64;
+        let full = w / slots;
+        let rem_blocks = w - full * slots;
+        let rem_k = rem_blocks.div_ceil(p.n_sm as u64) as usize;
+        let mut per_kernel = full as f64 * self.unit_time(m, c, k, n_sub);
+        if rem_k > 0 {
+            per_kernel += self.unit_time(m, c, rem_k, n_sub);
+        }
+        let talg = nw as f64 * (p.t_sync() + per_kernel);
+        Prediction {
+            talg,
+            k,
+            nw,
+            w,
+            m_prime: m,
+            c,
+            mtile_words: mtile,
+        }
     }
 }
 
@@ -62,8 +66,15 @@ pub fn predict_refined(p: &ModelParams, size: &ProblemSize, tiles: &TileSizes) -
 mod tests {
     use super::*;
     use crate::params::MeasuredParams;
-    use crate::predict;
     use gpu_sim::DeviceConfig;
+
+    fn predict(p: &ModelParams, size: &ProblemSize, tiles: &TileSizes) -> Prediction {
+        DimSpec::of(size.dim).predict(p, size, tiles)
+    }
+
+    fn predict_refined(p: &ModelParams, size: &ProblemSize, tiles: &TileSizes) -> Prediction {
+        DimSpec::of(size.dim).predict_refined(p, size, tiles)
+    }
 
     fn p() -> ModelParams {
         ModelParams::from_measured(

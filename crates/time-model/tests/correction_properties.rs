@@ -7,14 +7,19 @@
 use gpu_sim::DeviceConfig;
 use hhc_tiling::TileSizes;
 use proptest::prelude::*;
-use stencil_core::ProblemSize;
-use time_model::{predict, predict_with, Correction, MeasuredParams, ModelParams};
+use stencil_core::{ProblemSize, StencilDim};
+use time_model::{Correction, DimSpec, MeasuredParams, ModelParams};
 
 fn params() -> ModelParams {
     ModelParams::from_measured(
         &DeviceConfig::gtx980(),
         &MeasuredParams::paper_gtx980(3.39e-8),
     )
+}
+
+/// Every property here is over 2D tiles at the paper's radius 1.
+fn spec() -> DimSpec {
+    DimSpec::of(StencilDim::D2)
 }
 
 fn tiles_2d() -> impl Strategy<Value = TileSizes> {
@@ -40,10 +45,10 @@ proptest! {
     ) {
         let p = params();
         let size = ProblemSize::new_2d(1 << s, 1 << s, 1 << t);
-        let plain = predict(&p, &size, &tiles);
+        let plain = spec().predict(&p, &size, &tiles);
         for pred in [
-            predict_with(&p, &size, &tiles, None),
-            predict_with(&p, &size, &tiles, Some(&Correction::IDENTITY)),
+            spec().predict_with(&p, &size, &tiles, None),
+            spec().predict_with(&p, &size, &tiles, Some(&Correction::IDENTITY)),
         ] {
             prop_assert_eq!(pred.talg.to_bits(), plain.talg.to_bits());
             prop_assert_eq!(pred.m_prime.to_bits(), plain.m_prime.to_bits());
@@ -65,8 +70,8 @@ proptest! {
         let p = params();
         let size = ProblemSize::new_2d(1 << s, 1 << s, 1 << t);
         let corr = Correction { citer_scale, mem_scale };
-        let raw = predict(&p, &size, &tiles);
-        let cal = predict_with(&p, &size, &tiles, Some(&corr));
+        let raw = spec().predict(&p, &size, &tiles);
+        let cal = spec().predict_with(&p, &size, &tiles, Some(&corr));
         prop_assert_eq!(
             (cal.k, cal.nw, cal.w, cal.mtile_words),
             (raw.k, raw.nw, raw.w, raw.mtile_words)
@@ -84,8 +89,8 @@ proptest! {
         let p = params();
         let size = ProblemSize::new_2d(1 << s, 1 << s, 1 << t);
         let corr = Correction { citer_scale, mem_scale };
-        let raw = predict(&p, &size, &tiles);
-        let cal = predict_with(&p, &size, &tiles, Some(&corr));
+        let raw = spec().predict(&p, &size, &tiles);
+        let cal = spec().predict_with(&p, &size, &tiles, Some(&corr));
         prop_assert_eq!(cal.m_prime.to_bits(), (mem_scale * raw.m_prime).to_bits());
         // The Citer factor owns only the compute product: the `t_T
         // τ_sync` offset survives unscaled, so corrected `c` stays
@@ -107,11 +112,11 @@ proptest! {
         let p = params();
         let size = ProblemSize::new_2d(1 << s, 1 << s, 1 << t);
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        let low = predict_with(&p, &size, &tiles, Some(&Correction { citer_scale: lo, mem_scale }));
-        let high = predict_with(&p, &size, &tiles, Some(&Correction { citer_scale: hi, mem_scale }));
+        let low = spec().predict_with(&p, &size, &tiles, Some(&Correction { citer_scale: lo, mem_scale }));
+        let high = spec().predict_with(&p, &size, &tiles, Some(&Correction { citer_scale: hi, mem_scale }));
         prop_assert!(high.talg >= low.talg, "citer {lo}->{hi}: {} < {}", high.talg, low.talg);
-        let low = predict_with(&p, &size, &tiles, Some(&Correction { citer_scale: a, mem_scale: lo }));
-        let high = predict_with(&p, &size, &tiles, Some(&Correction { citer_scale: a, mem_scale: hi }));
+        let low = spec().predict_with(&p, &size, &tiles, Some(&Correction { citer_scale: a, mem_scale: lo }));
+        let high = spec().predict_with(&p, &size, &tiles, Some(&Correction { citer_scale: a, mem_scale: hi }));
         prop_assert!(high.talg >= low.talg, "mem {lo}->{hi}: {} < {}", high.talg, low.talg);
     }
 }

@@ -4,14 +4,19 @@
 use gpu_sim::DeviceConfig;
 use hhc_tiling::TileSizes;
 use proptest::prelude::*;
-use stencil_core::ProblemSize;
-use time_model::{predict, predict_refined, MeasuredParams, ModelParams};
+use stencil_core::{ProblemSize, StencilDim};
+use time_model::{DimSpec, MeasuredParams, ModelParams};
 
 fn params() -> ModelParams {
     ModelParams::from_measured(
         &DeviceConfig::gtx980(),
         &MeasuredParams::paper_gtx980(3.39e-8),
     )
+}
+
+/// Every property here is over 2D tiles at the paper's radius 1.
+fn spec() -> DimSpec {
+    DimSpec::of(StencilDim::D2)
 }
 
 fn tiles_2d() -> impl Strategy<Value = TileSizes> {
@@ -27,7 +32,7 @@ proptest! {
     fn predictions_are_finite_positive(tiles in tiles_2d(), s in 6usize..12, t in 4usize..12) {
         let p = params();
         let size = ProblemSize::new_2d(1 << s, 1 << s, 1 << t);
-        let pred = predict(&p, &size, &tiles);
+        let pred = spec().predict(&p, &size, &tiles);
         prop_assert!(pred.talg.is_finite() && pred.talg > 0.0);
         prop_assert!(pred.k >= 1 && pred.k <= 32);
         prop_assert!(pred.m_prime > 0.0 && pred.c > 0.0);
@@ -39,8 +44,8 @@ proptest! {
     fn talg_linear_in_time(tiles in tiles_2d(), s in 7usize..11) {
         let p = params();
         let t1 = tiles.t_t * 64;
-        let a = predict(&p, &ProblemSize::new_2d(1 << s, 1 << s, t1), &tiles).talg;
-        let b = predict(&p, &ProblemSize::new_2d(1 << s, 1 << s, 2 * t1), &tiles).talg;
+        let a = spec().predict(&p, &ProblemSize::new_2d(1 << s, 1 << s, t1), &tiles).talg;
+        let b = spec().predict(&p, &ProblemSize::new_2d(1 << s, 1 << s, 2 * t1), &tiles).talg;
         let ratio = b / a;
         prop_assert!((1.98..=2.02).contains(&ratio), "ratio = {ratio}");
     }
@@ -51,8 +56,8 @@ proptest! {
     fn refined_bounded_by_printed(tiles in tiles_2d(), s in 7usize..12, t in 5usize..10) {
         let p = params();
         let size = ProblemSize::new_2d(1 << s, 1 << s, 1 << t);
-        let printed = predict(&p, &size, &tiles);
-        let refined = predict_refined(&p, &size, &tiles);
+        let printed = spec().predict(&p, &size, &tiles);
+        let refined = spec().predict_refined(&p, &size, &tiles);
         prop_assert!(refined.talg <= printed.talg * (1.0 + 1e-9));
         // Lower bound: strip the launch overhead from both sides; the
         // refinement can remove at most one full wave per kernel.
@@ -72,8 +77,8 @@ proptest! {
     fn m_prime_linear_in_ts2(h in 1usize..12, s1 in 1usize..32, m in 1usize..6) {
         let p = params();
         let size = ProblemSize::new_2d(4096, 4096, 1024);
-        let a = predict(&p, &size, &TileSizes::new_2d(2 * h, s1, 32 * m));
-        let b = predict(&p, &size, &TileSizes::new_2d(2 * h, s1, 64 * m));
+        let a = spec().predict(&p, &size, &TileSizes::new_2d(2 * h, s1, 32 * m));
+        let b = spec().predict(&p, &size, &TileSizes::new_2d(2 * h, s1, 64 * m));
         let lin = (a.m_prime - 2.0 * p.tau_sync()) * 2.0 + 2.0 * p.tau_sync();
         prop_assert!((b.m_prime - lin).abs() / lin < 1e-9);
     }
@@ -83,8 +88,8 @@ proptest! {
     fn kernel_count_monotone_in_tt(s1 in 1usize..32, s2 in 1usize..8, h in 1usize..8) {
         let p = params();
         let size = ProblemSize::new_2d(2048, 2048, 512);
-        let small = predict(&p, &size, &TileSizes::new_2d(2 * h, s1, 32 * s2));
-        let big = predict(&p, &size, &TileSizes::new_2d(4 * h, s1, 32 * s2));
+        let small = spec().predict(&p, &size, &TileSizes::new_2d(2 * h, s1, 32 * s2));
+        let big = spec().predict(&p, &size, &TileSizes::new_2d(4 * h, s1, 32 * s2));
         prop_assert!(big.nw <= small.nw);
     }
 
@@ -93,7 +98,7 @@ proptest! {
     fn k_respects_shared_memory(tiles in tiles_2d()) {
         let p = params();
         let size = ProblemSize::new_2d(4096, 4096, 512);
-        let pred = predict(&p, &size, &tiles);
+        let pred = spec().predict(&p, &size, &tiles);
         prop_assert!(pred.k as u64 * pred.mtile_words <= p.m_sm_words.max(pred.mtile_words));
     }
 }

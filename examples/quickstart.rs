@@ -14,9 +14,9 @@
 //! 5. let the optimizer pick tile sizes (Section 6) and show the win.
 
 use hhc_stencil::core::{ProblemSize, StencilDescriptor};
-use hhc_stencil::model::ModelParams;
+use hhc_stencil::model::{DimSpec, ModelParams};
 use hhc_stencil::opt::strategy::{empirical_launch, DataPoint};
-use hhc_stencil::opt::{feasible_space, model_sweep, talg_min, within_fraction, SpaceConfig};
+use hhc_stencil::opt::{feasible_space, model_sweep_spec, talg_min, within_fraction, SpaceConfig};
 use hhc_stencil::sim::{simulate, DeviceConfig, SimWorkload, Workload};
 use hhc_stencil::tiling::{LaunchConfig, TileSizes};
 use hhc_tiling::TilingPlan;
@@ -51,10 +51,12 @@ fn main() {
     );
     let params = ModelParams::from_measured(&device, &measured);
 
-    // 3. Predict the execution time of one hand-picked configuration.
+    // 3. Predict the execution time of one hand-picked configuration
+    //    through the stencil's model shape (rank and halo radius).
+    let model = DimSpec::for_stencil(&stencil);
     let tiles = TileSizes::new_2d(8, 16, 128);
     let launch = LaunchConfig::new_2d(1, 128);
-    let pred = hhc_stencil::model::predict(&params, &size, &tiles);
+    let pred = model.predict(&params, &size, &tiles);
     println!(
         "\nhand-picked {:?}: T_alg = {:.4} s (k = {}, {} kernels, {} blocks/kernel)",
         (tiles.t_t, tiles.t_s[0], tiles.t_s[1]),
@@ -79,7 +81,7 @@ fn main() {
     //    and its 10 % neighborhood.
     let workload = Workload::new(device.clone(), stencil, size).expect("Jacobi2D is 2-dimensional");
     let space = feasible_space(&workload, &SpaceConfig::default());
-    let sweep = model_sweep(&params, &size, &space);
+    let sweep = model_sweep_spec(model, &params, &size, &space, None);
     let (best_tiles, best_pred) = talg_min(&sweep).expect("non-empty space");
     let within = within_fraction(&sweep, 0.10);
     println!(

@@ -13,9 +13,9 @@
 //! away because its memory traffic is `~1/t_T` of the naive schedule's.
 
 use hhc_stencil::core::{reference, ProblemSize, StencilDescriptor};
-use hhc_stencil::model::ModelParams;
+use hhc_stencil::model::{DimSpec, ModelParams};
 use hhc_stencil::opt::strategy::{empirical_launch, DataPoint};
-use hhc_stencil::opt::{feasible_space, model_sweep, within_fraction, SpaceConfig};
+use hhc_stencil::opt::{feasible_space, model_sweep_spec, within_fraction, SpaceConfig};
 use hhc_stencil::sim::{simulate, DeviceConfig, SimWorkload, Workload};
 use hhc_stencil::tiling::{LaunchConfig, SpaceBlock, TilingPlan, WavefrontSchedule};
 
@@ -57,7 +57,7 @@ fn best_hhc(
         .expect("stencil and size ranks agree");
     let spec = stencil.spec();
     let space = feasible_space(&workload, &SpaceConfig::default());
-    let sweep = model_sweep(params, size, &space);
+    let sweep = model_sweep_spec(DimSpec::for_stencil(stencil), params, size, &space, None);
     let mut best = f64::INFINITY;
     for (tiles, _) in within_fraction(&sweep, 0.10) {
         let point = DataPoint {

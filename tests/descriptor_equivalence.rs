@@ -5,12 +5,14 @@
 //! within-10% candidate ranking — on both paper devices. The presets
 //! themselves are pinned by `crates/core/tests/presets.rs`.
 
+use advisor::{Advisor, AdvisorConfig, Query};
 use hhc_stencil::core::{ProblemSize, StencilDescriptor};
 use hhc_stencil::model::{DimSpec, ModelParams};
 use hhc_stencil::opt::{
-    feasible_tiles, model_sweep_spec, model_sweep_with, within_fraction, SpaceConfig,
+    feasible_space, feasible_tiles, model_sweep, model_sweep_spec, study, within_fraction,
+    SpaceConfig, StrategyContext,
 };
-use hhc_stencil::sim::DeviceConfig;
+use hhc_stencil::sim::{DeviceConfig, Workload};
 
 /// Model parameters measured for a paper stencil.
 fn params_for(device: &DeviceConfig, stencil: &StencilDescriptor) -> ModelParams {
@@ -38,8 +40,8 @@ fn prediction_fields_match_bitwise_on_both_paper_devices() {
             let dim = stencil.dim;
             let params = params_for(&device, &stencil);
             let size = bench_size(&stencil);
-            let tiles = feasible_tiles(&device, dim, &SpaceConfig::default());
-            let legacy = model_sweep_with(&params, &size, &tiles, None);
+            let tiles = feasible_tiles(&device, DimSpec::of(dim), &SpaceConfig::default());
+            let legacy = model_sweep(&params, &size, &tiles);
             let derived =
                 model_sweep_spec(DimSpec::for_stencil(&stencil), &params, &size, &tiles, None);
             assert_eq!(legacy.len(), derived.len());
@@ -72,8 +74,8 @@ fn eqn31_candidate_ranking_is_unchanged() {
         for stencil in StencilDescriptor::table4() {
             let params = params_for(&device, &stencil);
             let size = bench_size(&stencil);
-            let tiles = feasible_tiles(&device, stencil.dim, &SpaceConfig::default());
-            let legacy = within_fraction(&model_sweep_with(&params, &size, &tiles, None), 0.10);
+            let tiles = feasible_tiles(&device, DimSpec::of(stencil.dim), &SpaceConfig::default());
+            let legacy = within_fraction(&model_sweep(&params, &size, &tiles), 0.10);
             let derived = within_fraction(
                 &model_sweep_spec(DimSpec::for_stencil(&stencil), &params, &size, &tiles, None),
                 0.10,
@@ -98,6 +100,72 @@ fn eqn31_candidate_ranking_is_unchanged() {
                     device.name
                 );
             }
+        }
+    }
+}
+
+/// Past radius 1 there is still one model: for Lap4_2D (radius 2) the
+/// strategy study's within-10% set is the radius-2 sweep's band, tile
+/// for tile and in order; every evaluation it predicts is the stencil
+/// spec's `T_alg`, bit for bit; and the advisor serves a prefix of the
+/// same ranking, with the same `k` and `M_tile`.
+#[test]
+fn radius_two_study_and_advisor_share_the_stencil_spec() {
+    let stencil = StencilDescriptor::lap4_2d();
+    let spec = DimSpec::for_stencil(&stencil);
+    assert_eq!(spec.radius, 2);
+    let size = bench_size(&stencil);
+    let advisor_cfg = AdvisorConfig::default();
+    let advisor = Advisor::new(advisor_cfg.clone());
+    for device in DeviceConfig::paper_devices() {
+        // The advisor's own parameter measurement, so its answer is
+        // comparable bit for bit.
+        let params = ModelParams::from_measured(
+            &device,
+            &microbench::measured_params_sampled(
+                &device,
+                &stencil,
+                advisor_cfg.citer_samples,
+                advisor_cfg.seed,
+            ),
+        );
+        let workload = Workload::new(device.clone(), stencil.clone(), size).unwrap();
+        let space = feasible_space(&workload, &advisor_cfg.space);
+        let band = within_fraction(&model_sweep_spec(spec, &params, &size, &space, None), 0.10);
+        assert!(!band.is_empty(), "{}: empty band", device.name);
+
+        let ctx = StrategyContext::new(&workload, &params, &advisor_cfg.space);
+        let got = study(&ctx, false);
+        let tiles: Vec<_> = got.within.iter().map(|e| e.point.tiles).collect();
+        let want: Vec<_> = band.iter().map(|(t, _)| *t).collect();
+        assert_eq!(tiles, want, "{}: within-10% set", device.name);
+        for e in got.within.iter().chain(&got.baseline) {
+            let talg = spec.predict(&params, &size, &e.point.tiles).talg;
+            assert_eq!(
+                e.predicted.to_bits(),
+                talg.to_bits(),
+                "{} at {:?}",
+                device.name,
+                e.point.tiles
+            );
+        }
+
+        let query = Query {
+            id: None,
+            workload,
+            within: 0.10,
+            top_n: 10,
+            validate: false,
+            timeout_ms: None,
+        };
+        let advice = advisor.advise(&query);
+        assert_eq!(advice.within_points, band.len(), "{}", device.name);
+        assert!(!advice.candidates.is_empty());
+        for (c, (t, p)) in advice.candidates.iter().zip(&band) {
+            let ctx = format!("{} rank {}", device.name, c.rank);
+            assert_eq!((c.t_t, &c.t_s[..]), (t.t_t, &t.t_s[..2]), "{ctx}");
+            assert_eq!(c.talg_s.to_bits(), p.talg.to_bits(), "{ctx}");
+            assert_eq!((c.k, c.mtile_words), (p.k, p.mtile_words), "{ctx}");
         }
     }
 }

@@ -1,5 +1,5 @@
 //! Legacy-oracle equivalence: the dimension-generic [`time_model::DimSpec`]
-//! pipeline (what `predict` dispatches through) must be **bit-identical**
+//! pipeline (every prediction's one entry point) must be **bit-identical**
 //! to the per-dimension modules it replaced — `hex1d`, `hybrid2d`,
 //! `hybrid3d` — across the full Eqn-31 feasible tile-size sweep for every
 //! paper (device, stencil, size) experiment. Float fields are compared by
@@ -9,7 +9,7 @@ use gpu_sim::{DeviceConfig, Workload};
 use hhc_tiling::TileSizes;
 use stencil_core::{ProblemSize, StencilDescriptor, StencilDim};
 use tile_opt::{feasible_space, SpaceConfig};
-use time_model::{hex1d, hybrid2d, hybrid3d, Correction, ModelParams, Prediction};
+use time_model::{hex1d, hybrid2d, hybrid3d, Correction, DimSpec, ModelParams, Prediction};
 
 const SEED: u64 = 0x5EED;
 
@@ -103,7 +103,7 @@ fn generic_dimspec_is_bit_identical_to_legacy_oracles_across_paper_sweep() {
                 assert!(!tiles.is_empty(), "{} {stencil}: empty space", device.name);
                 for size in &sizes {
                     for t in &tiles {
-                        let generic = time_model::predict(&params, size, t);
+                        let generic = DimSpec::for_stencil(&stencil).predict(&params, size, t);
                         let legacy = legacy_predict(&params, size, t);
                         let ctx = format!("{} {stencil} size={size:?} tiles={t:?}", device.name);
                         assert_bit_identical(&generic, &legacy, &ctx);
@@ -111,13 +111,18 @@ fn generic_dimspec_is_bit_identical_to_legacy_oracles_across_paper_sweep() {
                         // correction is loaded — both the `None` arm and
                         // the explicit identity correction reproduce the
                         // uncorrected prediction bit for bit.
-                        let uncorrected = time_model::predict_with(&params, size, t, None);
+                        let uncorrected =
+                            DimSpec::for_stencil(&stencil).predict_with(&params, size, t, None);
                         assert_bit_identical(&uncorrected, &legacy, &ctx);
-                        let identity =
-                            time_model::predict_with(&params, size, t, Some(&Correction::IDENTITY));
+                        let identity = DimSpec::for_stencil(&stencil).predict_with(
+                            &params,
+                            size,
+                            t,
+                            Some(&Correction::IDENTITY),
+                        );
                         assert_bit_identical(&identity, &legacy, &ctx);
                         assert_eq!(
-                            time_model::mtile_words(dim, t),
+                            DimSpec::for_stencil(&stencil).mtile_words(t),
                             legacy_mtile_words(dim, t),
                             "mtile_words helper at {ctx}"
                         );
