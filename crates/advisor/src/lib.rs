@@ -64,6 +64,12 @@ use tile_opt::{
 };
 use time_model::{DimSpec, MeasuredParams, ModelParams};
 
+/// `Citer` micro-benchmark samples unless told otherwise: the advisor's
+/// default, and the default of every `experiments` command's
+/// `--samples`, so a model command and an advisor answer for the same
+/// tile print the same `T_alg`.
+pub const CITER_SAMPLES: usize = 16;
+
 /// Tuning knobs of one advisor instance. Everything that can change an
 /// answer (micro-benchmark sampling, the enumerated space) is folded
 /// into the canonical cache key.
@@ -111,7 +117,7 @@ impl Default for AdvisorConfig {
     fn default() -> Self {
         AdvisorConfig {
             mem_capacity: 256,
-            citer_samples: 16,
+            citer_samples: CITER_SAMPLES,
             seed: 0x5EED,
             space: SpaceConfig::default(),
             accuracy: None,

@@ -8,7 +8,10 @@
 //! paths on larger workloads and persists `BENCH_exec.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gpu_sim::{kernel_time, kernel_time_dealing, occupancy, simulate, DeviceConfig, SimWorkload};
+use gpu_sim::{
+    kernel_time, kernel_time_dealing, occupancy, simulate, simulate_launches, DeviceConfig,
+    SimWorkload,
+};
 use hhc_tiling::{
     run_tiled_parallel_with_stats, run_tiled_with, ExecOptions, LaunchConfig, PlanGeometry,
     ScratchPool, TileSizes, TilingPlan,
@@ -79,7 +82,8 @@ fn bench_kernel_scheduling(c: &mut Criterion) {
     });
 
     // The unit the Baseline strategy repeats 85 times per study: one
-    // tile's geometry simulated under each of the ten thread counts.
+    // tile's geometry simulated under each of the ten thread counts,
+    // the launches sharing one wave-cost table.
     let spec = StencilDescriptor::heat2d().spec();
     let size = ProblemSize::new_2d(4096, 4096, 1024);
     let tile = baseline_tiles(&device, StencilDim::D2, &SpaceConfig::default())[0];
@@ -87,10 +91,9 @@ fn bench_kernel_scheduling(c: &mut Criterion) {
     let launches = thread_counts(StencilDim::D2);
     g.bench_function("baseline_tile", |b| {
         b.iter(|| {
-            launches
-                .iter()
-                .filter_map(|&launch| geometry.with_launch(launch).ok())
-                .filter_map(|plan| simulate(&device, &SimWorkload::from_plan(&plan)).ok())
+            simulate_launches(&device, &geometry, &launches)
+                .into_iter()
+                .flatten()
                 .map(|report| report.total_time)
                 .sum::<f64>()
         })

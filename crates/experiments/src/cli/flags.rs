@@ -487,12 +487,16 @@ pub static GRID: &[Arg] = &[
     default(&TIMES, "64,128"),
 ];
 
+/// `--samples` defaulting to [`advisor::CITER_SAMPLES`], for every
+/// command that measures `Citer` (a test keeps the two equal).
+pub const SAMPLES_ARG: Arg = default(&SAMPLES, "16");
+
 /// The (device, stencil, size) workload of the model commands.
 pub static WORKLOAD: &[Arg] = &[
     arg(&STENCIL),
     arg(&SIZE),
     default(&DEVICE, "gtx980"),
-    default(&SAMPLES, "20"),
+    SAMPLES_ARG,
 ];
 
 /// The server settings: the defaults, overridden by the [`SERVER`] flags given.

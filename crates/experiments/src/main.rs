@@ -15,7 +15,7 @@ mod cli;
 use cli::flags::{
     self, arg, default, Command, Matches, ACCURACY_LOG, ADDR, BAND, CALIB, CONNECTIONS, GRID,
     KERNEL, LAUNCH, LISTEN, LOG, LOG_OUT, MEM_CAP, MERGE, MIN_EVIDENCE, OUT, PIPELINE, PORT_FILE,
-    QUERIES, REQUESTS, SAMPLES, SEED, SERVER, STORE, STORE_STALE_OK, TELEMETRY, THREADS, TILE,
+    QUERIES, REQUESTS, SAMPLES_ARG, SEED, SERVER, STORE, STORE_STALE_OK, TELEMETRY, THREADS, TILE,
     TILE2, TOP_N, TRACE, WITHIN, WORKLOAD, ZIPF,
 };
 use cli::{driver, model, serve, tools};
@@ -127,7 +127,7 @@ static COMMANDS: &[Command] = &[
                 arg(&STORE_STALE_OK),
                 arg(&CALIB),
                 default(&MEM_CAP, "256"),
-                default(&SAMPLES, "16"),
+                SAMPLES_ARG,
                 default(&ACCURACY_LOG, "results/accuracy_log.jsonl"),
             ],
             SERVER,
@@ -150,7 +150,7 @@ static COMMANDS: &[Command] = &[
             &[
                 default(&WITHIN, "0.10"),
                 default(&TOP_N, "10"),
-                default(&SAMPLES, "16"),
+                SAMPLES_ARG,
                 arg(&THREADS),
                 arg(&CALIB),
             ],
@@ -199,7 +199,7 @@ static COMMANDS: &[Command] = &[
             ],
             GRID,
             &[
-                default(&SAMPLES, "16"),
+                SAMPLES_ARG,
                 arg(&THREADS),
                 arg(&STORE),
                 arg(&STORE_STALE_OK),
@@ -347,7 +347,22 @@ mod tests {
         let m = parse("calibrate --compare a b").unwrap();
         assert_eq!(m.all(&flags::COMPARE), ["a", "b"]);
         let m = parse("serve-bench --requests 7 --zipf 0").unwrap();
-        assert_eq!((m.get(&REQUESTS), m.get(&SAMPLES)), (Ok(7), Ok(16)));
+        assert_eq!(m.get(&REQUESTS), Ok(7));
+    }
+
+    /// Every command that measures `Citer` defaults `--samples` to the
+    /// advisor's sample count.
+    #[test]
+    fn samples_default_to_the_advisors_count() {
+        for line in [
+            "predict --stencil heat2d --size 64x64xT8 --tile 2,4,32",
+            "serve",
+            "precompute",
+            "serve-bench",
+        ] {
+            let m = parse(line).unwrap();
+            assert_eq!(m.get(&flags::SAMPLES), Ok(advisor::CITER_SAMPLES), "{line}");
+        }
     }
 
     #[test]

@@ -63,6 +63,74 @@ fn predict_uses_the_stencil_radius() {
     std::fs::remove_dir_all(dir).ok();
 }
 
+/// The text after `"key":` in a one-line JSON answer, up to the next
+/// `,` or `}` outside brackets.
+fn json_field<'a>(answer: &'a str, key: &str) -> &'a str {
+    let start = answer
+        .find(&format!("\"{key}\":"))
+        .unwrap_or_else(|| panic!("no {key} in {answer}"))
+        + key.len()
+        + 3;
+    let rest = &answer[start..];
+    let mut depth = 0;
+    let end = rest
+        .find(|c| {
+            match c {
+                '[' => depth += 1,
+                ']' => depth -= 1,
+                _ => {}
+            }
+            depth == 0 && (c == ',' || c == '}')
+        })
+        .unwrap_or(rest.len());
+    &rest[..end]
+}
+
+/// `predict` without `--samples` measures `Citer` as the advisor does, so
+/// it prints the `T_alg` that `serve` answers for the same tile.
+#[test]
+fn predict_and_serve_agree_on_talg_by_default() {
+    let dir = scratch("samples");
+    let query = r#"{"id":"q","device":"GTX 980","stencil":"Lap4_2D","size":[1024,1024],"time":64,"top_n":1}"#;
+    std::fs::write(dir.join("q.jsonl"), format!("{query}\n")).expect("write the query");
+    let served = experiments(
+        &[
+            "serve",
+            "--queries",
+            "q.jsonl",
+            "--accuracy-log",
+            "accuracy.jsonl",
+        ],
+        &dir,
+    );
+    assert!(served.status.success(), "{served:?}");
+    let answer = String::from_utf8_lossy(&served.stdout);
+    let talg: f64 = json_field(&answer, "talg_s").parse().expect("talg_s");
+    let t_s = json_field(&answer, "t_s").trim_matches(['[', ']']);
+    let tile = format!("{},{t_s}", json_field(&answer, "t_t"));
+    let out = experiments(
+        &[
+            "predict",
+            "--device",
+            "gtx980",
+            "--stencil",
+            "lap4_2d",
+            "--size",
+            "1024x1024xT64",
+            "--tile",
+            &tile,
+        ],
+        &dir,
+    );
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains(&format!("T_alg = {talg:.6} s")),
+        "serve answered {talg} for tile {tile}; predict printed:\n{stdout}"
+    );
+    std::fs::remove_dir_all(dir).ok();
+}
+
 #[test]
 fn bad_input_exits_2_before_any_work() {
     let dir = scratch("bad");

@@ -5,13 +5,16 @@
 //! artifacts.
 
 use experiments::context::{ExperimentScale, Lab};
-use gpu_sim::{simulate, SimWorkload};
+use gpu_sim::cost::{self, BlockSegments, Pipe};
+use gpu_sim::{occupancy, simulate, simulate_launches, SimWorkload};
 use hhc_tiling::{run_tiled_with, ExecOptions, LaunchConfig, PlanGeometry, TileSizes, TilingPlan};
 use serde::Value;
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex, MutexGuard};
-use stencil_core::{init, ProblemSize, StencilDescriptor};
-use tile_opt::strategy::{study, DataPoint, Strategy, StrategyContext};
+use stencil_core::{init, ProblemSize, StencilDescriptor, StencilDim};
+use tile_opt::strategy::{
+    baseline_tiles, study, thread_counts, DataPoint, Strategy, StrategyContext,
+};
 use tile_opt::SpaceConfig;
 
 /// The obs recorder is process-global; tests that install one serialize
@@ -96,6 +99,85 @@ fn sim_counters_match_simreport() {
     let util = snap.histogram("sim.sm_utilization").expect("utilization");
     assert!(util.count > 0);
     assert!(util.min >= 0.0 && util.max <= 1.0 + 1e-12, "{util:?}");
+}
+
+/// What the wave scheduler sees of a lowered block, bit for bit: the
+/// chunk count and each phase's pipe and duration.
+type BlockBits = (u64, Vec<(bool, u64)>);
+
+fn block_bits(b: &BlockSegments) -> BlockBits {
+    let phases = b.chunk().iter();
+    (
+        b.chunks,
+        phases
+            .map(|s| (s.pipe == Pipe::Mem, s.dur.to_bits()))
+            .collect(),
+    )
+}
+
+/// One baseline tile swept over its ten thread counts: the launches
+/// share the tile's wave-cost table. Replaying the sweep independently
+/// (lower every class, deal the blocks round-robin, cut each SM's blocks
+/// into waves of `k`) gives the waves each kernel schedule needs. A wave
+/// an earlier kernel schedule of the tile already needed is a shared
+/// cost; every other distinct wave is scheduled once, placing its
+/// blocks' segments.
+#[test]
+fn tile_sweep_shares_wave_costs() {
+    let _g = obs_lock();
+    let device = gpu_sim::DeviceConfig::gtx980();
+    let spec = StencilDescriptor::heat2d().spec();
+    let size = ProblemSize::new_2d(1024, 1024, 64);
+    let tile = baseline_tiles(&device, StencilDim::D2, &SpaceConfig::default())[0];
+    let launches = thread_counts(StencilDim::D2);
+    let geometry = PlanGeometry::build(&spec, &size, tile).expect("baseline tile lowers");
+    let (reports, snap) = record(|| simulate_launches(&device, &geometry, &launches));
+
+    let mut seen: HashSet<Vec<BlockBits>> = HashSet::new();
+    let (mut shared, mut placed, mut runs) = (0u64, 0u64, 0u64);
+    for (&launch, report) in launches.iter().zip(&reports) {
+        let plan = TilingPlan::build(&spec, &size, tile, launch).expect("candidate launches");
+        let wl = SimWorkload::from_plan(&plan);
+        let Ok(occ) = occupancy(&device, &wl) else {
+            assert!(report.is_none());
+            continue;
+        };
+        runs += 1;
+        let mut kernels = HashSet::new();
+        for kernel in wl
+            .kernels
+            .iter()
+            .filter(|k| kernels.insert(Arc::as_ptr(&k.classes)))
+        {
+            let mut per_sm: Vec<Vec<BlockBits>> = vec![Vec::new(); device.n_sm];
+            let dispatch = kernel.classes.iter().flat_map(|c| {
+                let b = block_bits(&cost::lower_block(&device, &wl, c));
+                std::iter::repeat_n(b, c.count as usize)
+            });
+            for (pos, b) in dispatch.enumerate() {
+                per_sm[pos % device.n_sm].push(b);
+            }
+            let waves: HashSet<Vec<BlockBits>> = per_sm
+                .iter()
+                .flat_map(|sm| sm.chunks(occ.k))
+                .map(<[BlockBits]>::to_vec)
+                .collect();
+            for wave in waves {
+                if seen.contains(&wave) {
+                    shared += 1;
+                } else {
+                    placed += wave.iter().map(|(n, c)| n * c.len() as u64).sum::<u64>();
+                    seen.insert(wave);
+                }
+            }
+        }
+    }
+    assert_eq!(snap.counter("sim.runs"), runs);
+    assert_eq!(snap.counter("sim.wave_costs_shared"), shared);
+    assert_eq!(snap.counter("sim.wave_segments"), placed);
+    // Nine of the ten launches run (1024 threads exceed the register
+    // file); their schedules take 56 wave costs from the table.
+    assert_eq!((runs, shared, placed), (9, 56, 4692));
 }
 
 #[test]

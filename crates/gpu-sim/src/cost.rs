@@ -36,7 +36,7 @@ use hhc_tiling::plan::{AxisClass, BlockClass};
 use std::sync::Arc;
 
 /// Which pipe a segment occupies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Pipe {
     /// Global-memory pipe of the SM.
     Mem,
@@ -82,6 +82,54 @@ impl BlockSegments {
     pub fn sequential(&self) -> f64 {
         self.mem_time + self.comp_time
     }
+
+    /// What the wave scheduler sees of this block, bit for bit: the
+    /// chunk count and each phase's pipe and duration bits. Blocks with
+    /// equal keys schedule identically.
+    pub(crate) fn key(&self) -> BlockKey {
+        BlockKey {
+            chunks: self.chunks,
+            phases: self.phases,
+            pipes: self.chunk.map(|s| s.pipe),
+            durs: self.chunk.map(|s| s.dur.to_bits()),
+        }
+    }
+
+    /// A block of `chunks` repetitions of `chunk` (at most three
+    /// segments), for scheduler tests that need durations no lowering
+    /// produces.
+    #[cfg(test)]
+    pub(crate) fn periodic(chunk: &[Segment], chunks: u64) -> BlockSegments {
+        let mut padded = [Segment {
+            pipe: Pipe::Mem,
+            dur: 0.0,
+        }; 3];
+        padded[..chunk.len()].copy_from_slice(chunk);
+        let total = |pipe| {
+            chunk
+                .iter()
+                .filter(|s| s.pipe == pipe)
+                .map(|s| s.dur)
+                .sum::<f64>()
+        };
+        BlockSegments {
+            chunk: padded,
+            phases: chunk.len() as u8,
+            chunks,
+            mem_time: total(Pipe::Mem) * chunks as f64,
+            comp_time: total(Pipe::Comp) * chunks as f64,
+        }
+    }
+}
+
+/// The schedule-relevant identity of a [`BlockSegments`] (see
+/// [`BlockSegments::key`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct BlockKey {
+    chunks: u64,
+    phases: u8,
+    pipes: [Pipe; 3],
+    durs: [u64; 3],
 }
 
 /// Maximum load/compute/store chunks a block is scheduled as. Enough

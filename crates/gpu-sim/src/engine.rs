@@ -16,7 +16,10 @@
 //! computed once and reused. Blocks enter the scheduler in their periodic
 //! form (one chunk of segments repeated `chunks` times, see
 //! [`cost::lower_block`]); [`schedule_wave`] is the one two-pipe
-//! scheduler, shared with [`crate::trace`] through an observer.
+//! scheduler, shared with [`crate::trace`] through an observer. Each
+//! distinct wave (sequence of lowered blocks) is scheduled once per
+//! wave-cost table, and [`simulate_launches`] shares one table among a
+//! tile's launches.
 //!
 //! Scheduling is closed-form where possible: round-robin dealing of
 //! class runs is periodic, so [`kernel_time`] derives each SM's wave
@@ -33,6 +36,9 @@ use crate::occupancy::{occupancy_for_demand, LaunchError};
 use crate::report::SimReport;
 use crate::workload::SimWorkload;
 use hhc_tiling::plan::BlockClass;
+use hhc_tiling::{LaunchConfig, PlanGeometry};
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 /// Simulate `wl` on `device`, returning the machine's measured time.
@@ -51,7 +57,51 @@ use std::sync::Arc;
 /// assert_eq!(report.kernel_launches, plan.kernel_count());
 /// ```
 pub fn simulate(device: &DeviceConfig, wl: &SimWorkload) -> Result<SimReport, LaunchError> {
-    simulate_core(device, wl, false).map(|(report, _)| report)
+    simulate_core(device, wl, &mut WaveCostTable::default(), false).map(|(report, _)| report)
+}
+
+/// Simulate one tile's plan geometry under each of `launches`: one report
+/// per launch, in order, `None` where the launch is malformed for the
+/// stencil or cannot run on the device. Every report is bit-identical to
+/// [`simulate`] of the same launch's [`SimWorkload::from_plan`].
+///
+/// The launches share one wave-cost table, created here and dropped on
+/// return: a wave whose block sequence an earlier launch of the tile has
+/// already scheduled is not scheduled again.
+///
+/// ```
+/// use gpu_sim::{simulate, simulate_launches, DeviceConfig, SimWorkload};
+/// use hhc_tiling::{LaunchConfig, PlanGeometry, TileSizes, TilingPlan};
+/// use stencil_core::{ProblemSize, StencilDescriptor};
+///
+/// let spec = StencilDescriptor::jacobi2d().spec();
+/// let size = ProblemSize::new_2d(1024, 1024, 128);
+/// let tiles = TileSizes::new_2d(8, 8, 128);
+/// let geometry = PlanGeometry::build(&spec, &size, tiles).unwrap();
+/// let launches = [LaunchConfig::new_2d(1, 128), LaunchConfig::new_2d(2, 64)];
+/// let device = DeviceConfig::gtx980();
+/// let reports = simulate_launches(&device, &geometry, &launches);
+/// for (report, &launch) in reports.iter().zip(&launches) {
+///     let plan = TilingPlan::build(&spec, &size, tiles, launch).unwrap();
+///     let alone = simulate(&device, &SimWorkload::from_plan(&plan)).unwrap();
+///     assert_eq!(report.as_ref(), Some(&alone));
+/// }
+/// ```
+pub fn simulate_launches(
+    device: &DeviceConfig,
+    geometry: &PlanGeometry,
+    launches: &[LaunchConfig],
+) -> Vec<Option<SimReport>> {
+    let mut table = WaveCostTable::default();
+    launches
+        .iter()
+        .map(|&launch| {
+            let wl = SimWorkload::from_geometry(geometry, launch).ok()?;
+            simulate_core(device, &wl, &mut table, false)
+                .ok()
+                .map(|(report, _)| report)
+        })
+        .collect()
 }
 
 /// Simulate and additionally return the per-kernel timeline — for
@@ -60,16 +110,18 @@ pub fn simulate_detailed(
     device: &DeviceConfig,
     wl: &SimWorkload,
 ) -> Result<(SimReport, Vec<KernelBreakdown>), LaunchError> {
-    simulate_core(device, wl, true)
+    simulate_core(device, wl, &mut WaveCostTable::default(), true)
 }
 
-/// Shared core of [`simulate`] and [`simulate_detailed`]: one occupancy
-/// query, one kernel-stats cache, one telemetry pass. The detailed
-/// variant only additionally records a [`KernelBreakdown`] per launch,
-/// so the two can never drift.
+/// Shared core of [`simulate`], [`simulate_launches`] and
+/// [`simulate_detailed`]: one occupancy query, one kernel-stats cache,
+/// one telemetry pass, wave costs drawn from `table`. The detailed
+/// variant only additionally records a [`KernelBreakdown`] per launch, so
+/// they can never drift.
 fn simulate_core(
     device: &DeviceConfig,
     wl: &SimWorkload,
+    table: &mut WaveCostTable,
     detailed: bool,
 ) -> Result<(SimReport, Vec<KernelBreakdown>), LaunchError> {
     // The register demand, and with it the spill factor every block class
@@ -81,7 +133,7 @@ fn simulate_core(
     // One schedule per distinct class vector. A plan has a handful (the
     // interior wavefronts share one `Arc`), so a linear scan finds them.
     let mut distinct: Vec<(*const Vec<BlockClass>, KernelStats)> = Vec::new();
-    let mut segments = 0u64;
+    let (placed_before, shared_before) = (table.segments, table.shared);
     let mut total = 0.0f64;
     let mut mem_busy = 0.0f64;
     let mut comp_busy = 0.0f64;
@@ -97,9 +149,7 @@ fn simulate_core(
             .iter()
             .position(|(seen, _)| *seen == key)
             .unwrap_or_else(|| {
-                let (stats, placed) =
-                    kernel_time_spilled(device, wl, &kernel.classes, occ.k, spill);
-                segments += placed;
+                let stats = kernel_time_spilled(device, wl, &kernel.classes, occ.k, spill, table);
                 distinct.push((key, stats));
                 distinct.len() - 1
             });
@@ -136,7 +186,8 @@ fn simulate_core(
         obs::counter("sim.kernel_launches", wl.kernels.len() as u64);
         obs::counter("sim.blocks", blocks_total);
         obs::counter("sim.waves", waves_total);
-        obs::counter("sim.wave_segments", segments);
+        obs::counter("sim.wave_segments", table.segments - placed_before);
+        obs::counter("sim.wave_costs_shared", table.shared - shared_before);
         obs::histogram("sim.total_time_s", total);
         obs::histogram("sim.pipe_mem_busy_s", mem_busy);
         obs::histogram("sim.pipe_comp_busy_s", comp_busy);
@@ -236,7 +287,8 @@ pub fn kernel_time(
     classes: &[BlockClass],
     k: usize,
 ) -> KernelStats {
-    kernel_time_spilled(device, wl, classes, k, cost::spill_factor(device, wl)).0
+    let spill = cost::spill_factor(device, wl);
+    kernel_time_spilled(device, wl, classes, k, spill, &mut WaveCostTable::default())
 }
 
 /// The stats of a launch without blocks.
@@ -251,26 +303,27 @@ fn empty_kernel() -> KernelStats {
     }
 }
 
-/// [`kernel_time`] with the workload's spill factor given: [`simulate`]
-/// computes it once, not once per kernel. Also returns the segments the
-/// wave scheduler placed.
+/// [`kernel_time`] with the workload's spill factor given ([`simulate`]
+/// computes it once, not once per kernel) and wave costs drawn from
+/// `table`.
 fn kernel_time_spilled(
     device: &DeviceConfig,
     wl: &SimWorkload,
     classes: &[BlockClass],
     k: usize,
     spill: f64,
-) -> (KernelStats, u64) {
+    table: &mut WaveCostTable,
+) -> KernelStats {
     let (lowered, total_blocks, mem_busy, comp_busy) = lower_classes(device, wl, classes, spill);
     if total_blocks == 0 {
-        return (empty_kernel(), 0);
+        return empty_kernel();
     }
     let n_sm = device.n_sm;
     let k = k.max(1);
-    let mut table = WaveCostTable::default();
-    let (schedule, steady) = match schedule_steady(n_sm, k, total_blocks, &lowered, &mut table) {
+    let ids = table.begin_kernel(&lowered);
+    let (schedule, steady) = match schedule_steady(n_sm, k, total_blocks, &lowered, &ids, table) {
         Some(s) => (s, true),
-        None => (schedule_dealing(n_sm, k, &lowered, &mut table), false),
+        None => (schedule_dealing(n_sm, k, &lowered, &ids, table), false),
     };
     if obs::active() {
         obs::counter(
@@ -282,15 +335,14 @@ fn kernel_time_spilled(
             1,
         );
     }
-    let stats = KernelStats {
+    KernelStats {
         makespan: schedule.makespan,
         mem_busy,
         comp_busy,
         blocks: total_blocks,
         waves: schedule.waves,
         sm_finish: schedule.sm_finish,
-    };
-    (stats, table.segments)
+    }
 }
 
 /// Reference oracle: [`kernel_time`] computed by materializing the full
@@ -308,7 +360,8 @@ pub fn kernel_time_dealing(
         return empty_kernel();
     }
     let mut table = WaveCostTable::default();
-    let schedule = schedule_dealing(device.n_sm, k.max(1), &lowered, &mut table);
+    let ids = table.begin_kernel(&lowered);
+    let schedule = schedule_dealing(device.n_sm, k.max(1), &lowered, &ids, &mut table);
     KernelStats {
         makespan: schedule.makespan,
         mem_busy,
@@ -319,20 +372,30 @@ pub fn kernel_time_dealing(
     }
 }
 
-/// Maximum distinct class runs in one wave's inline composition. Real
+/// Maximum distinct block runs in one wave's inline composition. Real
 /// plans have 1–3 classes, so one wave mixing more than six runs is
 /// vanishingly rare; such kernels take the exact dealing fallback.
 const MAX_WAVE_RUNS: usize = 6;
 
-/// A wave's composition as run-length-encoded class indices: the wave
-/// executes `runs[0].1` blocks of class `runs[0].0`, then `runs[1].1`
-/// blocks of class `runs[1].0`, and so on. Round-robin dealing preserves
-/// dispatch order per SM, so class indices are non-decreasing and the
-/// encoding is canonical: equal compositions compare equal.
+/// A wave's composition as a run-length-encoded sequence of interned
+/// blocks (ids into [`WaveCostTable`]'s block list): the wave executes
+/// `runs[0].1` blocks `runs[0].0`, then `runs[1].1` blocks `runs[1].0`,
+/// and so on. Adjacent equal blocks always merge into one run, so the
+/// encoding is canonical: two waves compare equal exactly when they
+/// schedule the same block sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 struct WaveComp {
     runs: [(u32, u32); MAX_WAVE_RUNS],
     len: u8,
+}
+
+impl Hash for WaveComp {
+    /// One word per used run; unused runs are always zero.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for &(block, count) in &self.runs[..self.len as usize] {
+            state.write_u64(u64::from(block) << 32 | u64::from(count));
+        }
+    }
 }
 
 impl WaveComp {
@@ -340,28 +403,28 @@ impl WaveComp {
         Self::default()
     }
 
-    /// A full wave of `count` blocks all of class `class` — the steady
-    /// state that dominates every regular launch.
-    fn pure(class: u32, count: u32) -> Self {
+    /// A full wave of `count` copies of one block — the steady state
+    /// that dominates every regular launch.
+    fn pure(block: u32, count: u32) -> Self {
         let mut c = Self::new();
-        c.runs[0] = (class, count);
+        c.runs[0] = (block, count);
         c.len = 1;
         c
     }
 
     /// Append a run; returns `false` on overflow (caller falls back).
-    fn push(&mut self, class: u32, count: u32) -> bool {
+    fn push(&mut self, block: u32, count: u32) -> bool {
         if count == 0 {
             return true;
         }
-        if self.len > 0 && self.runs[self.len as usize - 1].0 == class {
+        if self.len > 0 && self.runs[self.len as usize - 1].0 == block {
             self.runs[self.len as usize - 1].1 += count;
             return true;
         }
         if (self.len as usize) == MAX_WAVE_RUNS {
             return false;
         }
-        self.runs[self.len as usize] = (class, count);
+        self.runs[self.len as usize] = (block, count);
         self.len += 1;
         true
     }
@@ -369,44 +432,121 @@ impl WaveComp {
     /// The wave's blocks in dispatch order.
     fn blocks<'a>(
         &'a self,
-        lowered: &'a [(u64, BlockSegments)],
+        blocks: &'a [BlockSegments],
     ) -> impl Iterator<Item = &'a BlockSegments> {
         self.runs[..self.len as usize]
             .iter()
-            .flat_map(move |&(c, n)| std::iter::repeat_n(&lowered[c as usize].1, n as usize))
+            .flat_map(move |&(b, n)| std::iter::repeat_n(&blocks[b as usize], n as usize))
     }
 }
 
-/// Interns wave compositions and computes each distinct wave's cost
-/// exactly once. A kernel has a handful of distinct waves, so the
-/// compositions are found by a linear scan.
+/// Multiply-rotate hashing of the table's keys, which are a few machine
+/// words each; the standard SipHash set-up costs more than the lookup.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u8(&mut self, w: u8) {
+        self.write_u64(u64::from(w));
+    }
+
+    fn write_usize(&mut self, w: usize) {
+        self.write_u64(w as u64);
+    }
+
+    fn write_u64(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
+
+/// Wave costs keyed by the wave's block sequence, shared by every kernel
+/// schedule that draws from one table: [`simulate_launches`] creates one
+/// per tile sweep, and every other entry point one per call. Lowered
+/// blocks are interned by their schedule-relevant bits
+/// ([`BlockSegments::key`]), so kernels and launches whose waves run the
+/// same blocks share those waves' costs whatever their class indices.
+/// Each distinct wave is scheduled once.
 #[derive(Default)]
 struct WaveCostTable {
-    comps: Vec<WaveComp>,
-    costs: Vec<f64>,
+    /// Interned lowered blocks, by id.
+    blocks: Vec<BlockSegments>,
+    block_ids: WordMap<cost::BlockKey, u32>,
+    /// Interned wave compositions, by id.
+    wave_ids: WordMap<WaveComp, u32>,
+    /// Each wave's cost and the kernel schedule that last used it.
+    costs: Vec<(f64, u64)>,
+    /// The current kernel schedule (see [`Self::begin_kernel`]).
+    kernel: u64,
     /// Segments placed by the scheduler so far.
     segments: u64,
+    /// Wave costs a kernel schedule found already scheduled by an
+    /// earlier one: counted once per (kernel schedule, wave).
+    shared: u64,
 }
 
 impl WaveCostTable {
-    fn id_of(&mut self, comp: WaveComp, lowered: &[(u64, BlockSegments)]) -> u32 {
-        if let Some(id) = self.comps.iter().position(|c| *c == comp) {
-            return id as u32;
-        }
-        let cost = self.wave_cost(comp.blocks(lowered));
-        self.comps.push(comp);
-        self.costs.push(cost);
-        self.costs.len() as u32 - 1
+    /// Start a kernel schedule: intern its lowered classes and return
+    /// each class's block id.
+    fn begin_kernel(&mut self, lowered: &[(u64, BlockSegments)]) -> Vec<u32> {
+        self.kernel += 1;
+        lowered
+            .iter()
+            .map(|(_, b)| {
+                let next = self.blocks.len() as u32;
+                let id = *self.block_ids.entry(b.key()).or_insert(next);
+                if id == next {
+                    self.blocks.push(*b);
+                }
+                id
+            })
+            .collect()
     }
 
-    /// Schedule one wave, counting the segments it places.
-    fn wave_cost<'a>(&mut self, blocks: impl Iterator<Item = &'a BlockSegments>) -> f64 {
+    /// The id of `comp`'s cost, scheduling the wave the first time any
+    /// kernel schedule drawing from this table needs it.
+    fn id_of(&mut self, comp: WaveComp) -> u32 {
+        let next = self.costs.len() as u32;
+        match self.wave_ids.entry(comp) {
+            Entry::Occupied(e) => {
+                let id = *e.get();
+                let last = &mut self.costs[id as usize].1;
+                if *last != self.kernel {
+                    *last = self.kernel;
+                    self.shared += 1;
+                }
+                id
+            }
+            Entry::Vacant(e) => {
+                e.insert(next);
+                let placed = &mut self.segments;
+                let cost = schedule_wave(comp.blocks(&self.blocks), |_, _, _, _| *placed += 1);
+                self.costs.push((cost, self.kernel));
+                next
+            }
+        }
+    }
+
+    /// Schedule one wave outside the table, counting the segments it
+    /// places.
+    fn schedule<'a>(&mut self, blocks: impl Iterator<Item = &'a BlockSegments>) -> f64 {
         let placed = &mut self.segments;
         schedule_wave(blocks, |_, _, _, _| *placed += 1)
     }
 
     fn cost(&self, id: u32) -> f64 {
-        self.costs[id as usize]
+        self.costs[id as usize].0
     }
 }
 
@@ -439,18 +579,20 @@ fn push_sig(sig: &mut Vec<(u32, u64)>, id: u32, rep: u64) {
 /// composition is computable without materializing the order. Runs of
 /// full single-class waves — the steady state — collapse into one
 /// `(composition, repeat)` signature entry; irregular waves at class
-/// boundaries and the tail are composed run by run. Per-SM finish times
-/// fold wave costs in the exact order the dealing loop does, and SMs
-/// with identical signatures share one fold, so results are bit-equal to
+/// boundaries and the tail are composed run by run (`ids` maps each
+/// class to its interned block). Per-SM finish times fold wave costs in
+/// the exact order the dealing loop does, and SMs with identical
+/// signatures share one fold, so results are bit-equal to
 /// [`schedule_dealing`].
 ///
-/// Returns `None` when a wave mixes more than [`MAX_WAVE_RUNS`] class
+/// Returns `None` when a wave mixes more than [`MAX_WAVE_RUNS`] block
 /// runs; the caller then takes the dealing fallback.
 fn schedule_steady(
     n_sm: usize,
     k: usize,
     total: u64,
     lowered: &[(u64, BlockSegments)],
+    ids: &[u32],
     table: &mut WaveCostTable,
 ) -> Option<Schedule> {
     let nsm = n_sm as u64;
@@ -499,7 +641,7 @@ fn schedule_steady(
                     let w_full = (n_s - ku) / ku;
                     let w_end = w_pure.min(w_full);
                     debug_assert!(w_end >= w);
-                    let id = table.id_of(WaveComp::pure(cls as u32, kw), lowered);
+                    let id = table.id_of(WaveComp::pure(ids[cls], kw));
                     push_sig(&mut sig, id, w_end - w + 1);
                     w = w_end + 1;
                     continue;
@@ -517,12 +659,12 @@ fn schedule_steady(
                 }
                 let upto = (prefix[c + 1] - p0).div_ceil(nsm);
                 let n = upto.min(in_wave) - i;
-                if !comp.push(c as u32, n as u32) {
+                if !comp.push(ids[c], n as u32) {
                     return None;
                 }
                 i += n;
             }
-            let id = table.id_of(comp, lowered);
+            let id = table.id_of(comp);
             push_sig(&mut sig, id, 1);
             w += 1;
         }
@@ -558,21 +700,15 @@ fn schedule_steady(
     })
 }
 
-/// Run-length encode one dealt wave slice (non-decreasing class
-/// indices); `None` if it needs more than [`MAX_WAVE_RUNS`] runs.
-fn comp_of_slice(wave: &[u16]) -> Option<WaveComp> {
+/// Run-length encode one dealt wave slice (class indices, mapped to
+/// their interned blocks by `ids`); `None` if it needs more than
+/// [`MAX_WAVE_RUNS`] runs.
+fn comp_of_slice(wave: &[u16], ids: &[u32]) -> Option<WaveComp> {
     let mut comp = WaveComp::new();
-    let mut i = 0;
-    while i < wave.len() {
-        let c = wave[i];
-        let mut j = i + 1;
-        while j < wave.len() && wave[j] == c {
-            j += 1;
-        }
-        if !comp.push(c as u32, (j - i) as u32) {
+    for &c in wave {
+        if !comp.push(ids[c as usize], 1) {
             return None;
         }
-        i = j;
     }
     Some(comp)
 }
@@ -600,6 +736,7 @@ fn schedule_dealing(
     n_sm: usize,
     k: usize,
     lowered: &[(u64, BlockSegments)],
+    ids: &[u32],
     table: &mut WaveCostTable,
 ) -> Schedule {
     let per_sm = deal(n_sm, lowered);
@@ -610,12 +747,12 @@ fn schedule_dealing(
         let mut t = 0.0;
         for wave in sm.chunks(k) {
             waves += 1;
-            let cost = match comp_of_slice(wave) {
+            let cost = match comp_of_slice(wave, ids) {
                 Some(comp) => {
-                    let id = table.id_of(comp, lowered);
+                    let id = table.id_of(comp);
                     table.cost(id)
                 }
-                None => table.wave_cost(wave.iter().map(|&c| &lowered[c as usize].1)),
+                None => table.schedule(wave.iter().map(|&c| &lowered[c as usize].1)),
             };
             t += cost;
         }
@@ -629,6 +766,97 @@ fn schedule_dealing(
     }
 }
 
+/// A block's position in its chain: `left` chunks to go, at `phase`
+/// within the current one, whose segment `next` can start once the
+/// previous segment ends at `ready`.
+struct Live<'a> {
+    block: usize,
+    chunk: &'a [Segment],
+    phase: usize,
+    left: u64,
+    next: Segment,
+    ready: f64,
+}
+
+impl<'a> Live<'a> {
+    /// Block `block` at the start of its chain; `None` if it has no
+    /// segments.
+    fn start(block: usize, b: &'a BlockSegments) -> Option<Self> {
+        let chunk = b.chunk();
+        Some(Live {
+            block,
+            chunk,
+            phase: 0,
+            left: b.chunks,
+            next: *chunk.first()?,
+            ready: 0.0,
+        })
+    }
+
+    /// Record that `next` ended at `end` and step to the following
+    /// segment; `false` once the chain is done.
+    #[inline]
+    fn advance(&mut self, end: f64) -> bool {
+        self.ready = end;
+        self.phase += 1;
+        if self.phase == self.chunk.len() {
+            self.phase = 0;
+            self.left -= 1;
+            if self.left == 0 {
+                return false;
+            }
+        }
+        self.next = self.chunk[self.phase];
+        true
+    }
+
+    /// Place `next` at `start` on its pipe; returns its end.
+    #[inline]
+    fn place(
+        &mut self,
+        start: f64,
+        free: &mut FreeAt,
+        on_segment: &mut impl FnMut(usize, Pipe, f64, f64),
+    ) -> f64 {
+        let end = start + self.next.dur;
+        free.set(self.next.pipe, end);
+        on_segment(self.block, self.next.pipe, start, end);
+        end
+    }
+
+    /// When `next` can start: once its predecessor ends and its pipe is
+    /// free.
+    #[inline]
+    fn start_on(&self, free: &FreeAt) -> f64 {
+        self.ready.max(free.get(self.next.pipe))
+    }
+}
+
+/// When each pipe is next free.
+#[derive(Clone, Copy, Default)]
+struct FreeAt {
+    mem: f64,
+    comp: f64,
+}
+
+impl FreeAt {
+    #[inline]
+    fn get(&self, pipe: Pipe) -> f64 {
+        match pipe {
+            Pipe::Mem => self.mem,
+            Pipe::Comp => self.comp,
+        }
+    }
+
+    #[inline]
+    fn set(&mut self, pipe: Pipe, at: f64) {
+        match pipe {
+            Pipe::Mem => self.mem = at,
+            Pipe::Comp => self.comp = at,
+        }
+    }
+}
+
 /// Two-pipe greedy list schedule of the co-resident blocks of one wave,
 /// from time 0.
 ///
@@ -636,68 +864,115 @@ fn schedule_dealing(
 /// the memory pipe and the compute pipe each execute one segment at a
 /// time. At every step the block whose next segment can start earliest
 /// (ties: lowest block index) is placed, and `on_segment(block, pipe,
-/// start, end)` observes the placement: the engine passes a no-op, the
-/// tracer records it. Returns the completion time of the last segment.
+/// start, end)` observes the placement: the engine counts placements,
+/// the tracer records them. Returns the completion time of the last
+/// segment.
+///
+/// Waves of one and two blocks (with segments) take straight-line paths
+/// that perform the same `f64` operations in the same order as the
+/// general loop, and so report the same placements bit for bit.
 pub(crate) fn schedule_wave<'a>(
     blocks: impl Iterator<Item = &'a BlockSegments>,
     mut on_segment: impl FnMut(usize, Pipe, f64, f64),
 ) -> f64 {
-    /// A block's position in its chain: `left` chunks to go, at `phase`
-    /// within the current one, whose segment `next` can start once the
-    /// previous segment ends at `ready`.
-    struct Live<'a> {
-        block: usize,
-        chunk: &'a [Segment],
-        phase: usize,
-        left: u64,
-        next: Segment,
-        ready: f64,
-    }
-    // Finished blocks leave `live`, which stays in block order.
-    let mut live: Vec<Live<'a>> = blocks
+    let mut live = blocks
         .enumerate()
-        .filter_map(|(block, b)| {
-            let (chunk, left) = (b.chunk(), b.chunks);
-            let next = *chunk.first()?;
-            Some(Live {
-                block,
-                chunk,
-                phase: 0,
-                left,
-                next,
-                ready: 0.0,
-            })
-        })
-        .collect();
-    // When each pipe is next free, indexed by `Pipe as usize`.
-    let mut free = [0.0f64; 2];
+        .filter_map(|(block, b)| Live::start(block, b));
+    let Some(a) = live.next() else {
+        return 0.0;
+    };
+    let Some(b) = live.next() else {
+        return one_block(&a, &mut on_segment);
+    };
+    let Some(c) = live.next() else {
+        return two_blocks(a, b, &mut on_segment);
+    };
+    let all: Vec<Live<'a>> = [a, b, c].into_iter().chain(live).collect();
+    any_blocks(all, &mut on_segment)
+}
+
+/// A block alone on the SM. Nothing else uses its pipes, and durations
+/// are ≥ 0, so each segment starts the moment its predecessor ends
+/// (`ready.max(free[pipe]) == ready`), and the wave's cost is the chained
+/// sum of the segment durations.
+fn one_block(b: &Live<'_>, on_segment: &mut impl FnMut(usize, Pipe, f64, f64)) -> f64 {
+    let mut t = 0.0f64;
+    for _ in 0..b.left {
+        for s in b.chunk {
+            let end = t + s.dur;
+            on_segment(b.block, s.pipe, t, end);
+            t = end;
+        }
+    }
+    t
+}
+
+/// Two co-resident blocks, both blocks' positions and both pipes' free
+/// times held in locals. Once one chain is done the other runs on alone,
+/// still waiting for whatever its partner left on the pipes.
+fn two_blocks<'a>(
+    mut a: Live<'a>,
+    mut b: Live<'a>,
+    on_segment: &mut impl FnMut(usize, Pipe, f64, f64),
+) -> f64 {
+    let mut free = FreeAt::default();
     let mut finish = 0.0f64;
-    let start_of = |b: &Live<'_>, free: &[f64; 2]| b.ready.max(free[b.next.pipe as usize]);
+    loop {
+        let (sa, sb) = (a.start_on(&free), b.start_on(&free));
+        // Ties go to the lower block index, `a`.
+        if sb < sa {
+            let end = b.place(sb, &mut free, on_segment);
+            finish = finish.max(end);
+            if !b.advance(end) {
+                return run_alone(a, free, finish, on_segment);
+            }
+        } else {
+            let end = a.place(sa, &mut free, on_segment);
+            finish = finish.max(end);
+            if !a.advance(end) {
+                return run_alone(b, free, finish, on_segment);
+            }
+        }
+    }
+}
+
+/// The rest of block `b`'s chain once its partner is done: it still
+/// waits for whatever the partner left on the pipes.
+fn run_alone(
+    mut b: Live<'_>,
+    mut free: FreeAt,
+    mut finish: f64,
+    on_segment: &mut impl FnMut(usize, Pipe, f64, f64),
+) -> f64 {
+    loop {
+        let end = b.place(b.start_on(&free), &mut free, on_segment);
+        finish = finish.max(end);
+        if !b.advance(end) {
+            return finish;
+        }
+    }
+}
+
+/// The general loop, for any number of blocks: each step scans the live
+/// blocks for the earliest start. Finished blocks leave `live`, which
+/// stays in block order.
+fn any_blocks(mut live: Vec<Live<'_>>, on_segment: &mut impl FnMut(usize, Pipe, f64, f64)) -> f64 {
+    let mut free = FreeAt::default();
+    let mut finish = 0.0f64;
     while let Some(first) = live.first() {
         // Find the runnable segment with the earliest possible start.
-        let (mut i, mut start) = (0, start_of(first, &free));
+        let (mut i, mut start) = (0, first.start_on(&free));
         for (j, b) in live.iter().enumerate().skip(1) {
-            let s = start_of(b, &free);
+            let s = b.start_on(&free);
             if s < start {
                 (i, start) = (j, s);
             }
         }
-        let b = &mut live[i];
-        let end = start + b.next.dur;
-        free[b.next.pipe as usize] = end;
-        on_segment(b.block, b.next.pipe, start, end);
-        b.ready = end;
+        let end = live[i].place(start, &mut free, on_segment);
         finish = finish.max(end);
-        b.phase += 1;
-        if b.phase == b.chunk.len() {
-            b.phase = 0;
-            b.left -= 1;
-            if b.left == 0 {
-                live.remove(i);
-                continue;
-            }
+        if !live[i].advance(end) {
+            live.remove(i);
         }
-        b.next = b.chunk[b.phase];
     }
     finish
 }
@@ -900,6 +1175,72 @@ mod tests {
         let wl = SimWorkload::uniform(1, 0, 0, 0, 0, vec![], 128, 32);
         let r = simulate(&d, &wl).unwrap();
         assert!((r.total_time - d.t_launch).abs() < 1e-18);
+    }
+
+    /// A wave's cost and its `(block, pipe, start, end)` placements, as
+    /// raw bits.
+    type Placements = (u64, Vec<(usize, Pipe, u64, u64)>);
+
+    /// What `schedule_wave` reports for `wave`, and what the general
+    /// loop reports for the same blocks.
+    fn placements(wave: &[&BlockSegments]) -> [Placements; 2] {
+        let mut fast = Vec::new();
+        let t_fast = schedule_wave(wave.iter().copied(), |b, p, s, e| {
+            fast.push((b, p, s.to_bits(), e.to_bits()))
+        });
+        let live = wave
+            .iter()
+            .enumerate()
+            .filter_map(|(i, b)| Live::start(i, b))
+            .collect();
+        let mut general = Vec::new();
+        let t_general = any_blocks(live, &mut |b, p, s, e| {
+            general.push((b, p, s.to_bits(), e.to_bits()))
+        });
+        [(t_fast.to_bits(), fast), (t_general.to_bits(), general)]
+    }
+
+    /// The straight-line one- and two-block paths observe the same
+    /// `(block, pipe, start, end)` stream as the general loop, bit for
+    /// bit: chunks of one, two and three phases, single-chunk blocks, a
+    /// zero-duration segment, a block without segments, and durations
+    /// that are not exact binary fractions.
+    #[test]
+    fn straight_line_paths_match_the_general_loop() {
+        let seg = |pipe, dur| Segment { pipe, dur };
+        let (m, c) = (Pipe::Mem, Pipe::Comp);
+        let mut blocks = vec![
+            BlockSegments::periodic(&[seg(c, 3.0e-6)], 4),
+            BlockSegments::periodic(&[seg(m, 1.5e-6), seg(c, 2.0e-6)], 3),
+            BlockSegments::periodic(&[seg(m, 1.0e-6), seg(c, 0.7e-6), seg(m, 0.4e-6)], 5),
+            BlockSegments::periodic(&[seg(m, 2.5e-6), seg(c, 1.0e-6), seg(m, 0.5e-6)], 1),
+            BlockSegments::periodic(&[seg(m, 1.0e-6), seg(c, 0.0), seg(m, 0.3e-6)], 2),
+            BlockSegments::periodic(&[seg(m, 0.1), seg(c, 0.2), seg(m, 0.3)], 7),
+            BlockSegments::periodic(&[], 1),
+        ];
+        // Pseudo-random three-phase chunks, some with a tied duration.
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut draw = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % 1000) as f64 * 1.0e-9 / 3.0
+        };
+        for chunks in [1u64, 2, 9, 64] {
+            let (load, comp) = (draw(), draw());
+            blocks.push(BlockSegments::periodic(
+                &[seg(m, load), seg(c, comp), seg(m, load)],
+                chunks,
+            ));
+        }
+        for a in &blocks {
+            let [fast, general] = placements(&[a]);
+            assert_eq!(fast, general);
+            for b in &blocks {
+                let [fast, general] = placements(&[a, b]);
+                assert_eq!(fast, general);
+            }
+        }
     }
 
     /// The steady-state schedule must reproduce the dealing loop exactly

@@ -47,7 +47,8 @@ pub mod workload;
 
 pub use device::DeviceConfig;
 pub use engine::{
-    kernel_time, kernel_time_dealing, simulate, simulate_detailed, KernelBreakdown, KernelStats,
+    kernel_time, kernel_time_dealing, simulate, simulate_detailed, simulate_launches,
+    KernelBreakdown, KernelStats,
 };
 pub use occupancy::{occupancy, LaunchError, Occupancy, OccupancyLimit};
 pub use report::SimReport;

@@ -191,10 +191,10 @@ impl WavefrontPlan {
 
 /// The launch-independent part of a [`TilingPlan`]: everything the
 /// (stencil, size, tile) triple determines. Building it walks the hexagon
-/// geometry once; [`PlanGeometry::with_launch`] then pairs it with any
-/// number of launch configurations, sharing the wavefront class vectors
-/// by `Arc`. Tile-size searches build one geometry per distinct tile and
-/// sweep its thread counts from it.
+/// geometry once; the simulator (`gpu_sim::simulate_launches`) then pairs
+/// it with any number of launch configurations, sharing the wavefront
+/// class vectors by `Arc`. Tile-size searches build one geometry per
+/// distinct tile and sweep its thread counts from it.
 #[derive(Debug, Clone)]
 pub struct PlanGeometry {
     /// The stencil being executed.
@@ -302,13 +302,6 @@ impl PlanGeometry {
             mtile_words: mtile,
             regs_per_thread: regs::regs_per_thread(spec),
         })
-    }
-
-    /// Pair this geometry with a launch configuration. Cheap: validates
-    /// the launch and clones the per-wavefront `Arc`s.
-    pub fn with_launch(&self, launch: LaunchConfig) -> Result<TilingPlan, String> {
-        launch.validate(self.spec.dim)?;
-        Ok(self.clone().into_plan(launch))
     }
 
     fn into_plan(self, launch: LaunchConfig) -> TilingPlan {
@@ -570,32 +563,6 @@ mod tests {
         let a1 = &plan.wavefronts[2];
         let a2 = &plan.wavefronts[4];
         assert!(Arc::ptr_eq(&a1.classes, &a2.classes));
-    }
-
-    #[test]
-    fn one_geometry_serves_every_launch() {
-        let spec = StencilDescriptor::heat3d().spec();
-        let size = ProblemSize::new_3d(24, 24, 24, 9);
-        let tiles = TileSizes::new_3d(4, 3, 4, 8);
-        let geometry = PlanGeometry::build(&spec, &size, tiles).unwrap();
-        for launch in LaunchConfig::candidates(spec.dim) {
-            let built = TilingPlan::build(&spec, &size, tiles, launch).unwrap();
-            let relaunched = geometry.with_launch(launch).unwrap();
-            assert_eq!(relaunched.launch, launch);
-            assert_eq!(relaunched.mtile_words, built.mtile_words);
-            assert_eq!(relaunched.regs_per_thread, built.regs_per_thread);
-            assert_eq!(relaunched.kernel_count(), built.kernel_count());
-            for (a, b) in relaunched.wavefronts.iter().zip(&built.wavefronts) {
-                assert_eq!(a.classes, b.classes);
-            }
-            for (a, b) in relaunched.wavefronts.iter().zip(&geometry.wavefronts) {
-                assert!(Arc::ptr_eq(&a.classes, &b.classes), "classes are shared");
-            }
-        }
-        // An invalid launch is rejected by the cheap step, as by `build`.
-        let bad = LaunchConfig::new_3d(2, 32, 32); // 2048 threads
-        assert!(geometry.with_launch(bad).is_err());
-        assert!(TilingPlan::build(&spec, &size, tiles, bad).is_err());
     }
 
     #[test]

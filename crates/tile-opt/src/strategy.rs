@@ -19,7 +19,7 @@
 
 use crate::space::{feasible_space, feasible_tiles, SpaceConfig};
 use crate::sweep::{model_sweep_spec, talg_min, within_fraction};
-use gpu_sim::{simulate, DeviceConfig, SimReport, SimWorkload, Workload};
+use gpu_sim::{simulate_launches, DeviceConfig, SimReport, Workload};
 use hhc_tiling::{LaunchConfig, PlanGeometry, TileSizes};
 use parking_lot::Mutex;
 use rayon::prelude::*;
@@ -303,8 +303,9 @@ pub fn simulate_point(
 }
 
 /// Simulate `launches` on one tile: the launch-independent plan geometry
-/// is built once and shared by every launch, then dropped. One report per
-/// launch, in order; `None` where the plan or the launch is invalid.
+/// is built once and swept by [`simulate_launches`], then dropped. One
+/// report per launch, in order; `None` where the plan or the launch is
+/// invalid.
 fn simulate_tile(
     device: &DeviceConfig,
     spec: &StencilSpec,
@@ -312,16 +313,10 @@ fn simulate_tile(
     tiles: TileSizes,
     launches: &[LaunchConfig],
 ) -> Vec<Option<SimReport>> {
-    let Ok(geometry) = PlanGeometry::build(spec, size, tiles) else {
-        return vec![None; launches.len()];
-    };
-    launches
-        .iter()
-        .map(|&launch| {
-            let plan = geometry.with_launch(launch).ok()?;
-            simulate(device, &SimWorkload::from_plan(&plan)).ok()
-        })
-        .collect()
+    match PlanGeometry::build(spec, size, tiles) {
+        Ok(geometry) => simulate_launches(device, &geometry, launches),
+        Err(_) => vec![None; launches.len()],
+    }
 }
 
 /// Evaluate (model + machine) a set of points in parallel, memoized
