@@ -95,6 +95,35 @@ fn sim_counters_match_simreport() {
     // distinct kernel: for this plan (k = 2) those waves place 150
     // segments between them.
     assert_eq!(snap.counter("sim.wave_segments"), 150);
+    // The steady-state schedule builds and folds one signature per group
+    // of SMs that receive the same blocks: per distinct kernel, the
+    // maximal runs of consecutive SMs whose dealt class sequences are
+    // equal (SMs without blocks build none).
+    assert_eq!(snap.counter("sim.sched_fallback"), 0);
+    let mut distinct = HashSet::new();
+    let (mut groups, mut busy_sms) = (0u64, 0u64);
+    for kernel in wl
+        .kernels
+        .iter()
+        .filter(|k| distinct.insert(Arc::as_ptr(&k.classes)))
+    {
+        let mut per_sm: Vec<Vec<usize>> = vec![Vec::new(); device.n_sm];
+        let dispatch = kernel
+            .classes
+            .iter()
+            .enumerate()
+            .flat_map(|(c, class)| std::iter::repeat_n(c, class.count as usize));
+        for (pos, c) in dispatch.enumerate() {
+            per_sm[pos % device.n_sm].push(c);
+        }
+        let dealt: Vec<&Vec<usize>> = per_sm.iter().filter(|sm| !sm.is_empty()).collect();
+        busy_sms += dealt.len() as u64;
+        groups += dealt.windows(2).filter(|w| w[0] != w[1]).count() as u64;
+        groups += u64::from(!dealt.is_empty());
+    }
+    assert_eq!(snap.counter("sim.sm_groups"), groups);
+    // For this plan, 10 signatures serve the 31 SMs that receive blocks.
+    assert_eq!((groups, busy_sms), (10, 31));
     // SM utilization samples are fractions in (0, 1].
     let util = snap.histogram("sim.sm_utilization").expect("utilization");
     assert!(util.count > 0);

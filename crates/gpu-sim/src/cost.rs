@@ -31,8 +31,10 @@
 //!   contiguous runs waste bandwidth.
 
 use crate::device::DeviceConfig;
+use crate::occupancy::{occupancy_for_demand, LaunchError, Occupancy};
 use crate::workload::SimWorkload;
-use hhc_tiling::plan::{AxisClass, BlockClass};
+use hhc_tiling::plan::{AxisClass, BlockClass, WavefrontPlan};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Which pipe a segment occupies.
@@ -124,12 +126,29 @@ impl BlockSegments {
 
 /// The schedule-relevant identity of a [`BlockSegments`] (see
 /// [`BlockSegments::key`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct BlockKey {
     chunks: u64,
     phases: u8,
     pipes: [Pipe; 3],
     durs: [u64; 3],
+}
+
+impl Hash for BlockKey {
+    /// Five words: the chunk count, the phase count and pipes packed into
+    /// one word, and each duration's bits. (The derived hash writes the
+    /// durations as one 24-byte slice, which word hashers take a byte at a
+    /// time.)
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let shape = self.pipes.iter().fold(u64::from(self.phases), |w, &p| {
+            w << 1 | u64::from(p == Pipe::Comp)
+        });
+        state.write_u64(self.chunks);
+        state.write_u64(shape);
+        for d in self.durs {
+            state.write_u64(d);
+        }
+    }
 }
 
 /// Maximum load/compute/store chunks a block is scheduled as. Enough
@@ -143,13 +162,15 @@ fn axis_rounds(extent: u64, threads: usize) -> u64 {
     extent.div_ceil(threads.max(1) as u64)
 }
 
-/// Count-weighted rounds sum of an axis at row `r`:
+/// An axis at row `r` under `threads` threads: the rounds of its widest
+/// sub-tile and the count-weighted rounds sum
 /// `Σ_classes count · ⌈width/n⌉` (zero-width rows contribute nothing).
 #[inline]
-fn axis_rounds_sum(axis: &[AxisClass], r: usize, threads: usize) -> u64 {
-    axis.iter()
-        .map(|c| c.count * axis_rounds(c.widths[r], threads))
-        .sum()
+fn axis_rounds_at(axis: &[AxisClass], r: usize, threads: usize) -> (u64, u64) {
+    axis.iter().fold((0, 0), |(widest, sum), c| {
+        let rounds = axis_rounds(c.widths[r], threads);
+        (widest.max(rounds), sum + c.count * rounds)
+    })
 }
 
 /// Number of sub-tiles of an axis active (nonzero width) at row `r`.
@@ -161,43 +182,67 @@ fn axis_active(axis: &[AxisClass], r: usize) -> u64 {
         .sum()
 }
 
-/// Points each thread covers in the widest row of the workload — the
-/// unroll depth of the generated body. Kernels sharing a class vector
-/// (interior wavefronts share one `Arc`) are visited once.
-pub fn points_per_thread(wl: &SimWorkload) -> u64 {
-    let [n1, n2, n3] = wl.threads_dims;
-    let mut seen = Vec::new();
-    wl.kernels
+/// What one pass over a block class's rows yields under a launch's
+/// thread shape (see [`row_pass`]).
+#[derive(Debug, Clone, Copy)]
+struct RowPass {
+    /// Points each thread covers in the class's widest row: the unroll
+    /// depth of the generated body.
+    pub unroll: u64,
+    /// Thread rounds of one block, summed over its rows and sub-tiles.
+    pub rounds: u64,
+}
+
+/// The launch-dependent part of a class's lowering, in one pass over its
+/// rows: the unroll depth (for register demand and spills) and the
+/// thread rounds (for compute time).
+fn row_pass(class: &BlockClass, [n1, n2, n3]: [usize; 3]) -> RowPass {
+    let mut pass = RowPass {
+        unroll: 0,
+        rounds: 0,
+    };
+    for r in 0..class.row_count() {
+        if class.s1_widths[r] == 0 {
+            continue;
+        }
+        let r1 = axis_rounds(class.s1_widths[r], n1);
+        let (widest2, sum2) = axis_rounds_at(&class.axis2, r, n2);
+        let (widest3, sum3) = axis_rounds_at(&class.axis3, r, n3);
+        pass.unroll = pass.unroll.max(r1 * widest2 * widest3);
+        pass.rounds += r1 * sum2 * sum3;
+    }
+    pass
+}
+
+/// The distinct class vectors of `kernels` in first-appearance order, and
+/// each kernel's index into them. Interior wavefronts share one `Arc`, so
+/// a plan has a handful and a linear scan finds them.
+fn distinct_vectors(kernels: &[WavefrontPlan]) -> (Vec<&Arc<Vec<BlockClass>>>, Vec<usize>) {
+    let mut vectors: Vec<&Arc<Vec<BlockClass>>> = Vec::new();
+    let index = kernels
         .iter()
-        .filter(|k| {
-            let key = Arc::as_ptr(&k.classes);
-            let first = !seen.contains(&key);
-            if first {
-                seen.push(key);
-            }
-            first
-        })
-        .flat_map(|k| k.classes.iter())
-        .map(|c| {
-            (0..c.row_count())
-                .map(|r| {
-                    let m2 = c
-                        .axis2
-                        .iter()
-                        .map(|a| axis_rounds(a.widths[r], n2))
-                        .max()
-                        .unwrap_or(0);
-                    let m3 = c
-                        .axis3
-                        .iter()
-                        .map(|a| axis_rounds(a.widths[r], n3))
-                        .max()
-                        .unwrap_or(0);
-                    axis_rounds(c.s1_widths[r], n1) * m2 * m3
+        .map(|k| {
+            vectors
+                .iter()
+                .position(|v| Arc::ptr_eq(v, &k.classes))
+                .unwrap_or_else(|| {
+                    vectors.push(&k.classes);
+                    vectors.len() - 1
                 })
-                .max()
-                .unwrap_or(0)
         })
+        .collect();
+    (vectors, index)
+}
+
+/// Points each thread covers in the widest row of the workload — the
+/// unroll depth of the generated body: the deepest `row_pass` over the
+/// distinct class vectors.
+pub fn points_per_thread(wl: &SimWorkload) -> u64 {
+    distinct_vectors(&wl.kernels)
+        .0
+        .iter()
+        .flat_map(|v| v.iter())
+        .map(|c| row_pass(c, wl.threads_dims).unroll)
         .max()
         .unwrap_or(0)
 }
@@ -205,7 +250,12 @@ pub fn points_per_thread(wl: &SimWorkload) -> u64 {
 /// Register demand per thread of the fully-unrolled tile body: the base
 /// estimate plus live values per unrolled point.
 pub fn unrolled_regs_per_thread(wl: &SimWorkload) -> u32 {
-    let unroll = (4 * points_per_thread(wl)).min(4096) as u32;
+    regs_for_unroll(wl, points_per_thread(wl))
+}
+
+/// [`unrolled_regs_per_thread`] of a known unroll depth.
+fn regs_for_unroll(wl: &SimWorkload, unroll: u64) -> u32 {
+    let unroll = (4 * unroll).min(4096) as u32;
     wl.regs_per_thread.saturating_add(unroll)
 }
 
@@ -216,10 +266,10 @@ pub fn spill_factor(device: &DeviceConfig, wl: &SimWorkload) -> f64 {
     spill_for_demand(device, unrolled_regs_per_thread(wl))
 }
 
-/// [`spill_factor`] of a known register demand per thread. The engine
-/// computes the demand once per simulation and lowers every block class
-/// with the resulting factor.
-pub(crate) fn spill_for_demand(device: &DeviceConfig, demand: u32) -> f64 {
+/// [`spill_factor`] of a known register demand per thread.
+/// [`TileClasses::lower`] computes the demand once per launch and lowers
+/// every block class with the resulting factor.
+fn spill_for_demand(device: &DeviceConfig, demand: u32) -> f64 {
     let demand = demand as f64;
     let cap = device.reg_alloc_target as f64;
     if demand <= cap {
@@ -260,37 +310,194 @@ pub fn transfer_time(device: &DeviceConfig, wl: &SimWorkload, words: u64, batche
     eff as f64 * device.word_time + batches as f64 * (device.mem_latency + device.tau_sync)
 }
 
+/// The launch-wide factors of a block's compute time: issue groups,
+/// per-iteration cost, divergence, spills and the barrier cost.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ComputeRate {
+    issue_groups: f64,
+    citer: f64,
+    diverge: f64,
+    spill: f64,
+    tau_sync: f64,
+}
+
+impl ComputeRate {
+    /// The rate of `wl`'s launch with its spill factor given.
+    pub(crate) fn new(device: &DeviceConfig, wl: &SimWorkload, spill: f64) -> Self {
+        let warps = wl.threads.max(1).div_ceil(device.warp_size);
+        ComputeRate {
+            issue_groups: (warps * device.warp_size).div_ceil(device.n_v) as f64,
+            citer: device.iter_cost(wl.flops_per_iter, wl.shared_accesses_per_iter, wl.rank),
+            diverge: divergence_factor(device, wl.inner_threads),
+            spill,
+            tau_sync: device.tau_sync,
+        }
+    }
+
+    /// `rounds·issue_groups·citer·diverge·spill + barriers·τ_sync`.
+    fn time(&self, rounds: u64, barriers: u64) -> f64 {
+        rounds as f64 * self.issue_groups * self.citer * self.diverge * self.spill
+            + barriers as f64 * self.tau_sync
+    }
+}
+
 /// Total compute time of one block of `class` (all its sub-tiles):
 /// per row and sub-tile, thread rounds × issue groups × per-iteration
 /// cost × penalty factors, plus a barrier per active (sub-tile, row).
 pub fn block_compute_time(device: &DeviceConfig, wl: &SimWorkload, class: &BlockClass) -> f64 {
-    block_compute_time_spilled(device, wl, class, spill_factor(device, wl))
+    let rate = ComputeRate::new(device, wl, spill_factor(device, wl));
+    rate.time(row_pass(class, wl.threads_dims).rounds, barriers(class))
 }
 
-/// [`block_compute_time`] with the workload's spill factor given.
-pub(crate) fn block_compute_time_spilled(
-    device: &DeviceConfig,
-    wl: &SimWorkload,
-    class: &BlockClass,
-    spill: f64,
-) -> f64 {
-    let citer = device.iter_cost(wl.flops_per_iter, wl.shared_accesses_per_iter, wl.rank);
-    let diverge = divergence_factor(device, wl.inner_threads);
-    let warps = wl.threads.max(1).div_ceil(device.warp_size);
-    let issue_groups = (warps * device.warp_size).div_ceil(device.n_v) as f64;
-    let [n1, n2, n3] = wl.threads_dims;
-    let mut rounds_total = 0u64;
-    let mut barriers = 0u64;
-    for r in 0..class.row_count() {
-        if class.s1_widths[r] == 0 {
-            continue;
+/// Barriers one block of `class` passes: one per active (sub-tile, row).
+fn barriers(class: &BlockClass) -> u64 {
+    (0..class.row_count())
+        .filter(|&r| class.s1_widths[r] != 0)
+        .map(|r| axis_active(&class.axis2, r) * axis_active(&class.axis3, r))
+        .sum()
+}
+
+/// The launch-independent part of a block class's lowering: its load and
+/// store transfer times, barriers and chunk count. A tile sweep computes
+/// it once per class; each launch adds the thread rounds of its
+/// [`row_pass`].
+#[derive(Debug, Clone, Copy)]
+struct ClassParts {
+    load: f64,
+    store: f64,
+    barriers: u64,
+    chunks: u64,
+}
+
+impl ClassParts {
+    fn new(device: &DeviceConfig, wl: &SimWorkload, class: &BlockClass) -> Self {
+        let n_sub = class.subtiles_per_block();
+        ClassParts {
+            load: transfer_time(device, wl, class.load_words_per_block(), n_sub.max(1)),
+            store: transfer_time(device, wl, class.store_words_per_block(), n_sub.max(1)),
+            barriers: barriers(class),
+            chunks: n_sub.clamp(1, MAX_CHUNKS),
         }
-        let r1 = axis_rounds(class.s1_widths[r], n1);
-        rounds_total +=
-            r1 * axis_rounds_sum(&class.axis2, r, n2) * axis_rounds_sum(&class.axis3, r, n3);
-        barriers += axis_active(&class.axis2, r) * axis_active(&class.axis3, r);
     }
-    rounds_total as f64 * issue_groups * citer * diverge * spill + barriers as f64 * device.tau_sync
+
+    /// The class lowered under a launch whose row pass gave `rounds`: its
+    /// exact load, compute and store totals divided over `chunks` uniform
+    /// `load → compute → store` chunks.
+    fn lower(&self, rounds: u64, rate: &ComputeRate) -> BlockSegments {
+        let comp = rate.time(rounds, self.barriers);
+        let c = self.chunks as f64;
+        let mut chunk = [Segment {
+            pipe: Pipe::Mem,
+            dur: 0.0,
+        }; 3];
+        let mut phases = 0u8;
+        for (pipe, total) in [
+            (Pipe::Mem, self.load),
+            (Pipe::Comp, comp),
+            (Pipe::Mem, self.store),
+        ] {
+            if total > 0.0 {
+                chunk[phases as usize] = Segment {
+                    pipe,
+                    dur: total / c,
+                };
+                phases += 1;
+            }
+        }
+        BlockSegments {
+            chunk,
+            phases,
+            chunks: self.chunks,
+            mem_time: self.load + self.store,
+            comp_time: comp,
+        }
+    }
+}
+
+/// A workload's kernels lowered as far as no launch is needed: the
+/// distinct class vectors in first-appearance order, each kernel's index
+/// into them, and every class's [`ClassParts`]. `simulate_launches` builds
+/// it once per tile sweep, every other entry point once per call.
+pub(crate) struct TileClasses {
+    /// The distinct class vectors.
+    vectors: Vec<Arc<Vec<BlockClass>>>,
+    /// Kernel → index into `vectors`, in launch order.
+    pub kernel_vector: Vec<usize>,
+    /// Each vector's classes' launch-independent parts.
+    parts: Vec<Vec<ClassParts>>,
+}
+
+impl TileClasses {
+    pub(crate) fn new(device: &DeviceConfig, wl: &SimWorkload) -> Self {
+        let (vectors, kernel_vector) = distinct_vectors(&wl.kernels);
+        let parts = vectors
+            .iter()
+            .map(|v| v.iter().map(|c| ClassParts::new(device, wl, c)).collect())
+            .collect();
+        TileClasses {
+            vectors: vectors.into_iter().cloned().collect(),
+            kernel_vector,
+            parts,
+        }
+    }
+
+    /// Lower every distinct vector under `wl`'s launch. One [`row_pass`]
+    /// per class yields both its thread rounds and its unroll depth; the
+    /// deepest unroll sets the register demand, and with it the occupancy
+    /// (or why the launch cannot run) and the spill factor every class is
+    /// lowered with.
+    pub(crate) fn lower(
+        &self,
+        device: &DeviceConfig,
+        wl: &SimWorkload,
+    ) -> Result<LaunchClasses, LaunchError> {
+        let mut unroll = 0u64;
+        let rounds: Vec<Vec<u64>> = self
+            .vectors
+            .iter()
+            .map(|v| {
+                v.iter()
+                    .map(|c| {
+                        let pass = row_pass(c, wl.threads_dims);
+                        unroll = unroll.max(pass.unroll);
+                        pass.rounds
+                    })
+                    .collect()
+            })
+            .collect();
+        let demand = regs_for_unroll(wl, unroll);
+        let occupancy = occupancy_for_demand(device, wl, demand)?;
+        let spill = spill_for_demand(device, demand);
+        let rate = ComputeRate::new(device, wl, spill);
+        let vectors = self
+            .vectors
+            .iter()
+            .zip(&self.parts)
+            .zip(&rounds)
+            .map(|((v, parts), rounds)| {
+                v.iter()
+                    .zip(parts)
+                    .zip(rounds)
+                    .map(|((c, p), &r)| (c.count, p.lower(r, &rate)))
+                    .collect()
+            })
+            .collect();
+        Ok(LaunchClasses {
+            occupancy,
+            spill,
+            vectors,
+        })
+    }
+}
+
+/// One launch of a tile, lowered (see [`TileClasses::lower`]).
+pub(crate) struct LaunchClasses {
+    /// The launch's co-residency.
+    pub occupancy: Occupancy,
+    /// The spill factor every class was lowered with.
+    pub spill: f64,
+    /// Each distinct vector's classes as (block count, segments).
+    pub vectors: Vec<Vec<(u64, BlockSegments)>>,
 }
 
 /// Lower a block class to its periodic segment chunk.
@@ -300,43 +507,22 @@ pub(crate) fn block_compute_time_spilled(
 /// preserving both the totals and the alternation the two-pipe engine
 /// interleaves across co-resident blocks.
 pub fn lower_block(device: &DeviceConfig, wl: &SimWorkload, class: &BlockClass) -> BlockSegments {
-    lower_block_spilled(device, wl, class, spill_factor(device, wl))
+    lower_block_at(
+        device,
+        wl,
+        class,
+        &ComputeRate::new(device, wl, spill_factor(device, wl)),
+    )
 }
 
-/// [`lower_block`] with the workload's spill factor given.
-pub(crate) fn lower_block_spilled(
+/// [`lower_block`] at a known compute rate.
+pub(crate) fn lower_block_at(
     device: &DeviceConfig,
     wl: &SimWorkload,
     class: &BlockClass,
-    spill: f64,
+    rate: &ComputeRate,
 ) -> BlockSegments {
-    let n_sub = class.subtiles_per_block();
-    let load = transfer_time(device, wl, class.load_words_per_block(), n_sub.max(1));
-    let store = transfer_time(device, wl, class.store_words_per_block(), n_sub.max(1));
-    let comp = block_compute_time_spilled(device, wl, class, spill);
-    let chunks = n_sub.clamp(1, MAX_CHUNKS);
-    let c = chunks as f64;
-    let mut chunk = [Segment {
-        pipe: Pipe::Mem,
-        dur: 0.0,
-    }; 3];
-    let mut phases = 0u8;
-    for (pipe, total) in [(Pipe::Mem, load), (Pipe::Comp, comp), (Pipe::Mem, store)] {
-        if total > 0.0 {
-            chunk[phases as usize] = Segment {
-                pipe,
-                dur: total / c,
-            };
-            phases += 1;
-        }
-    }
-    BlockSegments {
-        chunk,
-        phases,
-        chunks,
-        mem_time: load + store,
-        comp_time: comp,
-    }
+    ClassParts::new(device, wl, class).lower(row_pass(class, wl.threads_dims).rounds, rate)
 }
 
 #[cfg(test)]

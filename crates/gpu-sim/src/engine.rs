@@ -13,33 +13,35 @@
 //!
 //! Everything is deterministic: ties break on block index, and identical
 //! kernels (interior wavefronts share their class vectors via `Arc`) are
-//! computed once and reused. Blocks enter the scheduler in their periodic
-//! form (one chunk of segments repeated `chunks` times, see
-//! [`cost::lower_block`]); [`schedule_wave`] is the one two-pipe
-//! scheduler, shared with [`crate::trace`] through an observer. Each
-//! distinct wave (sequence of lowered blocks) is scheduled once per
-//! wave-cost table, and [`simulate_launches`] shares one table among a
-//! tile's launches.
+//! computed once and reused. A workload's distinct class vectors and
+//! their launch-independent lowering parts are found once per tile sweep
+//! (`cost::TileClasses`); each launch adds one row pass per class.
+//! Blocks enter the scheduler in their periodic form (one chunk of
+//! segments repeated `chunks` times, see [`cost::lower_block`]);
+//! [`schedule_wave`] is the one two-pipe scheduler, shared with
+//! [`crate::trace`] through an observer. Each distinct wave (sequence of
+//! lowered blocks) is scheduled once per wave-cost table, and
+//! [`simulate_launches`] shares one table among a tile's launches.
 //!
 //! Scheduling is closed-form where possible: round-robin dealing of
 //! class runs is periodic, so [`kernel_time`] derives each SM's wave
 //! sequence directly from the class prefix sums in O(distinct classes)
-//! ([`schedule_steady`]) and only falls back to materializing the full
-//! dispatch order ([`kernel_time_dealing`]) when a wave mixes more
-//! classes than the inline composition can hold. Both paths intern wave
-//! compositions and fold per-SM finish times in the same order, so they
-//! agree to exact `f64` bit equality.
+//! ([`schedule_steady`]), once per group of SMs that receive the same
+//! blocks, and only falls back to materializing the full dispatch order
+//! ([`kernel_time_dealing`]) when a wave mixes more classes than the
+//! inline composition can hold. Both paths intern wave compositions and
+//! fold per-SM finish times in the same order, so they agree to exact
+//! `f64` bit equality.
 
-use crate::cost::{self, BlockSegments, Pipe, Segment};
+use crate::cost::{self, BlockSegments, ComputeRate, Pipe, Segment, TileClasses};
 use crate::device::DeviceConfig;
-use crate::occupancy::{occupancy_for_demand, LaunchError};
+use crate::occupancy::LaunchError;
 use crate::report::SimReport;
 use crate::workload::SimWorkload;
 use hhc_tiling::plan::BlockClass;
 use hhc_tiling::{LaunchConfig, PlanGeometry};
 use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::Arc;
 
 /// Simulate `wl` on `device`, returning the machine's measured time.
 ///
@@ -57,7 +59,8 @@ use std::sync::Arc;
 /// assert_eq!(report.kernel_launches, plan.kernel_count());
 /// ```
 pub fn simulate(device: &DeviceConfig, wl: &SimWorkload) -> Result<SimReport, LaunchError> {
-    simulate_core(device, wl, &mut WaveCostTable::default(), false).map(|(report, _)| report)
+    let tile = TileClasses::new(device, wl);
+    simulate_tile(device, wl, &tile, &mut WaveCostTable::default(), false).map(|(report, _)| report)
 }
 
 /// Simulate one tile's plan geometry under each of `launches`: one report
@@ -65,9 +68,12 @@ pub fn simulate(device: &DeviceConfig, wl: &SimWorkload) -> Result<SimReport, La
 /// stencil or cannot run on the device. Every report is bit-identical to
 /// [`simulate`] of the same launch's [`SimWorkload::from_plan`].
 ///
-/// The launches share one wave-cost table, created here and dropped on
-/// return: a wave whose block sequence an earlier launch of the tile has
-/// already scheduled is not scheduled again.
+/// The sweep lowers the tile's classes once: it finds the distinct class
+/// vectors and computes each class's launch-independent parts (transfer
+/// times, barriers, chunks) here, and each launch only adds its thread
+/// rounds. The launches share one wave-cost table, so a wave whose block
+/// sequence an earlier launch of the tile has already scheduled is not
+/// scheduled again. Both are dropped on return.
 ///
 /// ```
 /// use gpu_sim::{simulate, simulate_launches, DeviceConfig, SimWorkload};
@@ -92,12 +98,27 @@ pub fn simulate_launches(
     geometry: &PlanGeometry,
     launches: &[LaunchConfig],
 ) -> Vec<Option<SimReport>> {
+    let Some(&first) = launches.first() else {
+        return Vec::new();
+    };
+    // One workload for the sweep, re-launched at each launch: its kernels
+    // and footprint are the geometry's whatever the launch.
+    let mut wl = SimWorkload::lower(
+        &geometry.spec,
+        geometry.tiles,
+        first,
+        geometry.wavefronts.clone(),
+        geometry.mtile_words,
+        geometry.regs_per_thread,
+    );
+    let tile = TileClasses::new(device, &wl);
     let mut table = WaveCostTable::default();
     launches
         .iter()
         .map(|&launch| {
-            let wl = SimWorkload::from_geometry(geometry, launch).ok()?;
-            simulate_core(device, &wl, &mut table, false)
+            launch.validate(geometry.spec.dim).ok()?;
+            wl.set_launch(launch);
+            simulate_tile(device, &wl, &tile, &mut table, false)
                 .ok()
                 .map(|(report, _)| report)
         })
@@ -110,30 +131,31 @@ pub fn simulate_detailed(
     device: &DeviceConfig,
     wl: &SimWorkload,
 ) -> Result<(SimReport, Vec<KernelBreakdown>), LaunchError> {
-    simulate_core(device, wl, &mut WaveCostTable::default(), true)
+    let tile = TileClasses::new(device, wl);
+    simulate_tile(device, wl, &tile, &mut WaveCostTable::default(), true)
 }
 
 /// Shared core of [`simulate`], [`simulate_launches`] and
-/// [`simulate_detailed`]: one occupancy query, one kernel-stats cache,
-/// one telemetry pass, wave costs drawn from `table`. The detailed
-/// variant only additionally records a [`KernelBreakdown`] per launch, so
-/// they can never drift.
-fn simulate_core(
+/// [`simulate_detailed`]: `wl`'s launch of the tile's lowered classes,
+/// one kernel schedule per distinct class vector with wave costs drawn
+/// from `table`, the `N_w` kernel totals folded in launch order, one
+/// telemetry pass. The detailed variant only additionally records a
+/// [`KernelBreakdown`] per launch, so they can never drift.
+fn simulate_tile(
     device: &DeviceConfig,
     wl: &SimWorkload,
+    tile: &TileClasses,
     table: &mut WaveCostTable,
     detailed: bool,
 ) -> Result<(SimReport, Vec<KernelBreakdown>), LaunchError> {
-    // The register demand, and with it the spill factor every block class
-    // is lowered with, is a property of the whole workload: compute it
-    // once per simulation.
-    let demand = cost::unrolled_regs_per_thread(wl);
-    let occ = occupancy_for_demand(device, wl, demand)?;
-    let spill = cost::spill_for_demand(device, demand);
-    // One schedule per distinct class vector. A plan has a handful (the
-    // interior wavefronts share one `Arc`), so a linear scan finds them.
-    let mut distinct: Vec<(*const Vec<BlockClass>, KernelStats)> = Vec::new();
+    let launch = tile.lower(device, wl)?;
+    let k = launch.occupancy.k;
     let (placed_before, shared_before) = (table.segments, table.shared);
+    let distinct: Vec<KernelStats> = launch
+        .vectors
+        .iter()
+        .map(|lowered| kernel_stats(device.n_sm, k, lowered, table, true))
+        .collect();
     let mut total = 0.0f64;
     let mut mem_busy = 0.0f64;
     let mut comp_busy = 0.0f64;
@@ -142,25 +164,17 @@ fn simulate_core(
     let telemetry = obs::active();
     let mut blocks_total = 0u64;
     let mut waves_total = 0u64;
-    let mut kernels = Vec::with_capacity(if detailed { wl.kernels.len() } else { 0 });
-    for (index, kernel) in wl.kernels.iter().enumerate() {
-        let key = Arc::as_ptr(&kernel.classes);
-        let at = distinct
-            .iter()
-            .position(|(seen, _)| *seen == key)
-            .unwrap_or_else(|| {
-                let stats = kernel_time_spilled(device, wl, &kernel.classes, occ.k, spill, table);
-                distinct.push((key, stats));
-                distinct.len() - 1
-            });
-        let stats = &distinct[at].1;
+    let launches = tile.kernel_vector.len();
+    let mut kernels = Vec::with_capacity(if detailed { launches } else { 0 });
+    for (index, &vector) in tile.kernel_vector.iter().enumerate() {
+        let stats = &distinct[vector];
         total += stats.makespan + device.t_launch;
         mem_busy += stats.mem_busy;
         comp_busy += stats.comp_busy;
         if detailed {
             kernels.push(KernelBreakdown {
                 index,
-                blocks: kernel.block_count(),
+                blocks: stats.blocks,
                 makespan: stats.makespan,
                 mem_busy: stats.mem_busy,
                 comp_busy: stats.comp_busy,
@@ -183,7 +197,7 @@ fn simulate_core(
     }
     if telemetry {
         obs::counter("sim.runs", 1);
-        obs::counter("sim.kernel_launches", wl.kernels.len() as u64);
+        obs::counter("sim.kernel_launches", launches as u64);
         obs::counter("sim.blocks", blocks_total);
         obs::counter("sim.waves", waves_total);
         obs::counter("sim.wave_segments", table.segments - placed_before);
@@ -194,7 +208,7 @@ fn simulate_core(
         // Utilization is a property of each distinct kernel schedule, so
         // sample once per distinct kernel rather than once per launch.
         let (mut util_sum, mut util_n) = (0.0f64, 0u64);
-        for (_, stats) in &distinct {
+        for stats in &distinct {
             if stats.makespan > 0.0 {
                 for &finish in &stats.sm_finish {
                     let u = finish / stats.makespan;
@@ -208,15 +222,15 @@ fn simulate_core(
             obs::gauge("sim.sm_utilization_mean", util_sum / util_n as f64);
         }
     }
-    let launch_overhead = wl.kernels.len() as f64 * device.t_launch;
+    let launch_overhead = launches as f64 * device.t_launch;
     let report = SimReport {
         total_time: total,
-        kernel_launches: wl.kernels.len(),
-        occupancy: occ,
+        kernel_launches: launches,
+        occupancy: launch.occupancy,
         mem_busy,
         comp_busy,
         launch_overhead,
-        spill_factor: spill,
+        spill_factor: launch.spill,
         divergence_factor: cost::divergence_factor(device, wl.inner_threads),
     };
     Ok((report, kernels))
@@ -254,28 +268,9 @@ pub struct KernelBreakdown {
     pub comp_busy: f64,
 }
 
-/// Lower every class once (with the workload's `spill` factor) and
-/// compute the launch-wide aggregates that both scheduling paths share.
-/// The pipe-busy sums iterate the classes in declaration order so both
-/// paths fold identically.
-pub(crate) fn lower_classes(
-    device: &DeviceConfig,
-    wl: &SimWorkload,
-    classes: &[BlockClass],
-    spill: f64,
-) -> (Vec<(u64, BlockSegments)>, u64, f64, f64) {
-    let lowered: Vec<(u64, BlockSegments)> = classes
-        .iter()
-        .map(|c| (c.count, cost::lower_block_spilled(device, wl, c, spill)))
-        .collect();
-    let total_blocks: u64 = lowered.iter().map(|(c, _)| c).sum();
-    let mem_busy: f64 = lowered.iter().map(|(c, b)| *c as f64 * b.mem_time).sum();
-    let comp_busy: f64 = lowered.iter().map(|(c, b)| *c as f64 * b.comp_time).sum();
-    (lowered, total_blocks, mem_busy, comp_busy)
-}
-
 /// Makespan of one kernel: distribute blocks over SMs, schedule each
-/// SM's waves, take the slowest SM.
+/// SM's waves, take the slowest SM. `classes` are lowered under `wl`'s
+/// launch, with the spill factor of `wl`'s own kernels.
 ///
 /// Uses the O(distinct classes) steady-state schedule; falls back to the
 /// exact dealing loop when a wave's composition overflows
@@ -287,62 +282,14 @@ pub fn kernel_time(
     classes: &[BlockClass],
     k: usize,
 ) -> KernelStats {
-    let spill = cost::spill_factor(device, wl);
-    kernel_time_spilled(device, wl, classes, k, spill, &mut WaveCostTable::default())
-}
-
-/// The stats of a launch without blocks.
-fn empty_kernel() -> KernelStats {
-    KernelStats {
-        makespan: 0.0,
-        mem_busy: 0.0,
-        comp_busy: 0.0,
-        blocks: 0,
-        waves: 0,
-        sm_finish: Vec::new(),
-    }
-}
-
-/// [`kernel_time`] with the workload's spill factor given ([`simulate`]
-/// computes it once, not once per kernel) and wave costs drawn from
-/// `table`.
-fn kernel_time_spilled(
-    device: &DeviceConfig,
-    wl: &SimWorkload,
-    classes: &[BlockClass],
-    k: usize,
-    spill: f64,
-    table: &mut WaveCostTable,
-) -> KernelStats {
-    let (lowered, total_blocks, mem_busy, comp_busy) = lower_classes(device, wl, classes, spill);
-    if total_blocks == 0 {
-        return empty_kernel();
-    }
-    let n_sm = device.n_sm;
-    let k = k.max(1);
-    let ids = table.begin_kernel(&lowered);
-    let (schedule, steady) = match schedule_steady(n_sm, k, total_blocks, &lowered, &ids, table) {
-        Some(s) => (s, true),
-        None => (schedule_dealing(n_sm, k, &lowered, &ids, table), false),
-    };
-    if obs::active() {
-        obs::counter(
-            if steady {
-                "sim.sched_steady"
-            } else {
-                "sim.sched_fallback"
-            },
-            1,
-        );
-    }
-    KernelStats {
-        makespan: schedule.makespan,
-        mem_busy,
-        comp_busy,
-        blocks: total_blocks,
-        waves: schedule.waves,
-        sm_finish: schedule.sm_finish,
-    }
+    let lowered = lower_classes(device, wl, classes);
+    kernel_stats(
+        device.n_sm,
+        k,
+        &lowered,
+        &mut WaveCostTable::default(),
+        true,
+    )
 }
 
 /// Reference oracle: [`kernel_time`] computed by materializing the full
@@ -354,14 +301,71 @@ pub fn kernel_time_dealing(
     classes: &[BlockClass],
     k: usize,
 ) -> KernelStats {
-    let spill = cost::spill_factor(device, wl);
-    let (lowered, total_blocks, mem_busy, comp_busy) = lower_classes(device, wl, classes, spill);
+    let lowered = lower_classes(device, wl, classes);
+    kernel_stats(
+        device.n_sm,
+        k,
+        &lowered,
+        &mut WaveCostTable::default(),
+        false,
+    )
+}
+
+/// One class vector lowered under `wl`'s launch, as (block count,
+/// segments) per class.
+fn lower_classes(
+    device: &DeviceConfig,
+    wl: &SimWorkload,
+    classes: &[BlockClass],
+) -> Vec<(u64, BlockSegments)> {
+    let rate = ComputeRate::new(device, wl, cost::spill_factor(device, wl));
+    classes
+        .iter()
+        .map(|c| (c.count, cost::lower_block_at(device, wl, c, &rate)))
+        .collect()
+}
+
+/// The stats of one kernel schedule of `lowered` classes at occupancy
+/// `k`, wave costs drawn from `table`: the steady-state schedule when
+/// `steady` allows it, else the dealing loop. Pipe-busy sums iterate the
+/// classes in declaration order, so every path folds identically.
+fn kernel_stats(
+    n_sm: usize,
+    k: usize,
+    lowered: &[(u64, BlockSegments)],
+    table: &mut WaveCostTable,
+    steady: bool,
+) -> KernelStats {
+    let total_blocks: u64 = lowered.iter().map(|(c, _)| c).sum();
     if total_blocks == 0 {
-        return empty_kernel();
+        return KernelStats {
+            makespan: 0.0,
+            mem_busy: 0.0,
+            comp_busy: 0.0,
+            blocks: 0,
+            waves: 0,
+            sm_finish: Vec::new(),
+        };
     }
-    let mut table = WaveCostTable::default();
-    let ids = table.begin_kernel(&lowered);
-    let schedule = schedule_dealing(device.n_sm, k.max(1), &lowered, &ids, &mut table);
+    let mem_busy: f64 = lowered.iter().map(|(c, b)| *c as f64 * b.mem_time).sum();
+    let comp_busy: f64 = lowered.iter().map(|(c, b)| *c as f64 * b.comp_time).sum();
+    let k = k.max(1);
+    let ids = table.begin_kernel(lowered);
+    let schedule = if steady {
+        let schedule = schedule_steady(n_sm, k, total_blocks, lowered, &ids, table);
+        if obs::active() {
+            match &schedule {
+                Some(s) => {
+                    obs::counter("sim.sched_steady", 1);
+                    obs::counter("sim.sm_groups", s.sm_groups);
+                }
+                None => obs::counter("sim.sched_fallback", 1),
+            }
+        }
+        schedule.unwrap_or_else(|| schedule_dealing(n_sm, k, lowered, &ids, table))
+    } else {
+        schedule_dealing(n_sm, k, lowered, &ids, table)
+    };
     KernelStats {
         makespan: schedule.makespan,
         mem_busy,
@@ -555,6 +559,9 @@ struct Schedule {
     makespan: f64,
     waves: u64,
     sm_finish: Vec<f64>,
+    /// SM groups whose signature the steady-state schedule built and
+    /// folded (0 for the dealing loop).
+    sm_groups: u64,
 }
 
 /// Append `rep` waves of composition `id` to an SM signature, merging
@@ -580,10 +587,17 @@ fn push_sig(sig: &mut Vec<(u32, u64)>, id: u32, rep: u64) {
 /// full single-class waves — the steady state — collapse into one
 /// `(composition, repeat)` signature entry; irregular waves at class
 /// boundaries and the tail are composed run by run (`ids` maps each
-/// class to its interned block). Per-SM finish times fold wave costs in
-/// the exact order the dealing loop does, and SMs with identical
-/// signatures share one fold, so results are bit-equal to
-/// [`schedule_dealing`].
+/// class to its interned block).
+///
+/// A class boundary at prefix position `a` separates SM `s − 1` from SM
+/// `s` only when `s ≡ a (mod n_sm)`, and the block count drops there only
+/// when `s ≡ total`. The residues of every prefix sum (0 and the total
+/// included) therefore cut the SMs into groups that receive the same
+/// class sequence: each group's first SM builds the signature and folds
+/// it, and the group's SMs share the finish time. Wave costs are folded
+/// in the exact order the dealing loop adds them, so results are
+/// bit-equal to [`schedule_dealing`], and waves are interned in the
+/// order the dealing loop first meets them.
 ///
 /// Returns `None` when a wave mixes more than [`MAX_WAVE_RUNS`] block
 /// runs; the caller then takes the dealing fallback.
@@ -606,20 +620,24 @@ fn schedule_steady(
         acc += count;
         prefix.push(acc);
     }
+    // The first SM of each group, ascending.
+    let mut starts: Vec<usize> = prefix.iter().map(|&p| (p % nsm) as usize).collect();
+    starts.sort_unstable();
+    starts.dedup();
     let mut sm_finish = vec![0.0f64; n_sm];
     let mut makespan = 0.0f64;
     let mut waves_total = 0u64;
-    // SMs with identical wave signatures share one finish-time fold.
-    let mut memo: Vec<(Vec<(u32, u64)>, f64)> = Vec::new();
+    let mut sm_groups = 0u64;
     let mut sig: Vec<(u32, u64)> = Vec::new();
-    for (s, finish_slot) in sm_finish.iter_mut().enumerate() {
+    for (g, &s) in starts.iter().enumerate() {
         let su = s as u64;
         if su >= total {
-            break; // the remaining SMs receive no blocks
+            break; // this group and the later ones receive no blocks
         }
+        let group = s..starts.get(g + 1).copied().unwrap_or(n_sm);
         let n_s = (total - su).div_ceil(nsm);
         let n_waves = n_s.div_ceil(ku);
-        waves_total += n_waves;
+        waves_total += n_waves * group.len() as u64;
         sig.clear();
         let mut w = 0u64;
         let mut cls = 0usize;
@@ -668,35 +686,23 @@ fn schedule_steady(
             push_sig(&mut sig, id, 1);
             w += 1;
         }
-        let mut hit: Option<f64> = None;
-        for (seen, finish) in &memo {
-            if seen == &sig {
-                hit = Some(*finish);
-                break;
+        // Fold in dealing order: one addition per wave.
+        let mut finish = 0.0f64;
+        for &(id, rep) in &sig {
+            let cost = table.cost(id);
+            for _ in 0..rep {
+                finish += cost;
             }
         }
-        let finish = match hit {
-            Some(f) => f,
-            None => {
-                // Fold in dealing order: one addition per wave.
-                let mut t = 0.0f64;
-                for &(id, rep) in &sig {
-                    let cost = table.cost(id);
-                    for _ in 0..rep {
-                        t += cost;
-                    }
-                }
-                memo.push((sig.clone(), t));
-                t
-            }
-        };
-        *finish_slot = finish;
+        sm_finish[group].fill(finish);
         makespan = makespan.max(finish);
+        sm_groups += 1;
     }
     Some(Schedule {
         makespan,
         waves: waves_total,
         sm_finish,
+        sm_groups,
     })
 }
 
@@ -763,6 +769,7 @@ fn schedule_dealing(
         makespan,
         waves,
         sm_finish,
+        sm_groups: 0,
     }
 }
 
@@ -1245,7 +1252,9 @@ mod tests {
 
     /// The steady-state schedule must reproduce the dealing loop exactly
     /// — including `sm_finish`, wave counts, and every bit of the fp
-    /// fold — across class mixes, SM counts, and occupancies.
+    /// fold — across class mixes, SM counts (Titan X's 24 included), and
+    /// occupancies: class boundaries at SM residue 0, zero-count classes
+    /// at either end, and launches with fewer blocks than SMs.
     #[test]
     fn steady_matches_dealing_bitwise() {
         use hhc_tiling::plan::{BlockClass, WavefrontPlan};
@@ -1258,17 +1267,24 @@ mod tests {
             axis2: BlockClass::unit_axis(1),
             axis3: BlockClass::unit_axis(1),
         };
-        let cases: Vec<Vec<BlockClass>> = vec![
-            vec![cls(1, 128)],
-            vec![cls(97, 128)],
-            vec![cls(3, 128), cls(1, 4096)],
-            vec![cls(16, 64), cls(0, 32), cls(17, 256)],
-            vec![cls(5, 64), cls(5, 128), cls(5, 256), cls(5, 512)],
-            // Many single-block classes: with large k a wave mixes > 6
-            // runs, forcing the dealing fallback on a 1-SM device.
-            (0..10).map(|i| cls(1, 64 + 8 * i)).collect(),
-        ];
-        for n_sm in [1usize, 2, 3, 7, 16] {
+        for n_sm in [1usize, 2, 3, 7, 16, 24] {
+            let n = n_sm as u64;
+            let cases: Vec<Vec<BlockClass>> = vec![
+                vec![cls(1, 128)],
+                vec![cls(97, 128)],
+                vec![cls(3, 128), cls(1, 4096)],
+                vec![cls(16, 64), cls(0, 32), cls(17, 256)],
+                vec![cls(5, 64), cls(5, 128), cls(5, 256), cls(5, 512)],
+                // Many single-block classes: with large k a wave mixes > 6
+                // runs, forcing the dealing fallback on a 1-SM device.
+                (0..10).map(|i| cls(1, 64 + 8 * i)).collect(),
+                // Every boundary at residue 0.
+                vec![cls(3 * n, 64), cls(n, 4096), cls(2 * n, 256)],
+                // Zero-count classes first and last.
+                vec![cls(0, 32), cls(2 * n + 5, 128), cls(7, 512), cls(0, 96)],
+                // Fewer blocks than SMs (when there are several).
+                vec![cls(n / 2, 128), cls(n.div_ceil(4), 4096)],
+            ];
             let mut d = DeviceConfig::gtx980();
             d.n_sm = n_sm;
             for classes in &cases {

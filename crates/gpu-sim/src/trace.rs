@@ -8,15 +8,15 @@
 //! the scheduler's own invariants tests (no pipe overlap, chain order
 //! preserved, busy times match the cost model).
 
-use crate::cost::{self, Pipe};
+use crate::cost::{Pipe, TileClasses};
 use crate::device::DeviceConfig;
-use crate::engine::{deal, lower_classes, schedule_wave};
-use crate::occupancy::{occupancy, LaunchError};
+use crate::engine::{deal, schedule_wave};
+use crate::occupancy::LaunchError;
 use crate::workload::SimWorkload;
 use serde::{Deserialize, Serialize};
 
 /// Which pipe a traced segment ran on (serializable mirror of
-/// [`cost::Pipe`]).
+/// [`crate::cost::Pipe`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TracePipe {
     /// Global-memory pipe.
@@ -208,14 +208,14 @@ pub fn trace_kernel(
     wl: &SimWorkload,
     index: usize,
 ) -> Result<KernelTrace, LaunchError> {
-    let occ = occupancy(device, wl)?;
-    let k = occ.k;
-    let spill = cost::spill_factor(device, wl);
-    let (lowered, ..) = lower_classes(device, wl, &wl.kernels[index].classes, spill);
+    let tile = TileClasses::new(device, wl);
+    let launch = tile.lower(device, wl)?;
+    let k = launch.occupancy.k;
+    let lowered = &launch.vectors[tile.kernel_vector[index]];
 
     let mut events = Vec::new();
     let mut makespan = 0.0f64;
-    for (sm, dealt) in deal(device.n_sm, &lowered).iter().enumerate() {
+    for (sm, dealt) in deal(device.n_sm, lowered).iter().enumerate() {
         // Each wave is scheduled from 0 and its cost added to the SM's
         // clock, exactly as the engine folds wave costs.
         let mut t = 0.0f64;

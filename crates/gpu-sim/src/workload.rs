@@ -8,7 +8,7 @@
 //! plans use — mirroring how the paper's micro-benchmarks are real CUDA
 //! kernels on the same hardware.
 
-use hhc_tiling::plan::{AxisClass, BlockClass, PlanGeometry, TilingPlan, WavefrontPlan};
+use hhc_tiling::plan::{AxisClass, BlockClass, TilingPlan, WavefrontPlan};
 use hhc_tiling::{LaunchConfig, TileSizes};
 use std::sync::Arc;
 use stencil_core::StencilSpec;
@@ -57,28 +57,9 @@ impl SimWorkload {
         )
     }
 
-    /// Lower a plan geometry under `launch` straight to a workload: what
-    /// [`Self::from_plan`] returns for `geometry.with_launch(launch)`,
-    /// without building that plan. Fails, as `with_launch` does, if the
-    /// launch is malformed for the stencil.
-    pub fn from_geometry(
-        geometry: &PlanGeometry,
-        launch: LaunchConfig,
-    ) -> Result<SimWorkload, String> {
-        launch.validate(geometry.spec.dim)?;
-        Ok(SimWorkload::lower(
-            &geometry.spec,
-            geometry.tiles,
-            launch,
-            geometry.wavefronts.clone(),
-            geometry.mtile_words,
-            geometry.regs_per_thread,
-        ))
-    }
-
     /// The workload of `kernels` under `launch`, with the stencil's loop
     /// body and the tile's footprint.
-    fn lower(
+    pub(crate) fn lower(
         spec: &StencilSpec,
         tiles: TileSizes,
         launch: LaunchConfig,
@@ -87,18 +68,28 @@ impl SimWorkload {
         regs_per_thread: u32,
     ) -> SimWorkload {
         let rank = spec.dim.rank();
-        SimWorkload {
+        let mut wl = SimWorkload {
             kernels,
-            threads: launch.total_threads(),
-            threads_dims: launch.threads,
-            inner_threads: launch.innermost(rank),
+            threads: 0,
+            threads_dims: [1; 3],
+            inner_threads: 0,
             rank,
             mtile_words,
             regs_per_thread,
             flops_per_iter: spec.flops_per_point(),
             shared_accesses_per_iter: spec.reads_per_point() as u64 + 1,
             contiguous_run: tiles.t_s[rank - 1],
-        }
+        };
+        wl.set_launch(launch);
+        wl
+    }
+
+    /// Re-launch the workload with `launch`'s threads; its kernels and
+    /// footprint do not depend on the launch.
+    pub(crate) fn set_launch(&mut self, launch: LaunchConfig) {
+        self.threads = launch.total_threads();
+        self.threads_dims = launch.threads;
+        self.inner_threads = launch.innermost(self.rank);
     }
 
     /// Lower a wavefront-parallel (non-time-tiled) schedule to a
@@ -253,29 +244,6 @@ mod tests {
         assert_eq!(wl.threads_dims, [2, 32, 1]);
         assert_eq!(wl.total_iterations(), plan.total_iterations());
         assert_eq!(wl.shared_accesses_per_iter, 6);
-    }
-
-    /// One geometry serves every launch: each launch's workload is the
-    /// one its own plan lowers to, sharing the geometry's class vectors,
-    /// and a launch malformed for the stencil is rejected as by `build`.
-    #[test]
-    fn from_geometry_matches_from_plan() {
-        let spec = StencilDescriptor::heat3d().spec();
-        let size = ProblemSize::new_3d(24, 24, 24, 9);
-        let tiles = TileSizes::new_3d(4, 3, 4, 8);
-        let geometry = PlanGeometry::build(&spec, &size, tiles).unwrap();
-        for launch in LaunchConfig::candidates(spec.dim) {
-            let plan = TilingPlan::build(&spec, &size, tiles, launch).unwrap();
-            let built = SimWorkload::from_plan(&plan);
-            let swept = SimWorkload::from_geometry(&geometry, launch).unwrap();
-            assert_eq!(format!("{swept:?}"), format!("{built:?}"), "{launch:?}");
-            for (a, b) in swept.kernels.iter().zip(&geometry.wavefronts) {
-                assert!(Arc::ptr_eq(&a.classes, &b.classes), "classes are shared");
-            }
-        }
-        let bad = LaunchConfig::new_3d(2, 32, 32); // 2048 threads
-        assert!(SimWorkload::from_geometry(&geometry, bad).is_err());
-        assert!(TilingPlan::build(&spec, &size, tiles, bad).is_err());
     }
 
     #[test]

@@ -109,3 +109,31 @@ proptest! {
         prop_assert!(swept[3].is_none(), "the oversized launch must fail");
     }
 }
+
+/// A Heat3D tile swept over its ten candidate launches and a block of
+/// 2048 threads: the sweep rejects the oversized launch, as
+/// [`TilingPlan::build`] does, and matches per-launch simulation on the
+/// rest.
+#[test]
+fn oversized_launch_is_rejected_in_a_sweep() {
+    let spec = StencilDescriptor::heat3d().spec();
+    let size = ProblemSize::new_3d(24, 24, 24, 9);
+    let tiles = TileSizes::new_3d(4, 3, 4, 8);
+    let device = DeviceConfig::gtx980();
+    let geometry = PlanGeometry::build(&spec, &size, tiles).expect("tile lowers");
+    let bad = LaunchConfig::new_3d(2, 32, 32);
+    let mut launches = LaunchConfig::candidates(spec.dim);
+    launches.push(bad);
+    let swept = simulate_launches(&device, &geometry, &launches);
+    assert!(swept[launches.len() - 1].is_none());
+    assert!(TilingPlan::build(&spec, &size, tiles, bad).is_err());
+    for (report, &launch) in swept.iter().zip(&launches).take(launches.len() - 1) {
+        let plan = TilingPlan::build(&spec, &size, tiles, launch).expect("candidate builds");
+        let alone = simulate(&device, &SimWorkload::from_plan(&plan)).ok();
+        assert_eq!(
+            report.as_ref().map(bits),
+            alone.as_ref().map(bits),
+            "{launch:?}"
+        );
+    }
+}
