@@ -1,5 +1,5 @@
 //! Simulator hot-path benchmarks: the closed-form steady-state kernel
-//! scheduler vs the exact O(total-blocks) dealing loop, the pooled
+//! scheduler vs the tracer's exact O(total-blocks) replay, the pooled
 //! wavefront-parallel executor vs the sequential fast path, full
 //! `simulate` calls over real tiling plans (one with hundreds of
 //! wavefronts), one baseline tile's ten launches, and the plan-geometry

@@ -274,16 +274,13 @@ impl CalibrationStore {
     pub fn consume_log(&mut self, path: &Path) -> io::Result<ConsumeStats> {
         let mut stats = ConsumeStats::default();
         let rolled = obs::accuracy::rolled_path(path);
-        let mut texts = Vec::new();
-        if let Ok(t) = std::fs::read_to_string(&rolled) {
-            texts.push(t);
+        let mut logs = Vec::new();
+        if let Ok(bytes) = std::fs::read(&rolled) {
+            logs.push(bytes);
         }
-        texts.push(std::fs::read_to_string(path)?);
-        for text in &texts {
-            for line in text.lines() {
-                let Some(row) = obs::accuracy::parse_row(line) else {
-                    continue;
-                };
+        logs.push(std::fs::read(path)?);
+        for bytes in &logs {
+            for row in obs::accuracy::rows(bytes) {
                 if self.consume(&row) {
                     stats.consumed += 1;
                 } else {
@@ -468,12 +465,9 @@ impl CalibrationStore {
 /// keyed by [`segment_key`] — what `experiments calibrate --compare`
 /// uses to check that calibrated serving actually tightened the error.
 pub fn log_segment_rmse(path: &Path) -> io::Result<BTreeMap<String, (u64, f64)>> {
-    let text = std::fs::read_to_string(path)?;
+    let bytes = std::fs::read(path)?;
     let mut acc: BTreeMap<String, (u64, f64)> = BTreeMap::new();
-    for line in text.lines() {
-        let Some(row) = obs::accuracy::parse_row(line) else {
-            continue;
-        };
+    for row in obs::accuracy::rows(&bytes) {
         let e = acc
             .entry(segment_key(&row.device, &row.stencil, row.dim))
             .or_insert((0, 0.0));
@@ -587,6 +581,46 @@ mod tests {
         let corr = store.correction("GTX 980", "Heat2D", 2).unwrap();
         assert!((corr.mem_scale - 0.5).abs() < 1e-12);
         assert_eq!(corr.citer_scale, 1.0);
+    }
+
+    /// A well-formed memory-bound advisor row for `stencil`,
+    /// newline-terminated.
+    fn row_line(stencil: &str) -> Vec<u8> {
+        format!(
+            "{{\"kind\":\"accuracy\",\"ts_ms\":1,\"source\":\"advisor\",\
+             \"device\":\"GTX 980\",\"stencil\":\"{stencil}\",\"dim\":2,\
+             \"key\":\"k\",\"predicted_s\":2.0,\"measured_s\":1.0,\
+             \"rel_err\":1.0,\"memory_bound\":true}}\n"
+        )
+        .into_bytes()
+    }
+
+    /// Good rows around a row cut inside a two-byte character: what an
+    /// append torn inside a non-ASCII name leaves behind.
+    fn log_with_torn_row() -> Vec<u8> {
+        let mut torn = row_line("Wärme2D");
+        let cut = torn.iter().position(|&b| b == 0xc3).unwrap() + 1;
+        torn.truncate(cut);
+        torn.push(b'\n');
+        let log = [row_line("Heat2D"), torn, row_line("Wärme2D")].concat();
+        assert!(std::str::from_utf8(&log).is_err(), "premise: invalid UTF-8");
+        log
+    }
+
+    #[test]
+    fn log_readers_skip_a_line_torn_inside_a_multibyte_name() {
+        let path = std::env::temp_dir().join(format!("calib-utf8-{}.jsonl", std::process::id()));
+        let rolled = obs::accuracy::rolled_path(&path);
+        std::fs::write(&rolled, log_with_torn_row()).unwrap();
+        std::fs::write(&path, log_with_torn_row()).unwrap();
+        let mut store = CalibrationStore::new(1);
+        let stats = store.consume_log(&path).expect("the live log reads");
+        assert_eq!((stats.consumed, stats.rejected), (4, 0));
+        let rmse = log_segment_rmse(&path).expect("the live log reads");
+        let rows: u64 = rmse.values().map(|(n, _)| n).sum();
+        assert_eq!(rows, 2);
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&rolled);
     }
 
     #[test]

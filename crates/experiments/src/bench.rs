@@ -99,7 +99,8 @@ pub struct ParallelBenchRow {
     pub cold_reuses: u64,
 }
 
-/// Steady-state vs dealing-loop kernel scheduling in the simulator.
+/// The simulator's closed-form kernel schedule vs the tracer's
+/// block-by-block replay.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SimBenchRow {
     pub benchmark: String,
@@ -108,7 +109,8 @@ pub struct SimBenchRow {
     pub blocks: u64,
     /// Seconds per `kernel_time` call, closed-form steady-state schedule.
     pub steady_s: f64,
-    /// Seconds per call, exact O(total-blocks) dealing loop.
+    /// Seconds per `kernel_time_dealing` call: the tracer's O(total-blocks)
+    /// replay, which deals every block and schedules every wave uncached.
     pub dealing_s: f64,
     /// `dealing_s / steady_s`.
     pub speedup: f64,
@@ -292,7 +294,7 @@ fn sim_row(
     let dealing = kernel_time_dealing(device, wl, classes, k);
     assert_eq!(
         steady, dealing,
-        "steady-state schedule diverged from dealing loop"
+        "steady-state schedule diverged from the tracer's replay"
     );
     assert_eq!(steady.makespan.to_bits(), dealing.makespan.to_bits());
     let time_per_call = |iters: usize, f: &dyn Fn()| {
@@ -321,8 +323,8 @@ fn sim_row(
 /// Simulator scheduling rows: the widest kernel launch of a real 2D
 /// Jacobi plan (wavefront widths are modest — O(S1 / t_s1) hexagons — so
 /// both schedulers are cheap there), plus a wide synthetic launch where
-/// the O(classes) steady-state schedule separates from the
-/// O(total-blocks) dealing loop.
+/// the O(classes) steady-state schedule separates from the tracer's
+/// O(total-blocks) replay.
 fn bench_sim(lab: &Lab) -> Vec<SimBenchRow> {
     let device = DeviceConfig::gtx980();
     let stencil = StencilDescriptor::jacobi2d();

@@ -99,7 +99,6 @@ fn sim_counters_match_simreport() {
     // of SMs that receive the same blocks: per distinct kernel, the
     // maximal runs of consecutive SMs whose dealt class sequences are
     // equal (SMs without blocks build none).
-    assert_eq!(snap.counter("sim.sched_fallback"), 0);
     let mut distinct = HashSet::new();
     let (mut groups, mut busy_sms) = (0u64, 0u64);
     for kernel in wl
@@ -122,6 +121,8 @@ fn sim_counters_match_simreport() {
         groups += u64::from(!dealt.is_empty());
     }
     assert_eq!(snap.counter("sim.sm_groups"), groups);
+    // Every distinct kernel takes the one steady-state schedule.
+    assert_eq!(snap.counter("sim.sched_steady"), distinct.len() as u64);
     // For this plan, 10 signatures serve the 31 SMs that receive blocks.
     assert_eq!((groups, busy_sms), (10, 31));
     // SM utilization samples are fractions in (0, 1].

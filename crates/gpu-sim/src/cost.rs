@@ -341,14 +341,6 @@ impl ComputeRate {
     }
 }
 
-/// Total compute time of one block of `class` (all its sub-tiles):
-/// per row and sub-tile, thread rounds × issue groups × per-iteration
-/// cost × penalty factors, plus a barrier per active (sub-tile, row).
-pub fn block_compute_time(device: &DeviceConfig, wl: &SimWorkload, class: &BlockClass) -> f64 {
-    let rate = ComputeRate::new(device, wl, spill_factor(device, wl));
-    rate.time(row_pass(class, wl.threads_dims).rounds, barriers(class))
-}
-
 /// Barriers one block of `class` passes: one per active (sub-tile, row).
 fn barriers(class: &BlockClass) -> u64 {
     (0..class.row_count())
@@ -576,7 +568,7 @@ mod tests {
         let class = only_class(&wl);
         let citer = d.iter_cost(wl.flops_per_iter, wl.shared_accesses_per_iter, wl.rank);
         let expect = (4.0 + 7.0) * citer + 2.0 * d.tau_sync;
-        let got = block_compute_time(&d, &wl, &class);
+        let got = lower_block(&d, &wl, &class).comp_time;
         assert!(
             (got - expect).abs() < 1e-15,
             "got {got:e}, expect {expect:e}"
@@ -591,7 +583,7 @@ mod tests {
         let mk = |n2: usize| {
             let mut wl = wl_with(vec![[16, 128, 1]], [1, n2, 1], 2);
             wl.inner_threads = 128.min(n2);
-            block_compute_time(&d, &wl, &only_class(&wl))
+            lower_block(&d, &wl, &only_class(&wl)).comp_time
         };
         let aligned = mk(128);
         let oversub = mk(384);
@@ -606,7 +598,7 @@ mod tests {
         let d = DeviceConfig::gtx980();
         let mk = |n: usize| {
             let wl = wl_with(vec![[1024, 1, 1]], [n, 1, 1], 1);
-            block_compute_time(&d, &wl, &only_class(&wl))
+            lower_block(&d, &wl, &only_class(&wl)).comp_time
         };
         let good = mk(128);
         let bad = mk(64);

@@ -23,15 +23,16 @@
 //! lowered blocks) is scheduled once per wave-cost table, and
 //! [`simulate_launches`] shares one table among a tile's launches.
 //!
-//! Scheduling is closed-form where possible: round-robin dealing of
-//! class runs is periodic, so [`kernel_time`] derives each SM's wave
-//! sequence directly from the class prefix sums in O(distinct classes)
+//! Scheduling is closed-form: round-robin dealing of class runs is
+//! periodic, so every kernel schedule derives each SM's wave sequence
+//! directly from the class prefix sums in O(distinct classes)
 //! ([`schedule_steady`]), once per group of SMs that receive the same
-//! blocks, and only falls back to materializing the full dispatch order
-//! ([`kernel_time_dealing`]) when a wave mixes more classes than the
-//! inline composition can hold. Both paths intern wave compositions and
-//! fold per-SM finish times in the same order, so they agree to exact
-//! `f64` bit equality.
+//! blocks, whatever the mix of blocks in a wave. The one loop that deals
+//! blocks one by one is the tracer's replay ([`crate::trace`]); it
+//! schedules every wave afresh, and [`kernel_time_dealing`] times a
+//! kernel through it as the steady schedule's oracle. Both fold per-SM
+//! finish times in the same order, so they agree to exact `f64` bit
+//! equality.
 
 use crate::cost::{self, BlockSegments, ComputeRate, Pipe, Segment, TileClasses};
 use crate::device::DeviceConfig;
@@ -40,8 +41,8 @@ use crate::report::SimReport;
 use crate::workload::SimWorkload;
 use hhc_tiling::plan::BlockClass;
 use hhc_tiling::{LaunchConfig, PlanGeometry};
-use std::collections::hash_map::{Entry, HashMap};
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Simulate `wl` on `device`, returning the machine's measured time.
 ///
@@ -60,7 +61,7 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 /// ```
 pub fn simulate(device: &DeviceConfig, wl: &SimWorkload) -> Result<SimReport, LaunchError> {
     let tile = TileClasses::new(device, wl);
-    simulate_tile(device, wl, &tile, &mut WaveCostTable::default(), false).map(|(report, _)| report)
+    simulate_tile(device, wl, &tile, &mut WaveCostTable::default())
 }
 
 /// Simulate one tile's plan geometry under each of `launches`: one report
@@ -118,43 +119,28 @@ pub fn simulate_launches(
         .map(|&launch| {
             launch.validate(geometry.spec.dim).ok()?;
             wl.set_launch(launch);
-            simulate_tile(device, &wl, &tile, &mut table, false)
-                .ok()
-                .map(|(report, _)| report)
+            simulate_tile(device, &wl, &tile, &mut table).ok()
         })
         .collect()
 }
 
-/// Simulate and additionally return the per-kernel timeline — for
-/// inspection, examples, and tests; [`simulate`] is the cheap path.
-pub fn simulate_detailed(
-    device: &DeviceConfig,
-    wl: &SimWorkload,
-) -> Result<(SimReport, Vec<KernelBreakdown>), LaunchError> {
-    let tile = TileClasses::new(device, wl);
-    simulate_tile(device, wl, &tile, &mut WaveCostTable::default(), true)
-}
-
-/// Shared core of [`simulate`], [`simulate_launches`] and
-/// [`simulate_detailed`]: `wl`'s launch of the tile's lowered classes,
-/// one kernel schedule per distinct class vector with wave costs drawn
-/// from `table`, the `N_w` kernel totals folded in launch order, one
-/// telemetry pass. The detailed variant only additionally records a
-/// [`KernelBreakdown`] per launch, so they can never drift.
+/// Shared core of [`simulate`] and [`simulate_launches`]: `wl`'s launch
+/// of the tile's lowered classes, one kernel schedule per distinct class
+/// vector with wave costs drawn from `table`, the `N_w` kernel totals
+/// folded in launch order, one telemetry pass.
 fn simulate_tile(
     device: &DeviceConfig,
     wl: &SimWorkload,
     tile: &TileClasses,
     table: &mut WaveCostTable,
-    detailed: bool,
-) -> Result<(SimReport, Vec<KernelBreakdown>), LaunchError> {
+) -> Result<SimReport, LaunchError> {
     let launch = tile.lower(device, wl)?;
     let k = launch.occupancy.k;
     let (placed_before, shared_before) = (table.segments, table.shared);
     let distinct: Vec<KernelStats> = launch
         .vectors
         .iter()
-        .map(|lowered| kernel_stats(device.n_sm, k, lowered, table, true))
+        .map(|lowered| kernel_stats(device.n_sm, k, lowered, table))
         .collect();
     let mut total = 0.0f64;
     let mut mem_busy = 0.0f64;
@@ -165,21 +151,11 @@ fn simulate_tile(
     let mut blocks_total = 0u64;
     let mut waves_total = 0u64;
     let launches = tile.kernel_vector.len();
-    let mut kernels = Vec::with_capacity(if detailed { launches } else { 0 });
     for (index, &vector) in tile.kernel_vector.iter().enumerate() {
         let stats = &distinct[vector];
         total += stats.makespan + device.t_launch;
         mem_busy += stats.mem_busy;
         comp_busy += stats.comp_busy;
-        if detailed {
-            kernels.push(KernelBreakdown {
-                index,
-                blocks: stats.blocks,
-                makespan: stats.makespan,
-                mem_busy: stats.mem_busy,
-                comp_busy: stats.comp_busy,
-            });
-        }
         if telemetry {
             blocks_total += stats.blocks;
             waves_total += stats.waves;
@@ -223,7 +199,7 @@ fn simulate_tile(
         }
     }
     let launch_overhead = launches as f64 * device.t_launch;
-    let report = SimReport {
+    Ok(SimReport {
         total_time: total,
         kernel_launches: launches,
         occupancy: launch.occupancy,
@@ -232,8 +208,7 @@ fn simulate_tile(
         launch_overhead,
         spill_factor: launch.spill,
         divergence_factor: cost::divergence_factor(device, wl.inner_threads),
-    };
-    Ok((report, kernels))
+    })
 }
 
 /// Timing summary of one kernel launch.
@@ -253,29 +228,36 @@ pub struct KernelStats {
     pub sm_finish: Vec<f64>,
 }
 
-/// Per-kernel timing of a detailed simulation (see [`simulate_detailed`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct KernelBreakdown {
-    /// Kernel index in launch order.
-    pub index: usize,
-    /// Thread blocks launched.
-    pub blocks: u64,
-    /// Makespan of the kernel (excluding the launch overhead).
-    pub makespan: f64,
-    /// Aggregate memory-pipe busy time across SMs.
-    pub mem_busy: f64,
-    /// Aggregate compute-pipe busy time across SMs.
-    pub comp_busy: f64,
+impl KernelStats {
+    /// The stats of a schedule of `lowered` classes whose SMs drain at
+    /// `sm_finish` after `waves` waves. Pipe-busy sums iterate the
+    /// classes in declaration order, so every schedule folds identically.
+    fn new(lowered: &[(u64, BlockSegments)], sm_finish: Vec<f64>, waves: u64) -> Self {
+        let blocks: u64 = lowered.iter().map(|(c, _)| c).sum();
+        if blocks == 0 {
+            return KernelStats {
+                makespan: 0.0,
+                mem_busy: 0.0,
+                comp_busy: 0.0,
+                blocks: 0,
+                waves: 0,
+                sm_finish: Vec::new(),
+            };
+        }
+        KernelStats {
+            makespan: sm_finish.iter().copied().fold(0.0, f64::max),
+            mem_busy: lowered.iter().map(|(c, b)| *c as f64 * b.mem_time).sum(),
+            comp_busy: lowered.iter().map(|(c, b)| *c as f64 * b.comp_time).sum(),
+            blocks,
+            waves,
+            sm_finish,
+        }
+    }
 }
 
 /// Makespan of one kernel: distribute blocks over SMs, schedule each
 /// SM's waves, take the slowest SM. `classes` are lowered under `wl`'s
 /// launch, with the spill factor of `wl`'s own kernels.
-///
-/// Uses the O(distinct classes) steady-state schedule; falls back to the
-/// exact dealing loop when a wave's composition overflows
-/// [`MAX_WAVE_RUNS`] runs. The two paths are bit-identical (see
-/// `sched_properties.rs`).
 pub fn kernel_time(
     device: &DeviceConfig,
     wl: &SimWorkload,
@@ -283,18 +265,13 @@ pub fn kernel_time(
     k: usize,
 ) -> KernelStats {
     let lowered = lower_classes(device, wl, classes);
-    kernel_stats(
-        device.n_sm,
-        k,
-        &lowered,
-        &mut WaveCostTable::default(),
-        true,
-    )
+    kernel_stats(device.n_sm, k, &lowered, &mut WaveCostTable::default())
 }
 
-/// Reference oracle: [`kernel_time`] computed by materializing the full
-/// dispatch order and dealing it block by block. Always exact; used by
-/// tests to pin the steady-state schedule bit-for-bit.
+/// Reference oracle: [`kernel_time`] computed by the tracer's replay,
+/// which deals the blocks one by one and schedules every wave afresh,
+/// sharing no wave interning with the steady-state schedule. Used by
+/// tests to pin that schedule bit for bit.
 pub fn kernel_time_dealing(
     device: &DeviceConfig,
     wl: &SimWorkload,
@@ -302,13 +279,8 @@ pub fn kernel_time_dealing(
     k: usize,
 ) -> KernelStats {
     let lowered = lower_classes(device, wl, classes);
-    kernel_stats(
-        device.n_sm,
-        k,
-        &lowered,
-        &mut WaveCostTable::default(),
-        false,
-    )
+    let (sm_finish, waves) = crate::trace::replay(device.n_sm, k, &lowered, |_, _, _, _, _, _| {});
+    KernelStats::new(&lowered, sm_finish, waves)
 }
 
 /// One class vector lowered under `wl`'s launch, as (block count,
@@ -326,122 +298,31 @@ fn lower_classes(
 }
 
 /// The stats of one kernel schedule of `lowered` classes at occupancy
-/// `k`, wave costs drawn from `table`: the steady-state schedule when
-/// `steady` allows it, else the dealing loop. Pipe-busy sums iterate the
-/// classes in declaration order, so every path folds identically.
+/// `k`, wave costs drawn from `table`.
 fn kernel_stats(
     n_sm: usize,
     k: usize,
     lowered: &[(u64, BlockSegments)],
     table: &mut WaveCostTable,
-    steady: bool,
 ) -> KernelStats {
     let total_blocks: u64 = lowered.iter().map(|(c, _)| c).sum();
     if total_blocks == 0 {
-        return KernelStats {
-            makespan: 0.0,
-            mem_busy: 0.0,
-            comp_busy: 0.0,
-            blocks: 0,
-            waves: 0,
-            sm_finish: Vec::new(),
-        };
+        return KernelStats::new(lowered, Vec::new(), 0);
     }
-    let mem_busy: f64 = lowered.iter().map(|(c, b)| *c as f64 * b.mem_time).sum();
-    let comp_busy: f64 = lowered.iter().map(|(c, b)| *c as f64 * b.comp_time).sum();
-    let k = k.max(1);
     let ids = table.begin_kernel(lowered);
-    let schedule = if steady {
-        let schedule = schedule_steady(n_sm, k, total_blocks, lowered, &ids, table);
-        if obs::active() {
-            match &schedule {
-                Some(s) => {
-                    obs::counter("sim.sched_steady", 1);
-                    obs::counter("sim.sm_groups", s.sm_groups);
-                }
-                None => obs::counter("sim.sched_fallback", 1),
-            }
-        }
-        schedule.unwrap_or_else(|| schedule_dealing(n_sm, k, lowered, &ids, table))
-    } else {
-        schedule_dealing(n_sm, k, lowered, &ids, table)
-    };
-    KernelStats {
-        makespan: schedule.makespan,
-        mem_busy,
-        comp_busy,
-        blocks: total_blocks,
-        waves: schedule.waves,
-        sm_finish: schedule.sm_finish,
+    let schedule = schedule_steady(n_sm, k.max(1), total_blocks, lowered, &ids, table);
+    if obs::active() {
+        obs::counter("sim.sched_steady", 1);
+        obs::counter("sim.sm_groups", schedule.sm_groups);
     }
+    KernelStats::new(lowered, schedule.sm_finish, schedule.waves)
 }
 
-/// Maximum distinct block runs in one wave's inline composition. Real
-/// plans have 1–3 classes, so one wave mixing more than six runs is
-/// vanishingly rare; such kernels take the exact dealing fallback.
-const MAX_WAVE_RUNS: usize = 6;
-
-/// A wave's composition as a run-length-encoded sequence of interned
-/// blocks (ids into [`WaveCostTable`]'s block list): the wave executes
-/// `runs[0].1` blocks `runs[0].0`, then `runs[1].1` blocks `runs[1].0`,
-/// and so on. Adjacent equal blocks always merge into one run, so the
-/// encoding is canonical: two waves compare equal exactly when they
-/// schedule the same block sequence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-struct WaveComp {
-    runs: [(u32, u32); MAX_WAVE_RUNS],
-    len: u8,
-}
-
-impl Hash for WaveComp {
-    /// One word per used run; unused runs are always zero.
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        for &(block, count) in &self.runs[..self.len as usize] {
-            state.write_u64(u64::from(block) << 32 | u64::from(count));
-        }
-    }
-}
-
-impl WaveComp {
-    fn new() -> Self {
-        Self::default()
-    }
-
-    /// A full wave of `count` copies of one block — the steady state
-    /// that dominates every regular launch.
-    fn pure(block: u32, count: u32) -> Self {
-        let mut c = Self::new();
-        c.runs[0] = (block, count);
-        c.len = 1;
-        c
-    }
-
-    /// Append a run; returns `false` on overflow (caller falls back).
-    fn push(&mut self, block: u32, count: u32) -> bool {
-        if count == 0 {
-            return true;
-        }
-        if self.len > 0 && self.runs[self.len as usize - 1].0 == block {
-            self.runs[self.len as usize - 1].1 += count;
-            return true;
-        }
-        if (self.len as usize) == MAX_WAVE_RUNS {
-            return false;
-        }
-        self.runs[self.len as usize] = (block, count);
-        self.len += 1;
-        true
-    }
-
-    /// The wave's blocks in dispatch order.
-    fn blocks<'a>(
-        &'a self,
-        blocks: &'a [BlockSegments],
-    ) -> impl Iterator<Item = &'a BlockSegments> {
-        self.runs[..self.len as usize]
-            .iter()
-            .flat_map(move |&(b, n)| std::iter::repeat_n(&blocks[b as usize], n as usize))
-    }
+/// One run of a wave composition: `count` copies of interned block
+/// `block`, packed as `block << 32 | count`.
+fn run(block: u32, count: u64) -> u64 {
+    debug_assert!(count >> 32 == 0, "a wave of {count} blocks");
+    u64::from(block) << 32 | count
 }
 
 /// Multiply-rotate hashing of the table's keys, which are a few machine
@@ -454,9 +335,18 @@ impl Hasher for WordHasher {
         self.0
     }
 
+    /// One round per 8-byte word (a `[u64]` key arrives as one byte
+    /// slice), the last word zero-padded.
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.write_u64(u64::from_le_bytes(word.try_into().unwrap()));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut w = [0u8; 8];
+            w[..rest.len()].copy_from_slice(rest);
+            self.write_u64(u64::from_le_bytes(w));
         }
     }
 
@@ -487,8 +377,11 @@ struct WaveCostTable {
     /// Interned lowered blocks, by id.
     blocks: Vec<BlockSegments>,
     block_ids: WordMap<cost::BlockKey, u32>,
-    /// Interned wave compositions, by id.
-    wave_ids: WordMap<WaveComp, u32>,
+    /// Interned wave compositions, by id: the wave's blocks as runs of
+    /// one interned block (see [`run`]) in dispatch order, adjacent equal
+    /// blocks merged into one run, so two waves compare equal exactly
+    /// when they schedule the same block sequence.
+    wave_ids: WordMap<Box<[u64]>, u32>,
     /// Each wave's cost and the kernel schedule that last used it.
     costs: Vec<(f64, u64)>,
     /// The current kernel schedule (see [`Self::begin_kernel`]).
@@ -518,35 +411,27 @@ impl WaveCostTable {
             .collect()
     }
 
-    /// The id of `comp`'s cost, scheduling the wave the first time any
-    /// kernel schedule drawing from this table needs it.
-    fn id_of(&mut self, comp: WaveComp) -> u32 {
-        let next = self.costs.len() as u32;
-        match self.wave_ids.entry(comp) {
-            Entry::Occupied(e) => {
-                let id = *e.get();
-                let last = &mut self.costs[id as usize].1;
-                if *last != self.kernel {
-                    *last = self.kernel;
-                    self.shared += 1;
-                }
-                id
+    /// The id of the wave of `runs`' cost, scheduling the wave the first
+    /// time any kernel schedule drawing from this table needs it.
+    fn id_of(&mut self, runs: &[u64]) -> u32 {
+        if let Some(&id) = self.wave_ids.get(runs) {
+            let last = &mut self.costs[id as usize].1;
+            if *last != self.kernel {
+                *last = self.kernel;
+                self.shared += 1;
             }
-            Entry::Vacant(e) => {
-                e.insert(next);
-                let placed = &mut self.segments;
-                let cost = schedule_wave(comp.blocks(&self.blocks), |_, _, _, _| *placed += 1);
-                self.costs.push((cost, self.kernel));
-                next
-            }
+            return id;
         }
-    }
-
-    /// Schedule one wave outside the table, counting the segments it
-    /// places.
-    fn schedule<'a>(&mut self, blocks: impl Iterator<Item = &'a BlockSegments>) -> f64 {
+        let blocks = &self.blocks;
+        let wave = runs
+            .iter()
+            .flat_map(|&r| std::iter::repeat_n(&blocks[(r >> 32) as usize], r as u32 as usize));
         let placed = &mut self.segments;
-        schedule_wave(blocks, |_, _, _, _| *placed += 1)
+        let cost = schedule_wave(wave, |_, _, _, _| *placed += 1);
+        let id = self.costs.len() as u32;
+        self.costs.push((cost, self.kernel));
+        self.wave_ids.insert(runs.into(), id);
+        id
     }
 
     fn cost(&self, id: u32) -> f64 {
@@ -556,11 +441,9 @@ impl WaveCostTable {
 
 /// One kernel's schedule across all SMs.
 struct Schedule {
-    makespan: f64,
     waves: u64,
     sm_finish: Vec<f64>,
-    /// SM groups whose signature the steady-state schedule built and
-    /// folded (0 for the dealing loop).
+    /// SM groups whose signature the schedule built and folded.
     sm_groups: u64,
 }
 
@@ -586,8 +469,9 @@ fn push_sig(sig: &mut Vec<(u32, u64)>, id: u32, rep: u64) {
 /// composition is computable without materializing the order. Runs of
 /// full single-class waves — the steady state — collapse into one
 /// `(composition, repeat)` signature entry; irregular waves at class
-/// boundaries and the tail are composed run by run (`ids` maps each
-/// class to its interned block).
+/// boundaries and the tail are composed run by run in one reused buffer,
+/// however many runs they mix (`ids` maps each class to its interned
+/// block).
 ///
 /// A class boundary at prefix position `a` separates SM `s − 1` from SM
 /// `s` only when `s ≡ a (mod n_sm)`, and the block count drops there only
@@ -595,12 +479,9 @@ fn push_sig(sig: &mut Vec<(u32, u64)>, id: u32, rep: u64) {
 /// included) therefore cut the SMs into groups that receive the same
 /// class sequence: each group's first SM builds the signature and folds
 /// it, and the group's SMs share the finish time. Wave costs are folded
-/// in the exact order the dealing loop adds them, so results are
-/// bit-equal to [`schedule_dealing`], and waves are interned in the
-/// order the dealing loop first meets them.
-///
-/// Returns `None` when a wave mixes more than [`MAX_WAVE_RUNS`] block
-/// runs; the caller then takes the dealing fallback.
+/// in the exact order a dealing loop adds them, so results are bit-equal
+/// to the tracer's replay ([`kernel_time_dealing`]), and waves are
+/// interned in the order a dealing loop first meets them.
 fn schedule_steady(
     n_sm: usize,
     k: usize,
@@ -608,10 +489,11 @@ fn schedule_steady(
     lowered: &[(u64, BlockSegments)],
     ids: &[u32],
     table: &mut WaveCostTable,
-) -> Option<Schedule> {
+) -> Schedule {
     let nsm = n_sm as u64;
-    let ku = k as u64;
-    let kw = u32::try_from(ku).ok()?;
+    // No SM receives more than `total` blocks, so a larger `k` schedules
+    // the same waves.
+    let ku = (k as u64).min(total);
     // prefix[c] = blocks dispatched before class c.
     let mut prefix = Vec::with_capacity(lowered.len() + 1);
     let mut acc = 0u64;
@@ -625,10 +507,10 @@ fn schedule_steady(
     starts.sort_unstable();
     starts.dedup();
     let mut sm_finish = vec![0.0f64; n_sm];
-    let mut makespan = 0.0f64;
     let mut waves_total = 0u64;
     let mut sm_groups = 0u64;
     let mut sig: Vec<(u32, u64)> = Vec::new();
+    let mut runs: Vec<u64> = Vec::new();
     for (g, &s) in starts.iter().enumerate() {
         let su = s as u64;
         if su >= total {
@@ -659,7 +541,7 @@ fn schedule_steady(
                     let w_full = (n_s - ku) / ku;
                     let w_end = w_pure.min(w_full);
                     debug_assert!(w_end >= w);
-                    let id = table.id_of(WaveComp::pure(ids[cls], kw));
+                    let id = table.id_of(&[run(ids[cls], ku)]);
                     push_sig(&mut sig, id, w_end - w + 1);
                     w = w_end + 1;
                     continue;
@@ -667,7 +549,7 @@ fn schedule_steady(
             }
             // Irregular wave (class boundary or short tail): compose it
             // run by run.
-            let mut comp = WaveComp::new();
+            runs.clear();
             let mut i = 0u64;
             let mut c = cls;
             while i < in_wave {
@@ -677,12 +559,13 @@ fn schedule_steady(
                 }
                 let upto = (prefix[c + 1] - p0).div_ceil(nsm);
                 let n = upto.min(in_wave) - i;
-                if !comp.push(ids[c], n as u32) {
-                    return None;
+                match runs.last_mut() {
+                    Some(last) if (*last >> 32) as u32 == ids[c] => *last += n,
+                    _ => runs.push(run(ids[c], n)),
                 }
                 i += n;
             }
-            let id = table.id_of(comp);
+            let id = table.id_of(&runs);
             push_sig(&mut sig, id, 1);
             w += 1;
         }
@@ -695,81 +578,12 @@ fn schedule_steady(
             }
         }
         sm_finish[group].fill(finish);
-        makespan = makespan.max(finish);
         sm_groups += 1;
     }
-    Some(Schedule {
-        makespan,
+    Schedule {
         waves: waves_total,
         sm_finish,
         sm_groups,
-    })
-}
-
-/// Run-length encode one dealt wave slice (class indices, mapped to
-/// their interned blocks by `ids`); `None` if it needs more than
-/// [`MAX_WAVE_RUNS`] runs.
-fn comp_of_slice(wave: &[u16], ids: &[u32]) -> Option<WaveComp> {
-    let mut comp = WaveComp::new();
-    for &c in wave {
-        if !comp.push(ids[c as usize], 1) {
-            return None;
-        }
-    }
-    Some(comp)
-}
-
-/// Expand the dispatch order (class after class) and deal it round-robin
-/// to `n_sm` SMs, as the hardware's block scheduler does for a grid: the
-/// class index of every block, per SM, in dispatch order.
-pub(crate) fn deal(n_sm: usize, lowered: &[(u64, BlockSegments)]) -> Vec<Vec<u16>> {
-    let mut per_sm: Vec<Vec<u16>> = vec![Vec::new(); n_sm];
-    let order = lowered
-        .iter()
-        .enumerate()
-        .flat_map(|(idx, (count, _))| std::iter::repeat_n(idx as u16, *count as usize));
-    for (pos, cls) in order.enumerate() {
-        per_sm[pos % n_sm].push(cls);
-    }
-    per_sm
-}
-
-/// Exact reference schedule over the [`deal`]t dispatch order. Wave costs
-/// are still interned by composition — virtually all waves are identical
-/// — and scheduled uncached for the rare composition that overflows the
-/// inline encoding.
-fn schedule_dealing(
-    n_sm: usize,
-    k: usize,
-    lowered: &[(u64, BlockSegments)],
-    ids: &[u32],
-    table: &mut WaveCostTable,
-) -> Schedule {
-    let per_sm = deal(n_sm, lowered);
-    let mut makespan = 0.0f64;
-    let mut waves = 0u64;
-    let mut sm_finish = vec![0.0f64; n_sm];
-    for (sm_idx, sm) in per_sm.iter().enumerate() {
-        let mut t = 0.0;
-        for wave in sm.chunks(k) {
-            waves += 1;
-            let cost = match comp_of_slice(wave, ids) {
-                Some(comp) => {
-                    let id = table.id_of(comp);
-                    table.cost(id)
-                }
-                None => table.schedule(wave.iter().map(|&c| &lowered[c as usize].1)),
-            };
-            t += cost;
-        }
-        sm_finish[sm_idx] = t;
-        makespan = makespan.max(t);
-    }
-    Schedule {
-        makespan,
-        waves,
-        sm_finish,
-        sm_groups: 0,
     }
 }
 
@@ -1107,20 +921,6 @@ mod tests {
     }
 
     #[test]
-    fn detailed_matches_summary() {
-        let d = DeviceConfig::gtx980();
-        let wl = wl_blocks(24, 5, d.shared_mem_words / 3);
-        let summary = simulate(&d, &wl).unwrap();
-        let (report, kernels) = simulate_detailed(&d, &wl).unwrap();
-        assert_eq!(report.total_time.to_bits(), summary.total_time.to_bits());
-        assert_eq!(kernels.len(), wl.kernels.len());
-        let sum: f64 = kernels.iter().map(|k| k.makespan).sum();
-        let expect = report.total_time - report.launch_overhead;
-        assert!((sum - expect).abs() < 1e-15, "{sum} vs {expect}");
-        assert!(kernels.iter().all(|k| k.blocks == 24));
-    }
-
-    #[test]
     fn heterogeneous_classes_deal_round_robin() {
         // Two classes of very different cost: the makespan must reflect
         // the SM that received the expensive block, not an average.
@@ -1250,7 +1050,7 @@ mod tests {
         }
     }
 
-    /// The steady-state schedule must reproduce the dealing loop exactly
+    /// The steady-state schedule must reproduce the tracer's replay exactly
     /// — including `sm_finish`, wave counts, and every bit of the fp
     /// fold — across class mixes, SM counts (Titan X's 24 included), and
     /// occupancies: class boundaries at SM residue 0, zero-count classes
@@ -1275,8 +1075,10 @@ mod tests {
                 vec![cls(3, 128), cls(1, 4096)],
                 vec![cls(16, 64), cls(0, 32), cls(17, 256)],
                 vec![cls(5, 64), cls(5, 128), cls(5, 256), cls(5, 512)],
-                // Many single-block classes: with large k a wave mixes > 6
-                // runs, forcing the dealing fallback on a 1-SM device.
+                // Ten single-block classes. Widths 64–128 lower to one
+                // block and 136 to another, so equal blocks merge and a
+                // wave holds at most two runs; `sched_properties.rs`
+                // covers waves of many runs.
                 (0..10).map(|i| cls(1, 64 + 8 * i)).collect(),
                 // Every boundary at residue 0.
                 vec![cls(3 * n, 64), cls(n, 4096), cls(2 * n, 256)],

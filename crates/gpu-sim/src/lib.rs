@@ -46,10 +46,7 @@ pub mod trace;
 pub mod workload;
 
 pub use device::DeviceConfig;
-pub use engine::{
-    kernel_time, kernel_time_dealing, simulate, simulate_detailed, simulate_launches,
-    KernelBreakdown, KernelStats,
-};
+pub use engine::{kernel_time, kernel_time_dealing, simulate, simulate_launches, KernelStats};
 pub use occupancy::{occupancy, LaunchError, Occupancy, OccupancyLimit};
 pub use report::SimReport;
 pub use trace::{trace_kernel, KernelTrace, TraceEvent, TracePipe};

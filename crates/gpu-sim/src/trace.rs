@@ -6,11 +6,14 @@
 //! of wave costs) while recording every segment's placement. It is the
 //! slow, observable sibling of `engine::simulate` — used by examples and
 //! the scheduler's own invariants tests (no pipe overlap, chain order
-//! preserved, busy times match the cost model).
+//! preserved, busy times match the cost model). Its replay is the one
+//! loop that deals blocks one by one; `engine::kernel_time_dealing` times
+//! a kernel through it as the oracle of the engine's closed-form
+//! schedule.
 
-use crate::cost::{Pipe, TileClasses};
+use crate::cost::{BlockSegments, Pipe, TileClasses};
 use crate::device::DeviceConfig;
-use crate::engine::{deal, schedule_wave};
+use crate::engine::schedule_wave;
 use crate::occupancy::LaunchError;
 use crate::workload::SimWorkload;
 use serde::{Deserialize, Serialize};
@@ -214,40 +217,81 @@ pub fn trace_kernel(
     let lowered = &launch.vectors[tile.kernel_vector[index]];
 
     let mut events = Vec::new();
-    let mut makespan = 0.0f64;
-    for (sm, dealt) in deal(device.n_sm, lowered).iter().enumerate() {
-        // Each wave is scheduled from 0 and its cost added to the SM's
-        // clock, exactly as the engine folds wave costs.
-        let mut t = 0.0f64;
-        for (wave, classes) in dealt.chunks(k.max(1)).enumerate() {
-            let blocks = classes.iter().map(|&c| &lowered[c as usize].1);
-            t += schedule_wave(blocks, |block, pipe, start, end| {
-                events.push(TraceEvent {
-                    sm,
-                    wave,
-                    block,
-                    pipe: match pipe {
-                        Pipe::Mem => TracePipe::Mem,
-                        Pipe::Comp => TracePipe::Comp,
-                    },
-                    start: t + start,
-                    end: t + end,
-                });
-            });
-        }
-        makespan = makespan.max(t);
-    }
+    let (sm_finish, _) = replay(
+        device.n_sm,
+        k,
+        lowered,
+        |sm, wave, block, pipe, start, end| {
+            events.push(TraceEvent {
+                sm,
+                wave,
+                block,
+                pipe: match pipe {
+                    Pipe::Mem => TracePipe::Mem,
+                    Pipe::Comp => TracePipe::Comp,
+                },
+                start,
+                end,
+            })
+        },
+    );
     Ok(KernelTrace {
         k,
-        makespan,
+        makespan: sm_finish.iter().copied().fold(0.0, f64::max),
         events,
     })
+}
+
+/// Expand the dispatch order (class after class) and deal it round-robin
+/// to `n_sm` SMs, as the hardware's block scheduler does for a grid: the
+/// class index of every block, per SM, in dispatch order.
+fn deal(n_sm: usize, lowered: &[(u64, BlockSegments)]) -> Vec<Vec<u16>> {
+    let mut per_sm: Vec<Vec<u16>> = vec![Vec::new(); n_sm];
+    let order = lowered
+        .iter()
+        .enumerate()
+        .flat_map(|(idx, (count, _))| std::iter::repeat_n(idx as u16, *count as usize));
+    for (pos, cls) in order.enumerate() {
+        per_sm[pos % n_sm].push(cls);
+    }
+    per_sm
+}
+
+/// One kernel of `lowered` classes, block by block: [`deal`] the blocks,
+/// cut each SM's blocks into waves of `k`, schedule every wave afresh
+/// from 0 and add its cost to its SM's clock, exactly as the engine folds
+/// wave costs. `on_segment(sm, wave, block, pipe, start, end)` observes
+/// every placement on the SM's clock. Returns each SM's drain time and
+/// the number of waves.
+pub(crate) fn replay(
+    n_sm: usize,
+    k: usize,
+    lowered: &[(u64, BlockSegments)],
+    mut on_segment: impl FnMut(usize, usize, usize, Pipe, f64, f64),
+) -> (Vec<f64>, u64) {
+    let mut waves = 0u64;
+    let sm_finish = deal(n_sm, lowered)
+        .iter()
+        .enumerate()
+        .map(|(sm, dealt)| {
+            let mut t = 0.0f64;
+            for (wave, classes) in dealt.chunks(k.max(1)).enumerate() {
+                let blocks = classes.iter().map(|&c| &lowered[c as usize].1);
+                t += schedule_wave(blocks, |block, pipe, start, end| {
+                    on_segment(sm, wave, block, pipe, t + start, t + end)
+                });
+                waves += 1;
+            }
+            t
+        })
+        .collect();
+    (sm_finish, waves)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::simulate_detailed;
+    use crate::engine::{kernel_time, simulate, KernelStats};
     use hhc_tiling::{LaunchConfig, TileSizes, TilingPlan};
     use stencil_core::{ProblemSize, StencilDescriptor};
 
@@ -266,6 +310,16 @@ mod tests {
         wl
     }
 
+    /// The engine's schedule of each of `wl`'s kernels at the occupancy
+    /// `simulate` resolves.
+    fn engine_kernels(d: &DeviceConfig, wl: &SimWorkload) -> Vec<KernelStats> {
+        let k = simulate(d, wl).unwrap().occupancy.k;
+        wl.kernels
+            .iter()
+            .map(|kernel| kernel_time(d, wl, &kernel.classes, k))
+            .collect()
+    }
+
     #[test]
     fn trace_reproduces_engine_makespan() {
         // Every kernel of a multi-class plan, bit for bit.
@@ -279,8 +333,7 @@ mod tests {
         .unwrap();
         let wl = SimWorkload::from_plan(&plan);
         assert!(wl.kernels.iter().any(|k| k.classes.len() > 1));
-        let (_, kernels) = simulate_detailed(&d, &wl).unwrap();
-        for (index, kernel) in kernels.iter().enumerate() {
+        for (index, kernel) in engine_kernels(&d, &wl).iter().enumerate() {
             let trace = trace_kernel(&d, &wl, index).unwrap();
             assert_eq!(
                 trace.makespan.to_bits(),
@@ -343,7 +396,7 @@ mod tests {
     fn summary_busy_times_and_makespan_match_engine_exactly() {
         let d = DeviceConfig::gtx980();
         let wl = workload();
-        let (_, kernels) = simulate_detailed(&d, &wl).unwrap();
+        let kernels = engine_kernels(&d, &wl);
         let trace = trace_kernel(&d, &wl, 0).unwrap();
         let s = trace.summary(d.n_sm);
         assert_eq!(s.makespan.to_bits(), trace.makespan.to_bits());

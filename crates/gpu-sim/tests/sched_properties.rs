@@ -1,7 +1,8 @@
 //! The steady-state scheduler against its oracle: `kernel_time` must
-//! reproduce the exact dealing loop bit-for-bit — makespan, pipe busy
-//! times, wave counts, and every per-SM finish time — across randomized
-//! class vectors, occupancies, and SM counts.
+//! reproduce the tracer's block-by-block replay (`kernel_time_dealing`)
+//! bit-for-bit — makespan, pipe busy times, wave counts, and every per-SM
+//! finish time — across randomized class vectors, occupancies, and SM
+//! counts.
 
 use gpu_sim::{kernel_time, kernel_time_dealing, DeviceConfig, SimWorkload};
 use hhc_tiling::plan::{BlockClass, WavefrontPlan};
@@ -33,8 +34,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Bitwise agreement on arbitrary class mixes. `k` up to 12 with
-    /// many low-count classes exercises both the pure steady runs and
-    /// the >6-run dealing fallback.
+    /// low-count classes exercises both the pure steady runs and waves
+    /// composed at class boundaries.
     #[test]
     fn steady_equals_dealing(
         classes in prop::collection::vec(class_strategy(), 1..5),
@@ -57,13 +58,14 @@ proptest! {
         }
     }
 
-    /// Single-block classes in quantity: every wave on a small device
-    /// is maximally mixed, so the fallback path itself must stay exact.
+    /// Single-block classes in quantity: on one to three SMs every wave
+    /// is maximally mixed, commonly of 7–32 runs, and its composition
+    /// must stay exact however many runs it holds.
     #[test]
-    fn fallback_heavy_mixes_are_exact(
-        widths in prop::collection::vec(1u64..512, 7..24),
-        n_sm in 1usize..3,
-        k in 7usize..16,
+    fn many_run_waves_are_exact(
+        widths in prop::collection::vec(1u64..512, 7..41),
+        n_sm in 1usize..4,
+        k in 7usize..33,
     ) {
         let classes: Vec<BlockClass> = widths
             .iter()

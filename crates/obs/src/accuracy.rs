@@ -215,6 +215,16 @@ pub struct Row {
     pub memory_bound: Option<bool>,
 }
 
+/// The rows of an accuracy log's bytes, in file order. A line that is not
+/// UTF-8 (an append torn inside a multi-byte device or stencil name) or
+/// does not [`parse_row`] is skipped, never the rest of the file.
+pub fn rows(bytes: &[u8]) -> impl Iterator<Item = Row> + '_ {
+    bytes
+        .split(|&b| b == b'\n')
+        .filter_map(|line| std::str::from_utf8(line).ok())
+        .filter_map(parse_row)
+}
+
 /// Parse one line of the accuracy log. Returns `None` for blank lines,
 /// rows of another kind, and malformed rows (a torn tail line from a
 /// crashed writer must not poison a replay or a calibration fit).
@@ -459,16 +469,15 @@ impl AccuracyLog {
     /// starts re-armed: a window replayed already over the band raises
     /// `model.drift` on the first post-restart record.
     fn replay_tail(&self) {
-        let Ok(text) = std::fs::read_to_string(&self.path) else {
+        let Ok(bytes) = std::fs::read(&self.path) else {
             return;
         };
-        if text.is_empty() {
+        if bytes.is_empty() {
             return;
         }
         let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
         let mut replayed = 0u64;
-        for line in text.lines() {
-            let Some(row) = parse_row(line) else { continue };
+        for row in rows(&bytes) {
             let segment = segment_name(&row.source, &row.device, &row.stencil, row.dim);
             let win = s.windows.entry(segment).or_insert_with(SegmentWindow::new);
             push_windowed(&mut win.errs, row.rel_err, self.window);
@@ -828,6 +837,47 @@ mod tests {
         drop(log);
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(rolled);
+    }
+
+    /// A well-formed advisor row for `stencil`, newline-terminated.
+    fn row_line(stencil: &str) -> Vec<u8> {
+        format!(
+            "{{\"kind\":\"accuracy\",\"ts_ms\":1,\"source\":\"advisor\",\
+             \"device\":\"GTX 980\",\"stencil\":\"{stencil}\",\"dim\":2,\
+             \"key\":\"k\",\"predicted_s\":1.5e-3,\"measured_s\":1.0e-3,\
+             \"rel_err\":0.5}}\n"
+        )
+        .into_bytes()
+    }
+
+    /// A row cut inside a two-byte character, then newline-terminated:
+    /// what an append torn inside a non-ASCII name leaves behind.
+    fn torn_line() -> Vec<u8> {
+        let mut line = row_line("Wärme2D");
+        let cut = line.iter().position(|&b| b == 0xc3).unwrap() + 1;
+        line.truncate(cut);
+        line.push(b'\n');
+        line
+    }
+
+    #[test]
+    fn replay_skips_a_line_torn_inside_a_multibyte_name() {
+        let _g = crate::test_lock();
+        let path = temp_path("utf8");
+        let log = [row_line("Heat2D"), torn_line(), row_line("Wärme2D")].concat();
+        assert!(std::str::from_utf8(&log).is_err(), "premise: invalid UTF-8");
+        std::fs::write(&path, log).unwrap();
+        let rec = Arc::new(MemoryRecorder::new(Level::Info));
+        install(rec.clone());
+        let handle = AccuracyLog::with_window(&path, 4).unwrap();
+        uninstall();
+        let snap = rec.snapshot();
+        assert_eq!(snap.counter("model.accuracy_replayed"), 2);
+        assert!(snap
+            .gauge("model.rel_err.advisor.gtx_980.heat2d.2d")
+            .is_some());
+        drop(handle);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
