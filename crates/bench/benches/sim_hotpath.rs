@@ -1,5 +1,6 @@
 //! Simulator hot-path benchmarks: the closed-form steady-state kernel
-//! scheduler vs the tracer's exact O(total-blocks) replay, the pooled
+//! scheduler vs the tracer's exact O(total-blocks) replay, single waves
+//! of 3–16 co-resident 64-chunk blocks, the pooled
 //! wavefront-parallel executor vs the sequential fast path, full
 //! `simulate` calls over real tiling plans (one with hundreds of
 //! wavefronts), one baseline tile's ten launches, and the plan-geometry
@@ -12,11 +13,13 @@ use gpu_sim::{
     kernel_time, kernel_time_dealing, occupancy, simulate, simulate_launches, DeviceConfig,
     SimWorkload,
 };
+use hhc_tiling::plan::{AxisClass, BlockClass, WavefrontPlan};
 use hhc_tiling::{
     run_tiled_parallel_with_stats, run_tiled_with, ExecOptions, LaunchConfig, PlanGeometry,
     ScratchPool, TileSizes, TilingPlan,
 };
 use std::hint::black_box;
+use std::sync::Arc;
 use stencil_core::{init, ProblemSize, StencilDescriptor, StencilDim};
 use tile_opt::strategy::{baseline_tiles, thread_counts};
 use tile_opt::SpaceConfig;
@@ -101,6 +104,60 @@ fn bench_kernel_scheduling(c: &mut Criterion) {
     g.finish();
 }
 
+/// `count` blocks of one row: `subtiles` sub-tiles, each loading `load`
+/// words, computing an `s1`-wide row and storing `store` words.
+fn one_row_class(count: u64, s1: u64, load: u64, store: u64, subtiles: u64) -> BlockClass {
+    BlockClass {
+        count,
+        s1_widths: vec![s1],
+        mi_rows: vec![load],
+        mo_rows: vec![store],
+        axis2: vec![AxisClass {
+            count: subtiles,
+            widths: vec![1],
+        }],
+        axis3: BlockClass::unit_axis(1),
+    }
+}
+
+/// One wave of `k` co-resident blocks on a one-SM device, per iteration
+/// for k = 3, 4, 8, 16: a pure wave of 64-chunk blocks, and a two-class
+/// mix whose short memory-heavy blocks come first and finish mid-wave.
+fn bench_many_block_waves(c: &mut Criterion) {
+    let mut device = DeviceConfig::gtx980();
+    device.n_sm = 1;
+    let kernels: Vec<(SimWorkload, Vec<BlockClass>, usize)> = [3u64, 4, 8, 16]
+        .into_iter()
+        .flat_map(|k| {
+            [
+                vec![one_row_class(k, 256, 512, 512, 64)],
+                vec![
+                    one_row_class(k / 2, 64, 4096, 2048, 16),
+                    one_row_class(k - k / 2, 2048, 256, 128, 64),
+                ],
+            ]
+            .map(|classes| {
+                let mut wl = SimWorkload::uniform(1, 0, 0, 0, 0, vec![], 128, 32);
+                wl.kernels = vec![WavefrontPlan {
+                    classes: Arc::new(classes.clone()),
+                }];
+                (wl, classes, k as usize)
+            })
+        })
+        .collect();
+    let mut g = c.benchmark_group("sim_hotpath");
+    g.sample_size(10);
+    g.bench_function("many_block_waves", |b| {
+        b.iter(|| {
+            kernels
+                .iter()
+                .map(|(wl, classes, k)| kernel_time(&device, wl, classes, *k).makespan)
+                .sum::<f64>()
+        })
+    });
+    g.finish();
+}
+
 fn bench_parallel_executor(c: &mut Criterion) {
     let spec = StencilDescriptor::jacobi2d().spec();
     let size = ProblemSize::new_2d(256, 256, 32);
@@ -169,6 +226,7 @@ fn bench_plan_geometry(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_kernel_scheduling,
+    bench_many_block_waves,
     bench_parallel_executor,
     bench_plan_geometry
 );

@@ -129,6 +129,96 @@ fn sim_counters_match_simreport() {
     let util = snap.histogram("sim.sm_utilization").expect("utilization");
     assert!(util.count > 0);
     assert!(util.min >= 0.0 && util.max <= 1.0 + 1e-12, "{util:?}");
+    // Waves of two blocks, this plan's, park nothing.
+    assert_eq!(report.occupancy.k, 2);
+    assert_eq!(snap.counter("sim.wave_parked_placements"), 0);
+    // A plan of thin tiles runs three blocks to a wave. Each distinct wave
+    // is scheduled once, and a full scan of each finds parked blocks going
+    // first 20 times between them.
+    let plan = TilingPlan::build(
+        &spec,
+        &size,
+        TileSizes::new_2d(4, 4, 384),
+        LaunchConfig::new_2d(1, 192),
+    )
+    .expect("plan builds");
+    let thin = SimWorkload::from_plan(&plan);
+    let (report, snap) = record(|| simulate(&device, &thin).expect("simulates"));
+    assert_eq!(report.occupancy.k, 3);
+    let scanned: u64 = distinct_waves(&device, &thin, 3)
+        .iter()
+        .map(|w| parked_steps(w))
+        .sum();
+    assert_eq!(snap.counter("sim.wave_parked_placements"), scanned);
+    assert_eq!(scanned, 20);
+}
+
+/// The steps of the greedy two-pipe schedule of `wave`, scanned in full
+/// (each step places the block whose next segment can start earliest,
+/// ties to the lowest index), at which a block other than the two
+/// lowest-index blocks with segments left went first.
+fn parked_steps(wave: &[BlockBits]) -> u64 {
+    let mut free = [0.0f64; 2]; // memory pipe, compute pipe
+    let mut ready = vec![0.0f64; wave.len()];
+    let mut placed = vec![0u64; wave.len()];
+    let mut parked = 0;
+    loop {
+        let live: Vec<usize> = (0..wave.len())
+            .filter(|&i| placed[i] < wave[i].0 * wave[i].1.len() as u64)
+            .collect();
+        if live.is_empty() {
+            return parked;
+        }
+        let next = |i: usize| wave[i].1[(placed[i] % wave[i].1.len() as u64) as usize];
+        let start = |i: usize| ready[i].max(free[usize::from(!next(i).0)]);
+        let rank = (1..live.len()).fold(0, |best, r| {
+            if start(live[r]) < start(live[best]) {
+                r
+            } else {
+                best
+            }
+        });
+        let i = live[rank];
+        let (mem, dur) = next(i);
+        let end = start(i) + f64::from_bits(dur);
+        free[usize::from(!mem)] = end;
+        ready[i] = end;
+        placed[i] += 1;
+        parked += u64::from(rank >= 2);
+    }
+}
+
+/// The distinct waves of `wl`'s distinct kernels at occupancy `k`: lower
+/// every class, deal the blocks round-robin over the SMs, and cut each
+/// SM's blocks into waves of `k`.
+fn distinct_waves(
+    device: &gpu_sim::DeviceConfig,
+    wl: &SimWorkload,
+    k: usize,
+) -> HashSet<Vec<BlockBits>> {
+    let mut kernels = HashSet::new();
+    let mut waves = HashSet::new();
+    for kernel in wl
+        .kernels
+        .iter()
+        .filter(|kern| kernels.insert(Arc::as_ptr(&kern.classes)))
+    {
+        let mut per_sm: Vec<Vec<BlockBits>> = vec![Vec::new(); device.n_sm];
+        let dispatch = kernel.classes.iter().flat_map(|c| {
+            let b = block_bits(&cost::lower_block(device, wl, c));
+            std::iter::repeat_n(b, c.count as usize)
+        });
+        for (pos, b) in dispatch.enumerate() {
+            per_sm[pos % device.n_sm].push(b);
+        }
+        waves.extend(
+            per_sm
+                .iter()
+                .flat_map(|sm| sm.chunks(k))
+                .map(<[BlockBits]>::to_vec),
+        );
+    }
+    waves
 }
 
 /// What the wave scheduler sees of a lowered block, bit for bit: the

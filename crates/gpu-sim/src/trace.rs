@@ -279,7 +279,8 @@ pub(crate) fn replay(
                 let blocks = classes.iter().map(|&c| &lowered[c as usize].1);
                 t += schedule_wave(blocks, |block, pipe, start, end| {
                     on_segment(sm, wave, block, pipe, t + start, t + end)
-                });
+                })
+                .0;
                 waves += 1;
             }
             t

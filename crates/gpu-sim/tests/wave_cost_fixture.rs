@@ -4,10 +4,9 @@
 //! synthetic kernels across occupancies `k = 1…12` and three SM counts:
 //! pure and mixed waves, blocks with a zero load, compute or store phase
 //! (one- to three-segment chunks), classes with exactly tied durations,
-//! blocks of 1 and 64 chunks, and a class mix whose waves overflow the
-//! inline wave composition and take the dealing path. Both public entry
-//! points, [`kernel_time`] and [`kernel_time_dealing`], must reproduce
-//! every line.
+//! blocks of 1 and 64 chunks, and a nine-class mix whose waves mix up to
+//! nine block runs. Both public entry points, [`kernel_time`] and
+//! [`kernel_time_dealing`], must reproduce every line.
 
 use gpu_sim::{kernel_time, kernel_time_dealing, DeviceConfig, KernelStats, SimWorkload};
 use hhc_tiling::plan::{AxisClass, BlockClass, WavefrontPlan};
