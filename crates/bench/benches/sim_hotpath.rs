@@ -4,7 +4,8 @@
 //! wavefront-parallel executor vs the sequential fast path, full
 //! `simulate` calls over real tiling plans (one with hundreds of
 //! wavefronts), one baseline tile's ten launches, and the plan-geometry
-//! lowering every simulated tile pays first. Companion to
+//! lowering every simulated tile pays first, tile by tile and family by
+//! family. Companion to
 //! `experiments --bench-exec --parallel-exec`, which times the same
 //! paths on larger workloads and persists `BENCH_exec.json`.
 
@@ -15,8 +16,8 @@ use gpu_sim::{
 };
 use hhc_tiling::plan::{AxisClass, BlockClass, WavefrontPlan};
 use hhc_tiling::{
-    run_tiled_parallel_with_stats, run_tiled_with, ExecOptions, LaunchConfig, PlanGeometry,
-    ScratchPool, TileSizes, TilingPlan,
+    run_tiled_parallel_with_stats, run_tiled_with, ExecOptions, HexagonRows, LaunchConfig,
+    PlanGeometry, ScratchPool, TileSizes, TilingPlan,
 };
 use std::hint::black_box;
 use std::sync::Arc;
@@ -188,13 +189,26 @@ fn bench_parallel_executor(c: &mut Criterion) {
 /// `PlanGeometry`: the per-tile set-up of every strategy evaluation and
 /// micro-benchmark. Footprints are per-row interval arithmetic and the
 /// full-width inner sub-tiles one counted class, so this stays cheap
-/// even with 4096-wide rows and hundreds of wavefronts.
+/// even with 4096-wide rows and hundreds of wavefronts. Each study is
+/// lowered tile by tile (`PlanGeometry::build`) and family by family
+/// (one `HexagonRows` per (`t_T`, `t_S1`), then each of its tiles), as
+/// strategy evaluation does.
 fn bench_plan_geometry(c: &mut Criterion) {
     let tiles = baseline_tiles(
         &DeviceConfig::gtx980(),
         StencilDim::D2,
         &SpaceConfig::default(),
     );
+    let mut families: Vec<Vec<TileSizes>> = Vec::new();
+    for &t in &tiles {
+        match families
+            .iter_mut()
+            .find(|f| (f[0].t_t, f[0].t_s[0]) == (t.t_t, t.t_s[0]))
+        {
+            Some(family) => family.push(t),
+            None => families.push(vec![t]),
+        }
+    }
     let mut g = c.benchmark_group("plan_geometry");
     g.sample_size(10);
     for (name, stencil, size) in [
@@ -216,6 +230,21 @@ fn bench_plan_geometry(c: &mut Criterion) {
                     .iter()
                     .map(|&t| PlanGeometry::build(&spec, &size, t).expect("tile lowers"))
                     .map(|geometry| geometry.wavefronts.len())
+                    .sum::<usize>()
+            })
+        });
+        g.bench_function(&format!("{name}_by_family"), |b| {
+            b.iter(|| {
+                families
+                    .iter()
+                    .map(|family| {
+                        let (t_t, t_s1) = (family[0].t_t, family[0].t_s[0]);
+                        let rows = HexagonRows::build(&spec, &size, t_t, t_s1).expect("rows build");
+                        family
+                            .iter()
+                            .map(|&t| rows.lower(t).expect("tile lowers").wavefronts.len())
+                            .sum::<usize>()
+                    })
                     .sum::<usize>()
             })
         });

@@ -13,7 +13,8 @@ use std::collections::HashSet;
 use std::sync::{Arc, Mutex, MutexGuard};
 use stencil_core::{init, ProblemSize, StencilDescriptor, StencilDim};
 use tile_opt::strategy::{
-    baseline_tiles, study, thread_counts, DataPoint, Strategy, StrategyContext,
+    baseline_points, baseline_tiles, evaluate_points, study, thread_counts, DataPoint, Strategy,
+    StrategyContext,
 };
 use tile_opt::SpaceConfig;
 
@@ -298,6 +299,60 @@ fn tile_sweep_shares_wave_costs() {
     // Nine of the ten launches run (1024 threads exceed the register
     // file); their schedules take 56 wave costs from the table.
     assert_eq!((runs, shared, placed), (9, 56, 4692));
+}
+
+/// The Figure-6 baseline set evaluated once: `evaluate_points` builds
+/// one set of hexagon rows per family (`t_T`, `t_S1`) of its tiles, and
+/// each tile's sweep computes one row pass per thread shape clamped to
+/// the tile's widest extent on each axis, which every later launch of that
+/// shape reuses.
+#[test]
+fn families_and_shared_row_passes_are_counted() {
+    let _g = obs_lock();
+    let lab = Lab::new(ExperimentScale::Smoke);
+    let device = lab.devices[0].clone();
+    let stencil = StencilDescriptor::heat2d();
+    let size = lab.scale.sizes_2d()[0];
+    let params = lab.model_params(&device, &stencil);
+    let space = SpaceConfig::default();
+    let spec = stencil.spec();
+    let workload = gpu_sim::Workload::new(device.clone(), stencil, size)
+        .expect("benchmark and size dimensionalities agree");
+    let points = baseline_points(&device, StencilDim::D2, &space);
+    let (_, snap) = record(|| {
+        let ctx = StrategyContext::new(&workload, &params, &space);
+        evaluate_points(&ctx, &points)
+    });
+
+    let tiles = baseline_tiles(&device, StencilDim::D2, &space);
+    let launches = thread_counts(StencilDim::D2);
+    let families: HashSet<(usize, usize)> = tiles.iter().map(|t| (t.t_t, t.t_s[0])).collect();
+    let mut shared = 0u64;
+    for &tile in &tiles {
+        let geometry = PlanGeometry::build(&spec, &size, tile).expect("baseline tile lowers");
+        let mut widest = [1u64; 3];
+        for class in geometry.wavefronts.iter().flat_map(|w| w.classes.iter()) {
+            let axes = [
+                class.s1_widths.clone(),
+                class.axis2.iter().flat_map(|c| c.widths.clone()).collect(),
+                class.axis3.iter().flat_map(|c| c.widths.clone()).collect(),
+            ];
+            for (w, axis) in widest.iter_mut().zip(axes) {
+                *w = axis.into_iter().fold(*w, u64::max);
+            }
+        }
+        let shapes: HashSet<[u64; 3]> = launches
+            .iter()
+            .map(|l| std::array::from_fn(|d| (l.threads[d] as u64).min(widest[d])))
+            .collect();
+        shared += (launches.len() - shapes.len()) as u64;
+    }
+    assert_eq!(snap.counter("opt.eval_plans"), tiles.len() as u64);
+    assert_eq!(snap.counter("opt.eval_families"), families.len() as u64);
+    assert_eq!(snap.counter("sim.row_passes_shared"), shared);
+    // 45 families among the 85 tiles; 606 of the 850 launches reuse a
+    // row pass.
+    assert_eq!((tiles.len(), families.len(), shared), (85, 45, 606));
 }
 
 #[test]

@@ -417,6 +417,19 @@ pub(crate) struct TileClasses {
     pub kernel_vector: Vec<usize>,
     /// Each vector's classes' launch-independent parts.
     parts: Vec<Vec<ClassParts>>,
+    /// The widest extent of any class on each tile axis (`s1` rows, `s2`
+    /// and `s3` sub-tiles), at least 1.
+    widest: [usize; 3],
+    /// The row passes of this sweep so far, by effective thread shape.
+    passes: Vec<([usize; 3], RowPasses)>,
+}
+
+/// Every class's [`row_pass`] under one thread shape.
+struct RowPasses {
+    /// Thread rounds per class, the vectors' classes in order.
+    rounds: Vec<u64>,
+    /// The deepest unroll of any class.
+    unroll: u64,
 }
 
 impl TileClasses {
@@ -426,50 +439,82 @@ impl TileClasses {
             .iter()
             .map(|v| v.iter().map(|c| ClassParts::new(device, wl, c)).collect())
             .collect();
+        let mut widest = [1u64; 3];
+        for c in vectors.iter().flat_map(|v| v.iter()) {
+            widest[0] = c.s1_widths.iter().fold(widest[0], |w, &e| w.max(e));
+            for (d, axis) in [(1, &c.axis2), (2, &c.axis3)] {
+                let widths = axis.iter().flat_map(|a| &a.widths);
+                widest[d] = widths.fold(widest[d], |w, &e| w.max(e));
+            }
+        }
         TileClasses {
             vectors: vectors.into_iter().cloned().collect(),
             kernel_vector,
             parts,
+            widest: widest.map(|w| w as usize),
+            passes: Vec::new(),
         }
+    }
+
+    /// `threads` with each axis clamped to the tile's widest extent on
+    /// it. Launches of equal effective shape have equal row passes, bit
+    /// for bit: `⌈w/n⌉ = 1` for every `0 < w ≤ n`, so threads beyond the
+    /// widest extent change no round and no unroll depth.
+    fn effective(&self, threads: [usize; 3]) -> [usize; 3] {
+        std::array::from_fn(|d| threads[d].max(1).min(self.widest[d]))
     }
 
     /// Lower every distinct vector under `wl`'s launch. One [`row_pass`]
     /// per class yields both its thread rounds and its unroll depth; the
     /// deepest unroll sets the register demand, and with it the occupancy
     /// (or why the launch cannot run) and the spill factor every class is
-    /// lowered with.
+    /// lowered with. A launch whose effective thread shape an earlier
+    /// launch of the sweep had reuses that launch's row passes; the first
+    /// launch of a shape computes them under its own thread shape, so a
+    /// lone simulation never depends on the clamp.
     pub(crate) fn lower(
-        &self,
+        &mut self,
         device: &DeviceConfig,
         wl: &SimWorkload,
     ) -> Result<LaunchClasses, LaunchError> {
-        let mut unroll = 0u64;
-        let rounds: Vec<Vec<u64>> = self
-            .vectors
-            .iter()
-            .map(|v| {
-                v.iter()
+        let shape = self.effective(wl.threads_dims);
+        let index = match self.passes.iter().position(|(s, _)| *s == shape) {
+            Some(i) => {
+                if obs::active() {
+                    obs::counter("sim.row_passes_shared", 1);
+                }
+                i
+            }
+            None => {
+                let mut unroll = 0u64;
+                let rounds = self
+                    .vectors
+                    .iter()
+                    .flat_map(|v| v.iter())
                     .map(|c| {
                         let pass = row_pass(c, wl.threads_dims);
                         unroll = unroll.max(pass.unroll);
                         pass.rounds
                     })
-                    .collect()
-            })
-            .collect();
-        let demand = regs_for_unroll(wl, unroll);
+                    .collect();
+                self.passes.push((shape, RowPasses { rounds, unroll }));
+                self.passes.len() - 1
+            }
+        };
+        let passes = &self.passes[index].1;
+        let demand = regs_for_unroll(wl, passes.unroll);
         let occupancy = occupancy_for_demand(device, wl, demand)?;
         let spill = spill_for_demand(device, demand);
         let rate = ComputeRate::new(device, wl, spill);
+        let mut rounds = passes.rounds.iter();
         let vectors = self
             .vectors
             .iter()
             .zip(&self.parts)
-            .zip(&rounds)
-            .map(|((v, parts), rounds)| {
+            .map(|(v, parts)| {
                 v.iter()
                     .zip(parts)
-                    .zip(rounds)
+                    .zip(rounds.by_ref())
                     .map(|((c, p), &r)| (c.count, p.lower(r, &rate)))
                     .collect()
             })

@@ -15,7 +15,9 @@
 //! kernels (interior wavefronts share their class vectors via `Arc`) are
 //! computed once and reused. A workload's distinct class vectors and
 //! their launch-independent lowering parts are found once per tile sweep
-//! (`cost::TileClasses`); each launch adds one row pass per class.
+//! (`cost::TileClasses`); each launch adds one row pass per class, shared
+//! by the sweep's launches whose thread shapes agree once clamped to the
+//! tile's widest extents.
 //! Blocks enter the scheduler in their periodic form (one chunk of
 //! segments repeated `chunks` times, see [`cost::lower_block`]);
 //! [`schedule_wave`] is the one two-pipe scheduler, shared with
@@ -70,8 +72,8 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// assert_eq!(report.kernel_launches, plan.kernel_count());
 /// ```
 pub fn simulate(device: &DeviceConfig, wl: &SimWorkload) -> Result<SimReport, LaunchError> {
-    let tile = TileClasses::new(device, wl);
-    simulate_tile(device, wl, &tile, &mut WaveCostTable::default())
+    let mut tile = TileClasses::new(device, wl);
+    simulate_tile(device, wl, &mut tile, &mut WaveCostTable::default())
 }
 
 /// Simulate one tile's plan geometry under each of `launches`: one report
@@ -82,9 +84,12 @@ pub fn simulate(device: &DeviceConfig, wl: &SimWorkload) -> Result<SimReport, La
 /// The sweep lowers the tile's classes once: it finds the distinct class
 /// vectors and computes each class's launch-independent parts (transfer
 /// times, barriers, chunks) here, and each launch only adds its thread
-/// rounds. The launches share one wave-cost table, so a wave whose block
-/// sequence an earlier launch of the tile has already scheduled is not
-/// scheduled again. Both are dropped on return.
+/// rounds, from a row pass it shares with every launch of the same thread
+/// shape once each axis is clamped to the tile's widest extent on it. The
+/// launches share one wave-cost table, so a wave whose block sequence an
+/// earlier launch of the tile has already scheduled is not scheduled
+/// again, and its kernel schedules reuse one set of buffers. All of it is
+/// dropped on return.
 ///
 /// ```
 /// use gpu_sim::{simulate, simulate_launches, DeviceConfig, SimWorkload};
@@ -122,14 +127,14 @@ pub fn simulate_launches(
         geometry.mtile_words,
         geometry.regs_per_thread,
     );
-    let tile = TileClasses::new(device, &wl);
+    let mut tile = TileClasses::new(device, &wl);
     let mut table = WaveCostTable::default();
     launches
         .iter()
         .map(|&launch| {
             launch.validate(geometry.spec.dim).ok()?;
             wl.set_launch(launch);
-            simulate_tile(device, &wl, &tile, &mut table).ok()
+            simulate_tile(device, &wl, &mut tile, &mut table).ok()
         })
         .collect()
 }
@@ -141,7 +146,7 @@ pub fn simulate_launches(
 fn simulate_tile(
     device: &DeviceConfig,
     wl: &SimWorkload,
-    tile: &TileClasses,
+    tile: &mut TileClasses,
     table: &mut WaveCostTable,
 ) -> Result<SimReport, LaunchError> {
     let launch = tile.lower(device, wl)?;
@@ -320,8 +325,10 @@ fn kernel_stats(
     if total_blocks == 0 {
         return KernelStats::new(lowered, Vec::new(), 0);
     }
-    let ids = table.begin_kernel(lowered);
-    let schedule = schedule_steady(n_sm, k.max(1), total_blocks, lowered, &ids, table);
+    let mut scratch = std::mem::take(&mut table.scratch);
+    table.begin_kernel(lowered, &mut scratch.ids);
+    let schedule = schedule_steady(n_sm, k.max(1), total_blocks, lowered, table, &mut scratch);
+    table.scratch = scratch;
     if obs::active() {
         obs::counter("sim.sched_steady", 1);
         obs::counter("sim.sm_groups", schedule.sm_groups);
@@ -404,24 +411,39 @@ struct WaveCostTable {
     /// Wave costs a kernel schedule found already scheduled by an
     /// earlier one: counted once per (kernel schedule, wave).
     shared: u64,
+    /// Buffers every kernel schedule drawing from this table reuses.
+    scratch: KernelScratch,
+}
+
+/// A kernel schedule's working buffers (see [`schedule_steady`]).
+#[derive(Default)]
+struct KernelScratch {
+    /// Each class's interned block id.
+    ids: Vec<u32>,
+    /// Blocks dispatched before each class, and the total.
+    prefix: Vec<u64>,
+    /// The first SM of each group of SMs that receive the same blocks.
+    starts: Vec<usize>,
+    /// One SM group's waves as `(wave id, repeat)`.
+    sig: Vec<(u32, u64)>,
+    /// The wave being composed, as runs (see [`run`]).
+    runs: Vec<u64>,
 }
 
 impl WaveCostTable {
-    /// Start a kernel schedule: intern its lowered classes and return
-    /// each class's block id.
-    fn begin_kernel(&mut self, lowered: &[(u64, BlockSegments)]) -> Vec<u32> {
+    /// Start a kernel schedule: intern its lowered classes and set `ids`
+    /// to each class's block id.
+    fn begin_kernel(&mut self, lowered: &[(u64, BlockSegments)], ids: &mut Vec<u32>) {
         self.kernel += 1;
-        lowered
-            .iter()
-            .map(|(_, b)| {
-                let next = self.blocks.len() as u32;
-                let id = *self.block_ids.entry(b.key()).or_insert(next);
-                if id == next {
-                    self.blocks.push(*b);
-                }
-                id
-            })
-            .collect()
+        ids.clear();
+        ids.extend(lowered.iter().map(|(_, b)| {
+            let next = self.blocks.len() as u32;
+            let id = *self.block_ids.entry(b.key()).or_insert(next);
+            if id == next {
+                self.blocks.push(*b);
+            }
+            id
+        }));
     }
 
     /// The id of the wave of `runs`' cost, scheduling the wave the first
@@ -495,21 +517,29 @@ fn push_sig(sig: &mut Vec<(u32, u64)>, id: u32, rep: u64) {
 /// it, and the group's SMs share the finish time. Wave costs are folded
 /// in the exact order a dealing loop adds them, so results are bit-equal
 /// to the tracer's replay ([`kernel_time_dealing`]), and waves are
-/// interned in the order a dealing loop first meets them.
+/// interned in the order a dealing loop first meets them. `scratch.ids`
+/// holds each class's interned block; the other buffers are overwritten.
 fn schedule_steady(
     n_sm: usize,
     k: usize,
     total: u64,
     lowered: &[(u64, BlockSegments)],
-    ids: &[u32],
     table: &mut WaveCostTable,
+    scratch: &mut KernelScratch,
 ) -> Schedule {
+    let KernelScratch {
+        ids,
+        prefix,
+        starts,
+        sig,
+        runs,
+    } = scratch;
     let nsm = n_sm as u64;
     // No SM receives more than `total` blocks, so a larger `k` schedules
     // the same waves.
     let ku = (k as u64).min(total);
     // prefix[c] = blocks dispatched before class c.
-    let mut prefix = Vec::with_capacity(lowered.len() + 1);
+    prefix.clear();
     let mut acc = 0u64;
     prefix.push(0);
     for (count, _) in lowered {
@@ -517,14 +547,13 @@ fn schedule_steady(
         prefix.push(acc);
     }
     // The first SM of each group, ascending.
-    let mut starts: Vec<usize> = prefix.iter().map(|&p| (p % nsm) as usize).collect();
+    starts.clear();
+    starts.extend(prefix.iter().map(|&p| (p % nsm) as usize));
     starts.sort_unstable();
     starts.dedup();
     let mut sm_finish = vec![0.0f64; n_sm];
     let mut waves_total = 0u64;
     let mut sm_groups = 0u64;
-    let mut sig: Vec<(u32, u64)> = Vec::new();
-    let mut runs: Vec<u64> = Vec::new();
     for (g, &s) in starts.iter().enumerate() {
         let su = s as u64;
         if su >= total {
@@ -556,7 +585,7 @@ fn schedule_steady(
                     let w_end = w_pure.min(w_full);
                     debug_assert!(w_end >= w);
                     let id = table.id_of(&[run(ids[cls], ku)]);
-                    push_sig(&mut sig, id, w_end - w + 1);
+                    push_sig(sig, id, w_end - w + 1);
                     w = w_end + 1;
                     continue;
                 }
@@ -579,13 +608,13 @@ fn schedule_steady(
                 }
                 i += n;
             }
-            let id = table.id_of(&runs);
-            push_sig(&mut sig, id, 1);
+            let id = table.id_of(runs);
+            push_sig(sig, id, 1);
             w += 1;
         }
         // Fold in dealing order: one addition per wave.
         let mut finish = 0.0f64;
-        for &(id, rep) in &sig {
+        for &(id, rep) in sig.iter() {
             let cost = table.cost(id);
             for _ in 0..rep {
                 finish += cost;
@@ -755,6 +784,10 @@ fn one_block(b: &Live<'_>, on_segment: &mut impl FnMut(usize, Pipe, f64, f64)) -
 /// finishes, the lowest-index parked block joins the pair. With nothing
 /// parked the guard is +∞: the plain two-block schedule. Returns the
 /// wave's completion time and the steps a parked block placed.
+///
+/// No placement starts before its pipe is free and durations are ≥ 0,
+/// so each pipe's free time only grows and ends as the latest end on it:
+/// the completion time is the later of the two, with no per-step maximum.
 fn active_pair<'a>(
     mut a: Live<'a>,
     mut b: Live<'a>,
@@ -763,7 +796,6 @@ fn active_pair<'a>(
 ) -> (f64, u64) {
     let mut free = PipeTimes::default();
     let mut ready = parked_ready(&parked);
-    let mut finish = 0.0f64;
     let mut parked_first = 0u64;
     loop {
         let (mem, comp) = (later(ready.mem, free.mem), later(ready.comp, free.comp));
@@ -773,10 +805,9 @@ fn active_pair<'a>(
         if sb < sa {
             if sb <= guard {
                 let end = b.place(sb, &mut free, on_segment);
-                finish = finish.max(end);
                 if !b.advance(end) {
                     if parked.is_empty() {
-                        return (run_alone(a, free, finish, on_segment), parked_first);
+                        return (run_alone(a, free, on_segment), parked_first);
                     }
                     b = parked.remove(0);
                     ready = parked_ready(&parked);
@@ -785,10 +816,9 @@ fn active_pair<'a>(
             }
         } else if sa <= guard {
             let end = a.place(sa, &mut free, on_segment);
-            finish = finish.max(end);
             if !a.advance(end) {
                 if parked.is_empty() {
-                    return (run_alone(b, free, finish, on_segment), parked_first);
+                    return (run_alone(b, free, on_segment), parked_first);
                 }
                 a = std::mem::replace(&mut b, parked.remove(0));
                 ready = parked_ready(&parked);
@@ -804,7 +834,6 @@ fn active_pair<'a>(
             }
         }
         let end = parked[i].place(start, &mut free, on_segment);
-        finish = finish.max(end);
         if !parked[i].advance(end) {
             parked.remove(i);
         }
@@ -840,18 +869,17 @@ fn parked_ready(parked: &[Live<'_>]) -> PipeTimes {
 }
 
 /// The rest of block `b`'s chain once its partner is done: it still
-/// waits for whatever the partner left on the pipes.
+/// waits for whatever the partner left on the pipes. Returns the wave's
+/// completion time, the later pipe's free time (see [`active_pair`]).
 fn run_alone(
     mut b: Live<'_>,
     mut free: PipeTimes,
-    mut finish: f64,
     on_segment: &mut impl FnMut(usize, Pipe, f64, f64),
 ) -> f64 {
     loop {
         let end = b.place(b.start_on(&free), &mut free, on_segment);
-        finish = finish.max(end);
         if !b.advance(end) {
-            return finish;
+            return later(free.mem, free.comp);
         }
     }
 }

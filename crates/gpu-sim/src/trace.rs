@@ -211,7 +211,7 @@ pub fn trace_kernel(
     wl: &SimWorkload,
     index: usize,
 ) -> Result<KernelTrace, LaunchError> {
-    let tile = TileClasses::new(device, wl);
+    let mut tile = TileClasses::new(device, wl);
     let launch = tile.lower(device, wl)?;
     let k = launch.occupancy.k;
     let lowered = &launch.vectors[tile.kernel_vector[index]];

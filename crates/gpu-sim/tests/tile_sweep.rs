@@ -65,10 +65,12 @@ fn bits(r: &SimReport) -> Vec<u64> {
 /// 2048 threads (malformed: over 1024) spliced in after the third.
 fn launches(dim: StencilDim) -> Vec<LaunchConfig> {
     let mut all = LaunchConfig::candidates(dim);
-    let oversized = match dim {
-        StencilDim::D3 => LaunchConfig::new_3d(2, 16, 64),
-        _ => LaunchConfig::new_2d(4, 512),
+    let extents: &[usize] = if dim.rank() == 3 {
+        &[2, 16, 64]
+    } else {
+        &[4, 512]
     };
+    let oversized = LaunchConfig::from_extents(dim, extents).expect("one extent per axis");
     all.insert(3, oversized);
     all
 }
@@ -87,10 +89,12 @@ proptest! {
     ) {
         let (stencil, size) = workloads().swap_remove(which);
         let spec = stencil.spec();
-        let tiles = match stencil.dim {
-            StencilDim::D3 => TileSizes::new_3d(2 * half_t, s1, s2, 16 * s3),
-            _ => TileSizes::new_2d(2 * half_t, s1, 16 * s2),
-        };
+        // t_T, then t_S1, t_S2, t_S3 up to the rank, the innermost
+        // extent scaled by 16.
+        let mut coords = vec![2 * half_t];
+        coords.extend_from_slice(&[s1, s2, s3][..stencil.dim.rank()]);
+        *coords.last_mut().expect("rank >= 1") *= 16;
+        let tiles = TileSizes::from_coords(stencil.dim, &coords).expect("one extent per axis");
         let device = if titan == 1 {
             DeviceConfig::titan_x()
         } else {

@@ -46,5 +46,5 @@ pub use exec::{
     ExecStats, ScratchPool, MIN_BATCH_POINTS,
 };
 pub use hex::HexTiling;
-pub use plan::{AxisClass, BlockClass, PlanGeometry, TilingPlan, WavefrontPlan};
+pub use plan::{AxisClass, BlockClass, HexagonRows, PlanGeometry, TilingPlan, WavefrontPlan};
 pub use wavefront::{SpaceBlock, WavefrontSchedule};

@@ -30,10 +30,9 @@ use crate::hex::{HexTiling, Phase, TileId};
 use crate::inner::SkewedAxis;
 use crate::regs;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::ops::RangeInclusive;
 use std::sync::Arc;
-use stencil_core::{ProblemSize, StencilSpec};
+use stencil_core::{ProblemSize, StencilDim, StencilSpec};
 
 /// A run of identical sub-tile positions along one inner axis: `count`
 /// sub-tiles whose in-domain width at hexagon row `r` is `widths[r]`.
@@ -193,8 +192,9 @@ impl WavefrontPlan {
 /// (stencil, size, tile) triple determines. Building it walks the hexagon
 /// geometry once; the simulator (`gpu_sim::simulate_launches`) then pairs
 /// it with any number of launch configurations, sharing the wavefront
-/// class vectors by `Arc`. Tile-size searches build one geometry per
-/// distinct tile and sweep its thread counts from it.
+/// class vectors by `Arc`. Tile-size searches build one [`HexagonRows`]
+/// per hexagon family, lower one geometry per distinct tile from it, and
+/// sweep the tile's thread counts from that.
 #[derive(Debug, Clone)]
 pub struct PlanGeometry {
     /// The stencil being executed.
@@ -215,7 +215,8 @@ pub struct PlanGeometry {
 }
 
 impl PlanGeometry {
-    /// Lower (stencil, size, tiles) to block classes per wavefront.
+    /// Lower (stencil, size, tiles) to block classes per wavefront: the
+    /// tile's [`HexagonRows`], then [`HexagonRows::lower`].
     ///
     /// Wavefronts are keyed by `(surviving hexagon rows, phase)` and each
     /// key is lowered once. The `(t, s1)` rows and footprints only depend
@@ -233,7 +234,70 @@ impl PlanGeometry {
         size: &ProblemSize,
         tiles: TileSizes,
     ) -> Result<PlanGeometry, String> {
+        // The whole tile first: the order the errors report in.
         tiles.validate(spec.dim)?;
+        HexagonRows::build(spec, size, tiles.t_t, tiles.t_s[0])?.lower(tiles)
+    }
+
+    fn into_plan(self, launch: LaunchConfig) -> TilingPlan {
+        TilingPlan {
+            spec: self.spec,
+            size: self.size,
+            tiles: self.tiles,
+            launch,
+            hex: self.hex,
+            wavefronts: self.wavefronts,
+            mtile_words: self.mtile_words,
+            regs_per_thread: self.regs_per_thread,
+        }
+    }
+}
+
+/// The hexagon part of a tile's lowering: everything (stencil, size,
+/// `t_T`, `t_S1`) determine, shared by the tiles of that *hexagon
+/// family* whatever their inner extents `t_S2`, `t_S3`.
+///
+/// It holds each wavefront's `(surviving rows, phase)` key and, per
+/// distinct key, the block classes' `(t, s1)` rows with their footprints
+/// and first time row, lowered from the key's first wavefront.
+/// [`Self::lower`] adds a tile's inner-axis classes; a tile search builds
+/// one `HexagonRows` per family and lowers each of its tiles from it.
+#[derive(Debug, Clone)]
+pub struct HexagonRows {
+    spec: StencilSpec,
+    size: ProblemSize,
+    hex: HexTiling,
+    /// Each wavefront's index into `keys`, in launch order.
+    wavefront_key: Vec<u32>,
+    /// Each distinct key's block classes, without their inner axes.
+    keys: Vec<Vec<ClassRows>>,
+    regs_per_thread: u32,
+}
+
+/// A [`BlockClass`] without its inner-axis classes, and the absolute time
+/// of its first row, which places its inner sub-tile cuts.
+#[derive(Debug, Clone)]
+struct ClassRows {
+    count: u64,
+    s1_widths: Vec<u64>,
+    mi_rows: Vec<u64>,
+    mo_rows: Vec<u64>,
+    t_lo: i64,
+}
+
+impl HexagonRows {
+    /// Lower the `(t, s1)` plane of (stencil, size) under hexagons of
+    /// height `t_t` and base `t_s1`.
+    ///
+    /// Fails (with a human-readable message) if `t_t` or `t_s1` is
+    /// malformed or the problem does not match the stencil.
+    pub fn build(
+        spec: &StencilSpec,
+        size: &ProblemSize,
+        t_t: usize,
+        t_s1: usize,
+    ) -> Result<HexagonRows, String> {
+        TileSizes::new_1d(t_t, t_s1).validate(StencilDim::D1)?;
         if size.dim != spec.dim {
             return Err(format!(
                 "problem is {}D but stencil is {}D",
@@ -248,40 +312,81 @@ impl PlanGeometry {
         // ±r — "the slopes of the hexagons change by constant factors"
         // (paper Section 7) — and the inner skew steepens to match.
         let slope = usize::try_from(spec.order().max(1)).map_err(|_| "bad stencil order")?;
-        let rank = spec.dim.rank();
-        let hex = HexTiling::with_slope(tiles.t_s[0], tiles.t_t, slope);
+        let hex = HexTiling::with_slope(t_s1, t_t, slope);
         let mut axis0: Vec<i64> = spec.neighbors.iter().map(|n| n.offset[0]).collect();
         axis0.sort_unstable();
         axis0.dedup();
-
         let builder = PlanBuilder {
             hex,
             axis0,
             s1: size.space[0],
             time: size.time,
-            axis2: (rank >= 2).then(|| SkewedAxis::with_slope(tiles.t_s[1], size.space[1], slope)),
-            axis3: (rank >= 3).then(|| SkewedAxis::with_slope(tiles.t_s[2], size.space[2], slope)),
         };
 
+        // A plan has a handful of keys: the time-clipped first and last
+        // wavefronts and the full ones of each phase.
         let nw = hex.wavefront_count(size.time);
-        let mut cache: HashMap<(usize, usize, Phase), Arc<Vec<BlockClass>>> = HashMap::new();
-        let mut wavefronts = Vec::with_capacity(nw);
+        let mut seen: Vec<(usize, usize, Phase)> = Vec::new();
+        let mut keys = Vec::new();
+        let mut wavefront_key = Vec::with_capacity(nw);
         for w in 0..nw {
             let (phase, q) = hex.wavefront_phase(w);
             let rows = hex.time_rows(phase, q, size.time);
             let key = (rows.start, rows.end, phase);
-            let classes = cache
-                .entry(key)
-                .or_insert_with(|| Arc::new(builder.wavefront_classes(w)))
-                .clone();
-            wavefronts.push(WavefrontPlan { classes });
+            let index = seen.iter().position(|&k| k == key).unwrap_or_else(|| {
+                seen.push(key);
+                keys.push(builder.wavefront_rows(w));
+                keys.len() - 1
+            });
+            wavefront_key.push(index as u32);
         }
+        Ok(HexagonRows {
+            spec: spec.clone(),
+            size: *size,
+            hex,
+            wavefront_key,
+            keys,
+            regs_per_thread: regs::regs_per_thread(spec),
+        })
+    }
+
+    /// Add `tiles`' inner-axis classes: the tile's [`PlanGeometry`],
+    /// equal field by field to [`PlanGeometry::build`]'s, with one class
+    /// vector per key shared by `Arc` among its wavefronts.
+    ///
+    /// Fails if `tiles` is malformed for the stencil or not of this
+    /// family.
+    pub fn lower(&self, tiles: TileSizes) -> Result<PlanGeometry, String> {
+        tiles.validate(self.spec.dim)?;
+        if (tiles.t_t, tiles.t_s[0]) != (self.hex.t_t, self.hex.t_s) {
+            return Err(format!(
+                "tile (t_t {}, t_s1 {}) is not of the hexagon family (t_t {}, t_s1 {})",
+                tiles.t_t, tiles.t_s[0], self.hex.t_t, self.hex.t_s
+            ));
+        }
+        let (hex, slope, rank) = (self.hex, self.hex.slope, self.spec.dim.rank());
+        let axis = |d: usize| {
+            (rank > d).then(|| SkewedAxis::with_slope(tiles.t_s[d], self.size.space[d], slope))
+        };
+        let (axis2, axis3) = (axis(1), axis(2));
+        let vectors: Vec<Arc<Vec<BlockClass>>> = self
+            .keys
+            .iter()
+            .map(|rows| Arc::new(rows.iter().map(|c| c.with_axes(axis2, axis3)).collect()))
+            .collect();
         if obs::active() {
             obs::counter(
                 "plan.block_classes",
-                cache.values().map(|c| c.len() as u64).sum(),
+                vectors.iter().map(|c| c.len() as u64).sum(),
             );
         }
+        let wavefronts = self
+            .wavefront_key
+            .iter()
+            .map(|&k| WavefrontPlan {
+                classes: Arc::clone(&vectors[k as usize]),
+            })
+            .collect();
 
         // Shared-memory footprint: a double buffer of (widest row + halo)
         // scaled by the skewed inner extents (paper Eqn 19 and its 3D
@@ -294,26 +399,29 @@ impl PlanGeometry {
         }
 
         Ok(PlanGeometry {
-            spec: spec.clone(),
-            size: *size,
+            spec: self.spec.clone(),
+            size: self.size,
             tiles,
             hex,
             wavefronts,
             mtile_words: mtile,
-            regs_per_thread: regs::regs_per_thread(spec),
+            regs_per_thread: self.regs_per_thread,
         })
     }
+}
 
-    fn into_plan(self, launch: LaunchConfig) -> TilingPlan {
-        TilingPlan {
-            spec: self.spec,
-            size: self.size,
-            tiles: self.tiles,
-            launch,
-            hex: self.hex,
-            wavefronts: self.wavefronts,
-            mtile_words: self.mtile_words,
-            regs_per_thread: self.regs_per_thread,
+impl ClassRows {
+    /// The block class of these rows with inner-axis classes along
+    /// `axis2` and `axis3`.
+    fn with_axes(&self, axis2: Option<SkewedAxis>, axis3: Option<SkewedAxis>) -> BlockClass {
+        let nrows = self.s1_widths.len();
+        BlockClass {
+            count: self.count,
+            s1_widths: self.s1_widths.clone(),
+            mi_rows: self.mi_rows.clone(),
+            mo_rows: self.mo_rows.clone(),
+            axis2: axis_classes(axis2, self.t_lo, nrows),
+            axis3: axis_classes(axis3, self.t_lo, nrows),
         }
     }
 }
@@ -401,31 +509,29 @@ impl TilingPlan {
     }
 }
 
-/// Internal geometry → classes lowering.
+/// Internal `(t, s1)` geometry → class rows lowering.
 struct PlanBuilder {
     hex: HexTiling,
     /// The stencil's distinct axis-0 offsets, ascending.
     axis0: Vec<i64>,
     s1: usize,
     time: usize,
-    axis2: Option<SkewedAxis>,
-    axis3: Option<SkewedAxis>,
 }
 
 impl PlanBuilder {
-    /// Build the block classes of wavefront `w`: one class per distinct
+    /// Build the class rows of wavefront `w`: one class per distinct
     /// boundary tile plus one class covering all interior tiles.
-    fn wavefront_classes(&self, w: usize) -> Vec<BlockClass> {
+    fn wavefront_rows(&self, w: usize) -> Vec<ClassRows> {
         let (phase, q) = self.hex.wavefront_phase(w);
         let all = self.hex.wavefront_tiles(w, self.s1, self.time);
         runs(all, self.hex.tile_columns(w, self.s1, self.time, true))
-            .filter_map(|(j, count)| self.block_class(TileId { q, phase, j }, count))
+            .filter_map(|(j, count)| self.class_rows(TileId { q, phase, j }, count))
             .collect()
     }
 
-    /// Build one block class from a representative tile: its clipped
-    /// `(t, s1)` rows with their footprints, and its inner-axis classes.
-    fn block_class(&self, id: TileId, count: u64) -> Option<BlockClass> {
+    /// Build one class's rows from a representative tile: its clipped
+    /// `(t, s1)` rows with their footprints; `None` if none survive.
+    fn class_rows(&self, id: TileId, count: u64) -> Option<ClassRows> {
         let hex = &self.hex;
         let window = (0, self.s1 as i64 - 1);
         let mut buf = Vec::new();
@@ -441,14 +547,12 @@ impl PlanBuilder {
             let last = row.t + 1 == self.time as i64;
             mo_rows.push(if last { width } else { mo });
         }
-        let (t_lo, nrows) = (t_lo?, s1_widths.len());
-        Some(BlockClass {
+        Some(ClassRows {
             count,
             s1_widths,
             mi_rows,
             mo_rows,
-            axis2: axis_classes(self.axis2, t_lo, nrows),
-            axis3: axis_classes(self.axis3, t_lo, nrows),
+            t_lo: t_lo?,
         })
     }
 }

@@ -20,7 +20,7 @@
 use crate::space::{feasible_space, feasible_tiles, SpaceConfig};
 use crate::sweep::{model_sweep_spec, talg_min, within_fraction};
 use gpu_sim::{simulate_launches, DeviceConfig, SimReport, Workload};
-use hhc_tiling::{LaunchConfig, PlanGeometry, TileSizes};
+use hhc_tiling::{HexagonRows, LaunchConfig, PlanGeometry, TileSizes};
 use parking_lot::Mutex;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -297,25 +297,22 @@ pub fn simulate_point(
     size: &ProblemSize,
     point: &DataPoint,
 ) -> Option<SimReport> {
-    simulate_tile(device, spec, size, point.tiles, &[point.launch])
-        .pop()
-        .flatten()
+    let geometry = PlanGeometry::build(spec, size, point.tiles).ok();
+    sweep(device, geometry, &[point.launch]).pop().flatten()
 }
 
-/// Simulate `launches` on one tile: the launch-independent plan geometry
-/// is built once and swept by [`simulate_launches`], then dropped. One
-/// report per launch, in order; `None` where the plan or the launch is
-/// invalid.
-fn simulate_tile(
+/// Simulate `launches` on one tile's geometry, built once, swept by
+/// [`simulate_launches`] and then dropped. One report per launch, in
+/// order; `None` for every launch if the geometry did not build, and
+/// where a launch is invalid.
+fn sweep(
     device: &DeviceConfig,
-    spec: &StencilSpec,
-    size: &ProblemSize,
-    tiles: TileSizes,
+    geometry: Option<PlanGeometry>,
     launches: &[LaunchConfig],
 ) -> Vec<Option<SimReport>> {
-    match PlanGeometry::build(spec, size, tiles) {
-        Ok(geometry) => simulate_launches(device, &geometry, launches),
-        Err(_) => vec![None; launches.len()],
+    match geometry {
+        Some(geometry) => simulate_launches(device, &geometry, launches),
+        None => vec![None; launches.len()],
     }
 }
 
@@ -326,7 +323,9 @@ fn simulate_tile(
 /// evaluation (the evaluation is a pure function of the point); only the
 /// already-seen points skip the simulator. The misses are grouped by
 /// tile, so each distinct tile's plan is built once for all its thread
-/// counts; the groups run in parallel.
+/// counts, and the tiles by hexagon family (`t_T`, `t_S1`), so each
+/// family's [`HexagonRows`] are built once for all its tiles and dropped
+/// once those are done. The families run in parallel.
 pub fn evaluate_points(ctx: &StrategyContext<'_>, points: &[DataPoint]) -> Vec<Evaluated> {
     let flops = reference::total_flops(&ctx.spec, ctx.size());
     // Resolve prior results under one short lock…
@@ -340,12 +339,21 @@ pub fn evaluate_points(ctx: &StrategyContext<'_>, points: &[DataPoint]) -> Vec<E
         .lookups
         .fetch_add(points.len() as u64, Ordering::Relaxed);
 
-    // …group the misses by tile, in order of first appearance…
+    // …group the misses by tile and the tiles by hexagon family, in order
+    // of first appearance…
     let mut groups: Vec<(TileSizes, Vec<LaunchConfig>)> = Vec::new();
     let mut group_of: HashMap<TileSizes, usize> = HashMap::new();
+    let mut families: Vec<Vec<usize>> = Vec::new();
+    let mut family_of: HashMap<(usize, usize), usize> = HashMap::new();
     let mut misses = 0usize;
     for (p, _) in points.iter().zip(&cached).filter(|(_, c)| c.is_none()) {
         let g = *group_of.entry(p.tiles).or_insert_with(|| {
+            let family = (p.tiles.t_t, p.tiles.t_s[0]);
+            let f = *family_of.entry(family).or_insert_with(|| {
+                families.push(Vec::new());
+                families.len() - 1
+            });
+            families[f].push(groups.len());
             groups.push((p.tiles, Vec::new()));
             groups.len() - 1
         });
@@ -357,31 +365,49 @@ pub fn evaluate_points(ctx: &StrategyContext<'_>, points: &[DataPoint]) -> Vec<E
         obs::counter("opt.eval_cache_hits", hits as u64);
         obs::counter("opt.eval_simulated", misses as u64);
         obs::counter("opt.eval_plans", groups.len() as u64);
+        obs::counter("opt.eval_families", families.len() as u64);
     }
-    // …evaluate each group in parallel…
-    let computed: Vec<Vec<Evaluated>> = groups
+    // …evaluate the families in parallel, each family's tiles in turn from
+    // its hexagon rows…
+    let by_family: Vec<Vec<Vec<Evaluated>>> = families
         .par_iter()
-        .map(|(tiles, launches)| {
-            let predicted = ctx.dspec().predict(ctx.params, ctx.size(), tiles).talg;
-            let reports = simulate_tile(ctx.device(), &ctx.spec, ctx.size(), *tiles, launches);
-            launches
+        .map(|members| {
+            let first = groups[members[0]].0;
+            let hexagon = HexagonRows::build(&ctx.spec, ctx.size(), first.t_t, first.t_s[0]);
+            members
                 .iter()
-                .zip(reports)
-                .map(|(&launch, report)| {
-                    let measured = report.map(|r| r.total_time);
-                    Evaluated {
-                        point: DataPoint {
-                            tiles: *tiles,
-                            launch,
-                        },
-                        predicted,
-                        measured,
-                        gflops: measured.map(|t| flops as f64 / t / 1e9),
-                    }
+                .map(|&g| {
+                    let (tiles, launches) = &groups[g];
+                    let predicted = ctx.dspec().predict(ctx.params, ctx.size(), tiles).talg;
+                    let geometry = hexagon.as_ref().ok().and_then(|h| h.lower(*tiles).ok());
+                    let reports = sweep(ctx.device(), geometry, launches);
+                    launches
+                        .iter()
+                        .zip(reports)
+                        .map(|(&launch, report)| {
+                            let measured = report.map(|r| r.total_time);
+                            Evaluated {
+                                point: DataPoint {
+                                    tiles: *tiles,
+                                    launch,
+                                },
+                                predicted,
+                                measured,
+                                gflops: measured.map(|t| flops as f64 / t / 1e9),
+                            }
+                        })
+                        .collect()
                 })
                 .collect()
         })
         .collect();
+    // …put each tile's results back at its group's index…
+    let mut computed: Vec<Vec<Evaluated>> = vec![Vec::new(); groups.len()];
+    for (members, evals) in families.iter().zip(by_family) {
+        for (&g, e) in members.iter().zip(evals) {
+            computed[g] = e;
+        }
+    }
     {
         let mut map = ctx.cache.map.lock();
         for e in computed.iter().flatten() {
