@@ -79,7 +79,7 @@ fn socket_answers_are_byte_identical_to_direct_advise() {
 #[test]
 fn malformed_lines_get_error_responses_and_the_connection_survives() {
     let _g = lock_obs();
-    let rec = Arc::new(obs::MemoryRecorder::new(obs::Level::Quiet));
+    let rec = Arc::new(obs::ShardedRecorder::new(obs::Level::Quiet));
     obs::install(rec.clone());
     let server = start_server(Advisor::with_defaults(), ServerConfig::default());
     let lines = [
@@ -110,7 +110,7 @@ fn malformed_lines_get_error_responses_and_the_connection_survives() {
 #[test]
 fn malformed_inline_descriptors_error_without_dropping_the_connection() {
     let _g = lock_obs();
-    let rec = Arc::new(obs::MemoryRecorder::new(obs::Level::Quiet));
+    let rec = Arc::new(obs::ShardedRecorder::new(obs::Level::Quiet));
     obs::install(rec.clone());
     let server = start_server(Advisor::with_defaults(), ServerConfig::default());
     // An inline descriptor with the wrong coefficient count, one with an
@@ -172,7 +172,7 @@ fn malformed_inline_descriptors_error_without_dropping_the_connection() {
 #[test]
 fn coalesced_duplicates_are_byte_identical_and_computed_once() {
     let _g = lock_obs();
-    let rec = Arc::new(obs::MemoryRecorder::new(obs::Level::Quiet));
+    let rec = Arc::new(obs::ShardedRecorder::new(obs::Level::Quiet));
     obs::install(rec.clone());
     // One worker and a generous batch window: concurrent duplicates
     // land in one batch deterministically.
@@ -236,7 +236,7 @@ fn store_hits_serve_with_zero_model_evaluations() {
 
     // ...then serve them from a fresh advisor whose only warm tier is
     // the store.
-    let rec = Arc::new(obs::MemoryRecorder::new(obs::Level::Quiet));
+    let rec = Arc::new(obs::ShardedRecorder::new(obs::Level::Quiet));
     obs::install(rec.clone());
     let server = start_server(
         Advisor::new(AdvisorConfig {
@@ -265,7 +265,7 @@ fn store_hits_serve_with_zero_model_evaluations() {
 #[test]
 fn overload_sheds_with_an_explicit_response_instead_of_buffering() {
     let _g = lock_obs();
-    let rec = Arc::new(obs::MemoryRecorder::new(obs::Level::Quiet));
+    let rec = Arc::new(obs::ShardedRecorder::new(obs::Level::Quiet));
     obs::install(rec.clone());
     // A queue of 1 on one worker, and a per-connection cap of 2: a
     // burst of distinct (slow, cold) queries must shed most of itself.
@@ -307,7 +307,7 @@ fn overload_sheds_with_an_explicit_response_instead_of_buffering() {
     assert_eq!(snapshot_counter(&rec, "advisor.shed"), shed as u64);
 }
 
-fn snapshot_counter(rec: &obs::MemoryRecorder, name: &str) -> u64 {
+fn snapshot_counter(rec: &obs::ShardedRecorder, name: &str) -> u64 {
     rec.snapshot().counter(name)
 }
 
@@ -354,7 +354,7 @@ fn hits_overtaking_misses_keep_input_order_and_bytes() {
     let b = "{\"device\": \"GTX 980\", \"stencil\": \"Heat2D\", \"size\": [128, 128], \"time\": 8}";
     let store = store_of(&oracle, &[b.to_string()]);
 
-    let rec = Arc::new(obs::MemoryRecorder::new(obs::Level::Quiet));
+    let rec = Arc::new(obs::ShardedRecorder::new(obs::Level::Quiet));
     obs::install(rec.clone());
     // A long window holds the cold miss in the queue while the hits
     // behind it are answered on the reader.
@@ -395,7 +395,7 @@ fn hits_overtaking_misses_keep_input_order_and_bytes() {
 #[test]
 fn oversized_line_gets_an_error_and_the_next_query_its_answer() {
     let _g = lock_obs();
-    let rec = Arc::new(obs::MemoryRecorder::new(obs::Level::Quiet));
+    let rec = Arc::new(obs::ShardedRecorder::new(obs::Level::Quiet));
     obs::install(rec.clone());
     let server = start_server(Advisor::with_defaults(), ServerConfig::default());
     // 1 MiB of a JSON string: it would parse if it were read whole.

@@ -33,7 +33,7 @@ fn parse(line: &str) -> Query {
 #[test]
 fn cache_hits_are_byte_identical_to_cold_answers() {
     let _g = lock_obs();
-    let rec = Arc::new(obs::MemoryRecorder::new(obs::Level::Quiet));
+    let rec = Arc::new(obs::ShardedRecorder::new(obs::Level::Quiet));
     obs::install(rec.clone());
     let dir = temp_dir("bytes");
     let path = dir.join("store.jsonl");
@@ -72,7 +72,7 @@ fn cache_hits_are_byte_identical_to_cold_answers() {
 #[test]
 fn serve_round_trip_dedups_duplicate_queries() {
     let _g = lock_obs();
-    let rec = Arc::new(obs::MemoryRecorder::new(obs::Level::Quiet));
+    let rec = Arc::new(obs::ShardedRecorder::new(obs::Level::Quiet));
     obs::install(rec.clone());
     let advisor = Advisor::with_defaults();
     // Three queries, two of them identical up to `id`.
@@ -170,7 +170,7 @@ fn validated_queries_feed_the_accuracy_log_and_latency_histograms() {
 #[test]
 fn zero_deadline_serves_a_degraded_model_only_answer() {
     let _g = lock_obs();
-    let rec = Arc::new(obs::MemoryRecorder::new(obs::Level::Quiet));
+    let rec = Arc::new(obs::ShardedRecorder::new(obs::Level::Quiet));
     obs::install(rec.clone());
     let advisor = Advisor::with_defaults();
     let line = "{\"id\": \"slow\", \"device\": \"Titan X\", \"stencil\": \"Jacobi2D\", \

@@ -4,7 +4,7 @@
 //!
 //! * the executor hot path (`run_tiled_with`, the workspace's most
 //!   instrumented inner loop) with **no recorder installed** vs with a
-//!   quiet `MemoryRecorder` — the disabled run must sit within noise of
+//!   quiet `ShardedRecorder` — the disabled run must sit within noise of
 //!   the pre-telemetry baseline, because every call site guards on one
 //!   relaxed atomic load;
 //! * the raw disabled call-site cost, measured directly (1000 counter
@@ -39,9 +39,9 @@ fn bench_exec_with_and_without_telemetry(c: &mut Criterion) {
         })
     });
 
-    // Enabled: a quiet in-memory recorder (counters/histograms recorded,
-    // events gated off) — the driver's `--log-level quiet` configuration.
-    obs::install(Arc::new(obs::MemoryRecorder::new(obs::Level::Quiet)));
+    // Enabled: a quiet recorder (counters/histograms recorded, events
+    // gated off) — the driver's `--log-level quiet` configuration.
+    obs::install(Arc::new(obs::ShardedRecorder::new(obs::Level::Quiet)));
     g.bench_function("exec_fast_telemetry_recording", |b| {
         b.iter(|| {
             let (out, _) = run_tiled_with(&spec, &size, tiles, &grid, ExecOptions::FAST).unwrap();
@@ -49,54 +49,6 @@ fn bench_exec_with_and_without_telemetry(c: &mut Criterion) {
         })
     });
     obs::uninstall();
-    g.finish();
-}
-
-/// The enabled hot path, mutex recorder vs sharded recorder, at one
-/// thread and under 4-way contention on the *same* counter and
-/// histogram. The acceptance bar: sharded is no worse uncontended (both
-/// are a registry lookup plus an atomic RMW) and strictly better
-/// contended (striped cells vs one mutex).
-fn bench_enabled_recorders(c: &mut Criterion) {
-    let mut g = c.benchmark_group("obs_recorder");
-    g.sample_size(20);
-    let installers: [(&str, fn()); 2] = [
-        ("mutex", || {
-            obs::install(Arc::new(obs::MemoryRecorder::new(obs::Level::Quiet)))
-        }),
-        ("sharded", || {
-            obs::install(Arc::new(obs::ShardedRecorder::new(obs::Level::Quiet)))
-        }),
-    ];
-    for (label, install) in installers {
-        install();
-        g.bench_function(&format!("counter_hist_x1000_1thread_{label}"), |b| {
-            b.iter(|| {
-                for i in 0..1000u64 {
-                    obs::counter("bench.ctr", 1);
-                    obs::histogram("bench.lat", black_box(i as f64).mul_add(1e-9, 1e-9));
-                }
-            })
-        });
-        g.bench_function(&format!("counter_hist_x1000_4threads_{label}"), |b| {
-            b.iter(|| {
-                std::thread::scope(|s| {
-                    for _ in 0..4 {
-                        s.spawn(|| {
-                            for i in 0..1000u64 {
-                                obs::counter("bench.ctr", 1);
-                                obs::histogram(
-                                    "bench.lat",
-                                    black_box(i as f64).mul_add(1e-9, 1e-9),
-                                );
-                            }
-                        });
-                    }
-                })
-            })
-        });
-        obs::uninstall();
-    }
     g.finish();
 }
 
@@ -118,7 +70,6 @@ fn bench_disabled_callsite(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_exec_with_and_without_telemetry,
-    bench_enabled_recorders,
     bench_disabled_callsite
 );
 criterion_main!(benches);

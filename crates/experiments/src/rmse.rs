@@ -124,7 +124,7 @@ mod tests {
     #[test]
     fn rmse_skip_counter_is_emitted() {
         let _g = obs_test_lock();
-        let rec = std::sync::Arc::new(obs::MemoryRecorder::new(obs::Level::Quiet));
+        let rec = std::sync::Arc::new(obs::ShardedRecorder::new(obs::Level::Quiet));
         obs::install(rec.clone());
         relative_rmse(&[(1.0, 1.0), (1.0, 0.0), (1.0, f64::NAN)]);
         obs::uninstall();

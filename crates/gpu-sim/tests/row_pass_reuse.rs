@@ -19,7 +19,7 @@ fn obs_lock() -> MutexGuard<'static, ()> {
 }
 
 fn record<T>(f: impl FnOnce() -> T) -> (T, obs::Snapshot) {
-    let rec = Arc::new(obs::MemoryRecorder::new(obs::Level::Info));
+    let rec = Arc::new(obs::ShardedRecorder::new(obs::Level::Info));
     obs::install(rec.clone());
     let out = f();
     obs::uninstall();

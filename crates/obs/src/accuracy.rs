@@ -610,7 +610,7 @@ fn segment_name(source: &str, device: &str, stencil: &str, dim: u32) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{install, uninstall, Level, MemoryRecorder};
+    use crate::{install, uninstall, Level, ShardedRecorder};
     use std::sync::Arc;
 
     fn pair(err: f64) -> Pair {
@@ -640,7 +640,7 @@ mod tests {
         let _g = crate::test_lock();
         let path = temp_path("basic");
         let _ = std::fs::remove_file(&path);
-        let rec = Arc::new(MemoryRecorder::new(Level::Info));
+        let rec = Arc::new(ShardedRecorder::new(Level::Info));
         install(rec.clone());
         let log = AccuracyLog::with_window(&path, 4).unwrap();
         // Four in-band pairs: gauge set, no drift.
@@ -694,7 +694,7 @@ mod tests {
         let _g = crate::test_lock();
         let path = temp_path("raw");
         let _ = std::fs::remove_file(&path);
-        let rec = Arc::new(MemoryRecorder::new(Level::Info));
+        let rec = Arc::new(ShardedRecorder::new(Level::Info));
         install(rec.clone());
         let log = AccuracyLog::with_window(&path, 4).unwrap();
         for _ in 0..4 {
@@ -745,7 +745,7 @@ mod tests {
         // Restarted process: gauges come back at open, and the very
         // first over-band record fires drift against the warm window —
         // no cold-start "no drift" report.
-        let rec = Arc::new(MemoryRecorder::new(Level::Info));
+        let rec = Arc::new(ShardedRecorder::new(Level::Info));
         install(rec.clone());
         let log = AccuracyLog::with_window(&path, 4).unwrap();
         let snap = rec.snapshot();
@@ -867,7 +867,7 @@ mod tests {
         let log = [row_line("Heat2D"), torn_line(), row_line("Wärme2D")].concat();
         assert!(std::str::from_utf8(&log).is_err(), "premise: invalid UTF-8");
         std::fs::write(&path, log).unwrap();
-        let rec = Arc::new(MemoryRecorder::new(Level::Info));
+        let rec = Arc::new(ShardedRecorder::new(Level::Info));
         install(rec.clone());
         let handle = AccuracyLog::with_window(&path, 4).unwrap();
         uninstall();

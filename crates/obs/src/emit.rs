@@ -141,7 +141,7 @@ impl Drop for MetricsEmitter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Level, MemoryRecorder, Recorder};
+    use crate::{Level, Recorder, ShardedRecorder};
     use std::sync::Arc;
 
     #[test]
@@ -149,7 +149,7 @@ mod tests {
         let dir = std::env::temp_dir().join("obs_emit_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("metrics.jsonl");
-        let rec = Arc::new(MemoryRecorder::new(Level::Quiet));
+        let rec = Arc::new(ShardedRecorder::new(Level::Quiet));
         rec.counter("tick.count", 5);
         rec.gauge("tick.gauge", 1.5);
         rec.histogram("tick.hist", 0.25);
@@ -177,7 +177,7 @@ mod tests {
         let dir = std::env::temp_dir().join("obs_emit_prom_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("metrics.prom");
-        let rec = Arc::new(MemoryRecorder::new(Level::Quiet));
+        let rec = Arc::new(ShardedRecorder::new(Level::Quiet));
         rec.counter("tick.count", 7);
         rec.gauge("tick.gauge", 2.5);
         let r2 = rec.clone();
@@ -198,7 +198,7 @@ mod tests {
 
     #[test]
     fn bad_path_fails_at_start() {
-        let rec = Arc::new(MemoryRecorder::new(Level::Quiet));
+        let rec = Arc::new(ShardedRecorder::new(Level::Quiet));
         let res = MetricsEmitter::start(
             PathBuf::from("/nonexistent-dir/metrics.jsonl"),
             Duration::from_millis(10),

@@ -87,11 +87,11 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Level, MemoryRecorder, Recorder};
+    use crate::{Level, Recorder, ShardedRecorder};
 
     #[test]
     fn exposition_covers_counters_gauges_histograms() {
-        let r = MemoryRecorder::new(Level::Quiet);
+        let r = ShardedRecorder::new(Level::Quiet);
         r.counter("sim.runs", 3);
         r.gauge("model.rel_err.cpu", 0.05);
         r.histogram("advisor.latency_ms", 2.0);
@@ -110,7 +110,7 @@ mod tests {
 
     #[test]
     fn bucket_series_is_cumulative_and_monotone() {
-        let r = MemoryRecorder::new(Level::Quiet);
+        let r = ShardedRecorder::new(Level::Quiet);
         for v in [1e-3, 1e-3, 1e-1, 1e2] {
             r.histogram("h", v);
         }

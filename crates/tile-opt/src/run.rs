@@ -234,7 +234,7 @@ mod tests {
     #[test]
     fn skip_counter_reaches_the_recorder() {
         let _g = lock_obs();
-        let rec = std::sync::Arc::new(obs::MemoryRecorder::new(obs::Level::Quiet));
+        let rec = std::sync::Arc::new(obs::ShardedRecorder::new(obs::Level::Quiet));
         obs::install(rec.clone());
         let spec = StencilDescriptor::jacobi1d().spec();
         let size = ProblemSize::new_1d(40, 6);

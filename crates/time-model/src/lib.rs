@@ -25,9 +25,6 @@
 //! halo radius: `DimSpec::for_stencil(&stencil).predict(..)`.
 
 pub mod dimspec;
-pub mod hex1d;
-pub mod hybrid2d;
-pub mod hybrid3d;
 pub mod params;
 pub mod refined;
 pub mod roofline;
@@ -133,21 +130,16 @@ pub(crate) mod common {
         2 * time.div_ceil(t_t)
     }
 
-    /// `w = ⌈S1 / (2·t_S1 + t_T)⌉` (Eqn 5).
+    /// `w = ⌈S1 / (2·t_S1 + r·t_T)⌉` (Eqn 5) for a radius-`r` stencil:
+    /// the hexagon pitch grows with the slope (integer arithmetic, so
+    /// `r = 1` is exactly the paper's `2·t_S1 + t_T`).
     ///
     /// Note: the paper's Eqn 22 prints the 3D wavefront width as
     /// `⌈S1/(t_S1 + t_T)⌉`, inconsistent with the hexagon pitch it
     /// derives in Section 4.1 (`2t_S + t_T`) and with Eqns 5/17. We use
     /// the pitch form for all dimensionalities and record the deviation
     /// in EXPERIMENTS.md.
-    pub fn wavefront_width(s1: usize, t_s1: usize, t_t: usize) -> u64 {
-        wavefront_width_r(s1, t_s1, t_t, 1)
-    }
-
-    /// [`wavefront_width`] for a radius-`r` stencil: the hexagon pitch
-    /// grows to `2·t_S1 + r·t_T` with the slope (integer arithmetic, so
-    /// `r = 1` is exactly the historical value).
-    pub fn wavefront_width_r(s1: usize, t_s1: usize, t_t: usize, r: u64) -> u64 {
+    pub fn wavefront_width(s1: usize, t_s1: usize, t_t: usize, r: u64) -> u64 {
         (s1 as u64).div_ceil(2 * t_s1 as u64 + r * t_t as u64)
     }
 
@@ -164,16 +156,11 @@ pub(crate) mod common {
     /// those widths. The two agree to `O(1/t_S1)`; using the printed
     /// bounds on our geometry would *halve* the predicted compute of
     /// degenerate `t_S1 = 1` tiles and pin the model minimum to them.
-    pub fn row_sum(p: &ModelParams, t_s1: usize, t_t: usize, inner: u64) -> u64 {
-        row_sum_r(p, t_s1, t_t, inner, 1)
-    }
-
-    /// [`row_sum`] for a radius-`r` stencil: the slope-`r` hexagon's
-    /// bottom-half rows widen by `2r` per time step, running
-    /// `t_S1 + r … t_S1 + r·(t_T − 1)` — the same `t_T/2` rows, each
-    /// `r×` wider in the growth term. Exact integer arithmetic; `r = 1`
-    /// reproduces the historical sum bit-for-bit.
-    pub fn row_sum_r(p: &ModelParams, t_s1: usize, t_t: usize, inner: u64, r: u64) -> u64 {
+    ///
+    /// At radius `r` the slope-`r` hexagon's bottom-half rows widen by
+    /// `2r` per time step, running `t_S1 + r … t_S1 + r·(t_T − 1)`: the
+    /// same `t_T/2` rows, each `r×` wider in the growth term.
+    pub fn row_sum(p: &ModelParams, t_s1: usize, t_t: usize, inner: u64, r: u64) -> u64 {
         let first = t_s1 as u64 + r;
         let last = t_s1 as u64 + r * (t_t as u64 - 1);
         let mut sum = 0u64;
@@ -263,7 +250,7 @@ mod tests {
         // {5, 7, 9}; n_V = 128; inner = 64 →
         // ⌈320/128⌉ + ⌈448/128⌉ + ⌈576/128⌉ = 3 + 4 + 5 = 12.
         let p = params();
-        assert_eq!(common::row_sum(&p, 4, 6, 64), 12);
+        assert_eq!(common::row_sum(&p, 4, 6, 64, 1), 12);
     }
 
     #[test]
