@@ -542,6 +542,15 @@ fn record_latency(outcome: &str, t0: Instant) {
     }
 }
 
+/// Serializes the lib tests that install the process-global recorder
+/// and those that feed the counters such a test checks, so one test's
+/// counts never land in another's snapshot.
+#[cfg(test)]
+pub(crate) fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -22,7 +22,7 @@ use hhc_tiling::{
 use std::hint::black_box;
 use std::sync::Arc;
 use stencil_core::{init, ProblemSize, StencilDescriptor, StencilDim};
-use tile_opt::strategy::{baseline_tiles, thread_counts};
+use tile_opt::strategy::baseline_tiles;
 use tile_opt::SpaceConfig;
 
 fn jacobi2d_workload() -> (DeviceConfig, SimWorkload) {
@@ -92,7 +92,7 @@ fn bench_kernel_scheduling(c: &mut Criterion) {
     let size = ProblemSize::new_2d(4096, 4096, 1024);
     let tile = baseline_tiles(&device, StencilDim::D2, &SpaceConfig::default())[0];
     let geometry = PlanGeometry::build(&spec, &size, tile).expect("baseline tile lowers");
-    let launches = thread_counts(StencilDim::D2);
+    let launches = LaunchConfig::candidates(StencilDim::D2);
     g.bench_function("baseline_tile", |b| {
         b.iter(|| {
             simulate_launches(&device, &geometry, &launches)

@@ -12,7 +12,7 @@ use super::flags::{Flag, Matches, DEVICE, KERNEL, LAUNCH, SAMPLES, SIZE, STENCIL
 use gpu_sim::{SimWorkload, Workload};
 use hhc_tiling::{LaunchConfig, TileSizes, TilingPlan};
 use stencil_core::{reference, ProblemSize, StencilDim};
-use tile_opt::strategy::{empirical_launch, DataPoint};
+use tile_opt::strategy::DataPoint;
 use tile_opt::{feasible_space, model_sweep_spec, talg_min, within_fraction, SpaceConfig};
 use time_model::{DimSpec, ModelParams};
 
@@ -84,7 +84,7 @@ impl CommonArgs {
         let dim = self.workload.dim();
         match m.opt(&LAUNCH) {
             Some(v) => launch_config(&v, dim),
-            None => Ok(empirical_launch(dim, tiles)),
+            None => Ok(LaunchConfig::empirical(dim, tiles)),
         }
     }
 }
@@ -147,7 +147,7 @@ pub fn analyze(m: &Matches) -> Result<String, String> {
     let tiles = c.tiles(m, &TILE)?;
     let w = &c.workload;
     let spec = w.spec();
-    let launch = empirical_launch(w.dim(), &tiles);
+    let launch = LaunchConfig::empirical(w.dim(), &tiles);
     let plan = TilingPlan::build(&spec, &w.size, tiles, launch)?;
     let st = hhc_tiling::analyze(&plan);
     Ok(format!(
@@ -181,7 +181,7 @@ pub fn tune(m: &Matches) -> Result<String, String> {
     for (tiles, _) in &within {
         let point = DataPoint {
             tiles: *tiles,
-            launch: empirical_launch(w.dim(), tiles),
+            launch: LaunchConfig::empirical(w.dim(), tiles),
         };
         let Ok(plan) = TilingPlan::build(&spec, &w.size, point.tiles, point.launch) else {
             continue;
@@ -247,7 +247,7 @@ pub fn compare(m: &Matches) -> Result<String, String> {
     let dspec = DimSpec::for_stencil(&w.stencil);
     for tiles in [a, b] {
         let pred = dspec.predict(&params, &w.size, &tiles);
-        let launch = empirical_launch(w.dim(), &tiles);
+        let launch = LaunchConfig::empirical(w.dim(), &tiles);
         let meas = TilingPlan::build(&spec, &w.size, tiles, launch)
             .ok()
             .and_then(|plan| gpu_sim::simulate(&w.device, &SimWorkload::from_plan(&plan)).ok())

@@ -32,7 +32,7 @@ pub use run::{
 pub use solver::{coordinate_descent, simulated_annealing, SolverResult};
 pub use space::{coordinate_axes, feasible_space, feasible_tiles, is_feasible, SpaceConfig};
 pub use strategy::{
-    baseline_points, best_measured, evaluate_points, simulate_point, study, thread_counts,
-    DataPoint, EvalCache, Evaluated, Strategy, StrategyContext, StrategyOutcome, Study,
+    baseline_points, best_measured, evaluate_points, simulate_point, study, DataPoint, EvalCache,
+    Evaluated, Strategy, StrategyContext, StrategyOutcome, Study,
 };
 pub use sweep::{model_sweep, model_sweep_spec, talg_min, within_fraction};

@@ -190,13 +190,6 @@ impl<'a> StrategyContext<'a> {
     }
 }
 
-/// The ten thread-count configurations explored per tile size
-/// (paper Section 5.1: "for each of them, we explore 10 different
-/// values of `n_thr,i`") — [`LaunchConfig::candidates`].
-pub fn thread_counts(dim: StencilDim) -> Vec<LaunchConfig> {
-    LaunchConfig::candidates(dim)
-}
-
 /// The stock compiler configuration (PPCG-style 32-point space tiles).
 pub fn hhc_default(dim: StencilDim) -> DataPoint {
     DataPoint {
@@ -264,12 +257,6 @@ pub fn baseline_tiles(
     out
 }
 
-/// The paper's empirical threads-per-block predictor (Section 7) —
-/// [`LaunchConfig::empirical`].
-pub fn empirical_launch(dim: StencilDim, tiles: &TileSizes) -> LaunchConfig {
-    LaunchConfig::empirical(dim, tiles)
-}
-
 /// The full 850-point baseline set (85 tiles × 10 thread counts).
 pub fn baseline_points(
     device: &DeviceConfig,
@@ -277,7 +264,7 @@ pub fn baseline_points(
     cfg: &SpaceConfig,
 ) -> Vec<DataPoint> {
     let tiles = baseline_tiles(device, dim, cfg);
-    let launches = thread_counts(dim);
+    let launches = LaunchConfig::candidates(dim);
     let mut out = Vec::with_capacity(tiles.len() * launches.len());
     for t in &tiles {
         for l in &launches {
@@ -328,6 +315,7 @@ fn sweep(
 /// once those are done. The families run in parallel.
 pub fn evaluate_points(ctx: &StrategyContext<'_>, points: &[DataPoint]) -> Vec<Evaluated> {
     let flops = reference::total_flops(&ctx.spec, ctx.size());
+    let rank = ctx.spec.dim.rank();
     // Resolve prior results under one short lock…
     let cached: Vec<Option<Evaluated>> = {
         let map = ctx.cache.map.lock();
@@ -378,7 +366,14 @@ pub fn evaluate_points(ctx: &StrategyContext<'_>, points: &[DataPoint]) -> Vec<E
                 .iter()
                 .map(|&g| {
                     let (tiles, launches) = &groups[g];
-                    let predicted = ctx.dspec().predict(ctx.params, ctx.size(), tiles).talg;
+                    // The model divides by `t_T` and the inner extents: a
+                    // zero there has no prediction (and, failing
+                    // validation, no measurement either).
+                    let predicted = if tiles.t_t == 0 || tiles.t_s[1..rank].contains(&0) {
+                        f64::NAN
+                    } else {
+                        ctx.dspec().predict(ctx.params, ctx.size(), tiles).talg
+                    };
                     let geometry = hexagon.as_ref().ok().and_then(|h| h.lower(*tiles).ok());
                     let reports = sweep(ctx.device(), geometry, launches);
                     launches
@@ -519,7 +514,7 @@ pub fn study(ctx: &StrategyContext<'_>, exhaustive: bool) -> Study {
                 ctx,
                 &[DataPoint {
                     tiles,
-                    launch: empirical_launch(dim, &tiles),
+                    launch: LaunchConfig::empirical(dim, &tiles),
                 }],
             )[0]
         })
@@ -532,7 +527,7 @@ pub fn study(ctx: &StrategyContext<'_>, exhaustive: bool) -> Study {
             .into_iter()
             .map(|(tiles, _)| DataPoint {
                 tiles,
-                launch: empirical_launch(dim, &tiles),
+                launch: LaunchConfig::empirical(dim, &tiles),
             })
             .collect();
         evaluate_points(ctx, &pts)
@@ -547,7 +542,7 @@ pub fn study(ctx: &StrategyContext<'_>, exhaustive: bool) -> Study {
                 .iter()
                 .map(|t| DataPoint {
                     tiles: *t,
-                    launch: empirical_launch(dim, t),
+                    launch: LaunchConfig::empirical(dim, t),
                 })
                 .collect();
             let evals = evaluate_points(ctx, &pts);
@@ -637,13 +632,6 @@ mod tests {
         assert_eq!(tiles.len(), 85, "baseline tile count");
         let pts = baseline_points(&d, StencilDim::D2, &SpaceConfig::default());
         assert_eq!(pts.len(), 850);
-    }
-
-    #[test]
-    fn thread_counts_are_ten_per_dim() {
-        for dim in [StencilDim::D1, StencilDim::D2, StencilDim::D3] {
-            assert_eq!(thread_counts(dim).len(), 10, "{dim:?}");
-        }
     }
 
     #[test]
@@ -786,27 +774,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn thread_counts_are_valid_launches() {
-        for dim in [StencilDim::D1, StencilDim::D2, StencilDim::D3] {
-            for l in thread_counts(dim) {
-                assert!(l.validate(dim).is_ok(), "{dim:?} {l:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn empirical_launch_is_warp_aligned_for_aligned_tiles() {
-        for tiles in [TileSizes::new_2d(8, 8, 128), TileSizes::new_2d(4, 16, 384)] {
-            let l = empirical_launch(StencilDim::D2, &tiles);
-            assert_eq!(l.threads[1] % 32, 0);
-            assert!(l.validate(StencilDim::D2).is_ok());
-        }
-        let l3 = empirical_launch(StencilDim::D3, &TileSizes::new_3d(8, 4, 4, 64));
-        assert!(l3.validate(StencilDim::D3).is_ok());
-        assert_eq!(l3.threads[2] % 32, 0);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use hhc_stencil::core::{ProblemSize, StencilDescriptor};
 use hhc_stencil::model::{DimSpec, ModelParams};
-use hhc_stencil::opt::strategy::{empirical_launch, DataPoint};
+use hhc_stencil::opt::strategy::DataPoint;
 use hhc_stencil::opt::{feasible_space, model_sweep_spec, talg_min, within_fraction, SpaceConfig};
 use hhc_stencil::sim::{simulate, DeviceConfig, SimWorkload, Workload};
 use hhc_stencil::tiling::{LaunchConfig, TileSizes};
@@ -97,7 +97,7 @@ fn main() {
     for (t, _) in &within {
         let point = DataPoint {
             tiles: *t,
-            launch: empirical_launch(spec.dim, t),
+            launch: LaunchConfig::empirical(spec.dim, t),
         };
         let Ok(plan) = TilingPlan::build(&spec, &size, point.tiles, point.launch) else {
             continue;

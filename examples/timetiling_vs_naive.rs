@@ -14,7 +14,7 @@
 
 use hhc_stencil::core::{reference, ProblemSize, StencilDescriptor};
 use hhc_stencil::model::{DimSpec, ModelParams};
-use hhc_stencil::opt::strategy::{empirical_launch, DataPoint};
+use hhc_stencil::opt::strategy::DataPoint;
 use hhc_stencil::opt::{feasible_space, model_sweep_spec, within_fraction, SpaceConfig};
 use hhc_stencil::sim::{simulate, DeviceConfig, SimWorkload, Workload};
 use hhc_stencil::tiling::{LaunchConfig, SpaceBlock, TilingPlan, WavefrontSchedule};
@@ -62,7 +62,7 @@ fn best_hhc(
     for (tiles, _) in within_fraction(&sweep, 0.10) {
         let point = DataPoint {
             tiles,
-            launch: empirical_launch(spec.dim, &tiles),
+            launch: LaunchConfig::empirical(spec.dim, &tiles),
         };
         let Ok(plan) = TilingPlan::build(&spec, size, point.tiles, point.launch) else {
             continue;
