@@ -47,6 +47,7 @@ use std::fs::File;
 use std::io::{BufRead, BufWriter, Write};
 use std::path::Path;
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 /// How an id-less answer line starts; an [`Entry`] keeps what follows.
 const ID_NULL: &str = "{\"id\":null";
@@ -211,11 +212,14 @@ impl AnswerStore {
         let _span = obs::span("advisor.precompute", "advisor");
         let mut added = 0;
         for q in queries {
-            let answer = advisor.advise(q);
+            let key = advisor.canonical_key(q);
+            let t0 = Instant::now();
+            let deadline = q.timeout_ms.map(|ms| t0 + Duration::from_millis(ms));
+            let answer = advisor.advise_keyed(q, &key, t0, deadline);
             if answer.degraded {
                 continue;
             }
-            self.insert(advisor.canonical_key(q), answer);
+            self.insert(key, answer);
             added += 1;
         }
         added

@@ -192,3 +192,41 @@ fn zero_deadline_serves_a_degraded_model_only_answer() {
         1
     );
 }
+
+#[test]
+fn one_advisor_answers_a_mixed_set_byte_identically_to_fresh_ones() {
+    // 2D, 3D and radius-2 stencils, a second device, and an override
+    // that shrinks the per-block shared memory (so the same shape has a
+    // smaller feasible space); the repeats reuse what the earlier
+    // queries memoized. No answer may depend on what the advisor
+    // answered before.
+    let lines = [
+        r#"{"id": "a", "device": "GTX 980", "stencil": "Heat2D", "size": [256, 256], "time": 32}"#,
+        r#"{"id": "b", "device": "GTX 980", "stencil": "Heat3D", "size": [64, 64, 64], "time": 16}"#,
+        r#"{"id": "c", "device": "GTX 980", "stencil": "Lap4_2D", "size": [256, 256], "time": 32}"#,
+        r#"{"id": "d", "device": {"preset": "GTX 980", "shared_per_block_words": 6144}, "stencil": "Heat2D", "size": [256, 256], "time": 32}"#,
+        r#"{"id": "e", "device": "Titan X", "stencil": "Jacobi2D", "size": [256, 256], "time": 32}"#,
+        r#"{"id": "f", "device": "GTX 980", "stencil": "Jacobi2D", "size": [384, 384], "time": 48, "top_n": 3}"#,
+        r#"{"id": "g", "device": "GTX 980", "stencil": "Heat3D", "size": [48, 48, 48], "time": 8}"#,
+        r#"{"id": "h", "device": {"preset": "GTX 980", "shared_per_block_words": 6144}, "stencil": "Jacobi2D", "size": [320, 320], "time": 24}"#,
+    ];
+    let queries: Vec<Query> = lines.iter().map(|l| parse(l)).collect();
+    let _g = lock_obs();
+    let rec = Arc::new(obs::ShardedRecorder::new(obs::Level::Quiet));
+    obs::install(rec.clone());
+    let advisor = Advisor::with_defaults();
+    let shared: Vec<_> = queries.iter().map(|q| advisor.advise(q)).collect();
+    obs::uninstall();
+    let snap = rec.snapshot();
+    assert_eq!(snap.counter("advisor.model_evals"), 8);
+    // Five spaces enumerated once each: four 2D ones (GTX 980 at
+    // radius 1 and 2, the override, Titan X; 13 x 14 x 12 candidates
+    // each) and GTX 980's 3D one (13 x 14 x 8 x 12).
+    assert_eq!(snap.counter("opt.space_enumerated"), 4 * 2184 + 17_472);
+    for (q, got) in queries.iter().zip(&shared) {
+        let want = Advisor::with_defaults().advise(q).to_json_line();
+        assert_eq!(got.to_json_line(), want, "{:?}", q.id);
+    }
+    // The override's space is its own, not GTX 980's.
+    assert!(shared[3].feasible_points < shared[0].feasible_points);
+}

@@ -22,9 +22,17 @@ pub(crate) fn escape_into(s: &str, out: &mut String) {
     }
 }
 
+/// Append `v` as a JSON number: the shortest round-tripping digits, in
+/// plain decimal for `1e-15 <= |v| < 1e21` (every histogram bucket
+/// bound, from 1e-12 up, lies inside) and in exponent notation outside
+/// it, where plain decimal would spell out up to ~300 zeros.
 fn push_f64(out: &mut String, v: f64) {
     if !v.is_finite() {
         out.push_str("null");
+        return;
+    }
+    if v != 0.0 && !(1e-15..1e21).contains(&v.abs()) {
+        out.push_str(&format!("{v:e}"));
         return;
     }
     let s = v.to_string();
@@ -196,6 +204,31 @@ mod tests {
         w.field_f64("y", f64::NAN);
         w.end_object();
         assert_eq!(w.finish(), r#"{"x":2.0,"y":null}"#);
+    }
+
+    #[test]
+    fn tiny_and_huge_floats_use_exponents_and_round_trip() {
+        let cases = [
+            (1e-300, "1e-300"),
+            (-2.5e-20, "-2.5e-20"),
+            (5e-324, "5e-324"),
+            (1e300, "1e300"),
+            (-1.5e21, "-1.5e21"),
+            (f64::MAX, "1.7976931348623157e308"),
+            // The ordinary range keeps its plain spelling.
+            (1e-15, "0.000000000000001"),
+            (2.5e-9, "0.0000000025"),
+            (0.0, "0.0"),
+            (-0.0, "-0.0"),
+            (50002.5, "50002.5"),
+            (1e20, "100000000000000000000.0"),
+        ];
+        for (v, want) in cases {
+            let mut out = String::new();
+            push_f64(&mut out, v);
+            assert_eq!(out, want);
+            assert_eq!(out.parse::<f64>().unwrap().to_bits(), v.to_bits(), "{want}");
+        }
     }
 
     #[test]
