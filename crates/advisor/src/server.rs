@@ -5,15 +5,15 @@
 //! connection gets a reader thread (reads and parses lines, answers
 //! warm hits, admits misses) and a writer thread (delivers answers back
 //! **in input order**); a shared worker pool drains one bounded queue
-//! of misses in small batches. The moving parts, and the load-shedding
+//! of distinct in-flight misses. The moving parts, and the load-shedding
 //! story:
 //!
 //! * **Hits answered on the reader** — the reader computes each query's
 //!   canonical key and probes the answer store and the in-memory cache
 //!   itself. A hit is answered on the spot: a store hit is the echoed
 //!   `id` spliced onto the entry's pre-serialized bytes, with no queue,
-//!   no worker hand-off and no coalescing window. Only misses become
-//!   queued requests, carrying the key the reader already computed.
+//!   no worker hand-off and no coalescing window. Only misses go on to
+//!   the miss path, carrying the key the reader already computed.
 //! * **Bounded admission** — the global queue and a per-connection
 //!   outstanding-line cap are both hard bounds. A line that would
 //!   exceed either is *shed* immediately with an explicit
@@ -25,20 +25,24 @@
 //!   `{"error":"line too long"}` in its slot (counted on
 //!   `advisor.line_too_long`); the rest of it is discarded unread into
 //!   memory and the connection survives.
-//! * **Cross-client coalescing of misses** — a worker pops a batch
-//!   (everything queued, topped up for at most `batch_window`), groups
-//!   it by canonical key, and evaluates each distinct key **once**,
-//!   whoever sent the duplicates. Duplicate members are answered from
-//!   the group's single computation (counted on `advisor.coalesced`,
-//!   which therefore counts coalesced misses only) and are
-//!   byte-identical to a serially computed answer, bar the echoed `id`.
+//! * **Cross-client coalescing of misses** — coalescing happens at
+//!   admission, while a miss is in flight: an in-flight registry maps
+//!   each queued or computing canonical key to the lines waiting on it.
+//!   A miss whose key is already in flight attaches to that computation
+//!   instead of queueing (counted on `advisor.coalesced`, which
+//!   therefore counts coalesced misses only), whoever sent it; the
+//!   worker that computes the key answers every waiter, byte-identical
+//!   to a serially computed answer bar the echoed `id`. Nothing waits
+//!   for duplicates to arrive: `batch_window` defaults to zero, so a
+//!   lone miss starts as soon as a worker is free.
 //! * **Deadlines from arrival** — a query's `timeout_ms` clock starts
 //!   when the line is parsed, so time spent waiting in the queue
 //!   counts against it: under load a deadlined validation query
 //!   degrades to the model-only ranking rather than blowing its
-//!   budget. A coalesced group computes under its most permissive
-//!   member's deadline (an answer finished for one member is free for
-//!   all).
+//!   budget. A miss attaches to an in-flight computation only when that
+//!   computation's deadline is at least as permissive as its own (none,
+//!   or no earlier); otherwise it is computed separately, so a patient
+//!   query never inherits a hurried one's degraded answer.
 //! * **Malformed input** — a bad line gets an `{"error": ...}`
 //!   response in its slot (the same shared per-line handling as the
 //!   stdin and `--queries` modes, counting `advisor.query_errors`);
@@ -66,9 +70,9 @@ pub struct ServerConfig {
     pub queue_cap: usize,
     /// Bound on unanswered lines per connection; beyond it, sheds.
     pub conn_queue_cap: usize,
-    /// How long a worker tops up a non-full batch waiting for
-    /// coalescible stragglers. Zero disables the wait (a worker takes
-    /// whatever is queued and runs).
+    /// How long a worker tops up a non-full batch before running it.
+    /// Zero (the default) disables the wait: a worker takes whatever is
+    /// queued and runs. Duplicates coalesce at admission either way.
     pub batch_window: Duration,
     /// Most requests a worker evaluates per batch.
     pub max_batch: usize,
@@ -80,21 +84,101 @@ impl Default for ServerConfig {
             workers: std::thread::available_parallelism().map_or(2, |n| n.get().max(2)),
             queue_cap: 1024,
             conn_queue_cap: 128,
-            batch_window: Duration::from_micros(500),
+            batch_window: Duration::ZERO,
             max_batch: 64,
         }
     }
 }
 
-/// One admitted miss waiting for a worker.
+/// One admitted miss waiting for a worker. Who receives its answer is
+/// the in-flight registry's business, not the request's.
 struct Request {
     query: Query,
     /// The query's canonical key, computed once on the reader.
     key: String,
     /// Absolute deadline, anchored at parse time (queue wait counts).
     deadline: Option<Instant>,
+}
+
+/// A line waiting for an in-flight computation's answer.
+struct Waiter {
+    id: Option<String>,
     conn: Arc<Conn>,
     seq: u64,
+}
+
+/// One computation of a key, queued or running, and its waiters.
+struct Flight {
+    /// The deadline it computes under. A key's concurrent flights have
+    /// distinct deadlines (a newcomer with an equal one attaches), so
+    /// the deadline also names the flight.
+    deadline: Option<Instant>,
+    waiters: Vec<Waiter>,
+}
+
+/// Whether a computation under `flight` serves a line due at `wanted`:
+/// it has no deadline, or one no earlier than the line's.
+fn covers(flight: Option<Instant>, wanted: Option<Instant>) -> bool {
+    flight.is_none_or(|f| wanted.is_some_and(|w| f >= w))
+}
+
+/// The miss path: the bounded work queue and the in-flight registry
+/// of the keys it holds or its workers are computing.
+struct Misses {
+    queue: Queue,
+    flights: Mutex<HashMap<String, Vec<Flight>>>,
+}
+
+impl Misses {
+    /// Attach a miss to a covering in-flight computation of its key, or
+    /// queue and register a new one; shed it when the queue is full.
+    /// The registry lock is held across the push, so a worker cannot
+    /// land the flight before it is registered, and a shed miss leaves
+    /// nothing behind.
+    fn admit(&self, request: Request, waiter: Waiter) {
+        let mut flights = self.flights.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(f) = flights.get_mut(&request.key).and_then(|same_key| {
+            same_key
+                .iter_mut()
+                .find(|f| covers(f.deadline, request.deadline))
+        }) {
+            f.waiters.push(waiter);
+            if obs::active() {
+                obs::counter("advisor.coalesced", 1);
+            }
+            return;
+        }
+        let (key, deadline) = (request.key.clone(), request.deadline);
+        if !self.queue.try_push(request) {
+            drop(flights);
+            obs::counter("advisor.shed", 1);
+            waiter
+                .conn
+                .complete(waiter.seq, overloaded_line(waiter.id.as_deref()));
+            return;
+        }
+        flights.entry(key).or_default().push(Flight {
+            deadline,
+            waiters: vec![waiter],
+        });
+    }
+
+    /// Unregister the flight of `key` under `deadline`, handing back
+    /// everyone waiting on it.
+    fn land(&self, key: &str, deadline: Option<Instant>) -> Vec<Waiter> {
+        let mut flights = self.flights.lock().unwrap_or_else(|e| e.into_inner());
+        let Some(same_key) = flights.get_mut(key) else {
+            return Vec::new();
+        };
+        let waiters = match same_key.iter().position(|f| f.deadline == deadline) {
+            Some(i) => same_key.swap_remove(i).waiters,
+            None => Vec::new(),
+        };
+        if same_key.is_empty() {
+            flights.remove(key);
+        }
+        waiters
+    }
 }
 
 /// The shared bounded work queue (mutex + condvars; `try_push` never
@@ -123,19 +207,17 @@ impl Queue {
         }
     }
 
-    /// Admit `r`, or hand it back when the queue is at capacity. The
-    /// large Err is the point: the rejected request goes straight back
-    /// to the shed path, never onto the heap.
-    #[allow(clippy::result_large_err)]
-    fn try_push(&self, r: Request) -> Result<(), Request> {
+    /// Admit `r`, or report false when the queue is at capacity (the
+    /// caller sheds).
+    fn try_push(&self, r: Request) -> bool {
         let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
         if s.closed || s.items.len() >= self.cap {
-            return Err(r);
+            return false;
         }
         s.items.push_back(r);
         drop(s);
         self.ready.notify_one();
-        Ok(())
+        true
     }
 
     /// Block for the first request, then top the batch up to `max` for
@@ -193,9 +275,10 @@ impl Queue {
     }
 }
 
-/// Per-connection response state: answers complete in any order (a
-/// worker batch interleaves connections) but are written strictly in
-/// input-line order via a seq-indexed reorder buffer.
+/// Per-connection response state: answers complete in any order (hits
+/// on the reader overtake misses, and workers interleave connections)
+/// but are written strictly in input-line order via a seq-indexed
+/// reorder buffer.
 struct Conn {
     /// Unanswered admitted lines — the per-connection backpressure bound.
     outstanding: AtomicUsize,
@@ -246,7 +329,7 @@ impl Conn {
 pub struct Server {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    queue: Arc<Queue>,
+    misses: Arc<Misses>,
     acceptor: Option<std::thread::JoinHandle<()>>,
     workers: Vec<std::thread::JoinHandle<()>>,
     conns: Arc<Mutex<HashMap<u64, TcpStream>>>,
@@ -262,7 +345,10 @@ impl Server {
     ) -> std::io::Result<Server> {
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let queue = Arc::new(Queue::new(cfg.queue_cap));
+        let misses = Arc::new(Misses {
+            queue: Queue::new(cfg.queue_cap),
+            flights: Mutex::new(HashMap::new()),
+        });
         // Live connections, by id, so `shutdown` can force-close them.
         // A connection removes itself when it finishes — the registry
         // must not hold a duplicate handle past that point, or the
@@ -272,15 +358,15 @@ impl Server {
         let workers = (0..cfg.workers.max(1))
             .map(|_| {
                 let advisor = Arc::clone(&advisor);
-                let queue = Arc::clone(&queue);
+                let misses = Arc::clone(&misses);
                 let cfg = cfg.clone();
-                std::thread::spawn(move || worker_loop(&advisor, &queue, &cfg))
+                std::thread::spawn(move || worker_loop(&advisor, &misses, &cfg))
             })
             .collect();
 
         let acceptor = {
             let stop = Arc::clone(&stop);
-            let queue = Arc::clone(&queue);
+            let misses = Arc::clone(&misses);
             let conns = Arc::clone(&conns);
             let advisor = Arc::clone(&advisor);
             let cfg = cfg.clone();
@@ -301,11 +387,11 @@ impl Server {
                             .insert(id, handle);
                     }
                     let advisor = Arc::clone(&advisor);
-                    let queue = Arc::clone(&queue);
+                    let misses = Arc::clone(&misses);
                     let cfg = cfg.clone();
                     let conns = Arc::clone(&conns);
                     std::thread::spawn(move || {
-                        serve_connection(stream, &advisor, &queue, &cfg);
+                        serve_connection(stream, &advisor, &misses, &cfg);
                         conns.lock().unwrap_or_else(|e| e.into_inner()).remove(&id);
                     });
                 }
@@ -315,7 +401,7 @@ impl Server {
         Ok(Server {
             addr,
             stop,
-            queue,
+            misses,
             acceptor: Some(acceptor),
             workers,
             conns,
@@ -344,7 +430,7 @@ impl Server {
         {
             let _ = stream.shutdown(std::net::Shutdown::Both);
         }
-        self.queue.close();
+        self.misses.queue.close();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
@@ -353,7 +439,7 @@ impl Server {
 
 /// Reader + writer of one connection. Runs on the reader's thread; the
 /// writer is spawned here and joined before returning.
-fn serve_connection(stream: TcpStream, advisor: &Advisor, queue: &Queue, cfg: &ServerConfig) {
+fn serve_connection(stream: TcpStream, advisor: &Advisor, misses: &Misses, cfg: &ServerConfig) {
     let _span = obs::span("advisor.connection", "advisor");
     let conn = Conn::new();
     let write_stream = match stream.try_clone() {
@@ -396,7 +482,7 @@ fn serve_connection(stream: TcpStream, advisor: &Advisor, queue: &Queue, cfg: &S
                 obs::counter("advisor.shed", 1);
                 conn.complete(seq, overloaded_line(query.id.as_deref()));
             }
-            Ok(query) => admit(advisor, queue, &conn, seq, query),
+            Ok(query) => admit(advisor, misses, &conn, seq, query),
         }
         seq += 1;
     }
@@ -404,28 +490,28 @@ fn serve_connection(stream: TcpStream, advisor: &Advisor, queue: &Queue, cfg: &S
     let _ = writer.join();
 }
 
-/// Answer a warm hit on the spot; queue a miss for the workers, or shed
-/// it when the queue is full.
-fn admit(advisor: &Advisor, queue: &Queue, conn: &Arc<Conn>, seq: u64, query: Query) {
+/// Answer a warm hit on the spot; hand a miss to the miss path.
+fn admit(advisor: &Advisor, misses: &Misses, conn: &Arc<Conn>, seq: u64, query: Query) {
     let t0 = Instant::now();
     let key = advisor.canonical_key(&query);
     if let Some(hit) = advisor.warm(&key, t0) {
         conn.complete(seq, hit.line(query.id.as_deref()));
         return;
     }
-    let deadline = query.timeout_ms.map(|ms| t0 + Duration::from_millis(ms));
-    let request = Request {
-        query,
-        key,
-        deadline,
+    let waiter = Waiter {
+        id: query.id.clone(),
         conn: Arc::clone(conn),
         seq,
     };
-    if let Err(rejected) = queue.try_push(request) {
-        obs::counter("advisor.shed", 1);
-        let line = overloaded_line(rejected.query.id.as_deref());
-        rejected.conn.complete(rejected.seq, line);
-    }
+    let deadline = query.timeout_ms.map(|ms| t0 + Duration::from_millis(ms));
+    misses.admit(
+        Request {
+            query,
+            key,
+            deadline,
+        },
+        waiter,
+    );
 }
 
 /// What [`read_line`] found.
@@ -519,50 +605,29 @@ fn write_loop(conn: &Conn, stream: TcpStream) {
     }
 }
 
-/// One worker: pop a batch of misses, coalesce by canonical key,
-/// answer each distinct key once, fan the answer out to every member.
-fn worker_loop(advisor: &Advisor, queue: &Queue, cfg: &ServerConfig) {
+/// One worker: pop a batch of distinct in-flight misses, compute each,
+/// and answer everyone who attached to it meanwhile.
+fn worker_loop(advisor: &Advisor, misses: &Misses, cfg: &ServerConfig) {
     loop {
-        let batch = queue.pop_batch(cfg.max_batch, cfg.batch_window);
+        let batch = misses.queue.pop_batch(cfg.max_batch, cfg.batch_window);
         if batch.is_empty() {
             return; // closed and drained
         }
-        let total = batch.len();
-        // Group members by canonical key, preserving first-seen order.
-        let mut groups: Vec<Vec<Request>> = Vec::new();
         for r in batch {
-            match groups.iter_mut().find(|g| g[0].key == r.key) {
-                Some(members) => members.push(r),
-                None => groups.push(vec![r]),
-            }
-        }
-        let coalesced = total - groups.len();
-        if coalesced > 0 && obs::active() {
-            obs::counter("advisor.coalesced", coalesced as u64);
-        }
-        for members in groups {
-            // Most permissive deadline in the group: an answer computed
-            // for the patient member is free for the hurried one.
-            let deadline = if members.iter().any(|m| m.deadline.is_none()) {
-                None
-            } else {
-                members.iter().filter_map(|m| m.deadline).max()
-            };
-            let first = &members[0];
-            let answer = advisor.advise_keyed(&first.query, &first.key, Instant::now(), deadline);
-            // Serialize once; a member only pays for its own
+            let answer = advisor.advise_keyed(&r.query, &r.key, Instant::now(), r.deadline);
+            // Serialize once; a waiter only pays for its own
             // serialization when its echoed id differs (candidate
             // float formatting dominates the response cost).
             let base_line = answer.to_json_line();
-            for m in members {
-                let line = if m.query.id == answer.id {
+            for w in misses.land(&r.key, r.deadline) {
+                let line = if w.id == answer.id {
                     base_line.clone()
                 } else {
                     let mut a = answer.clone();
-                    a.id = m.query.id.clone();
+                    a.id = w.id;
                     a.to_json_line()
                 };
-                m.conn.complete(m.seq, line);
+                w.conn.complete(w.seq, line);
             }
         }
     }

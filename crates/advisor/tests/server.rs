@@ -1,6 +1,7 @@
 //! Integration tests of the concurrent socket server: round-trip byte
 //! identity against the direct API, malformed-line survival,
-//! cross-client coalescing, store-backed zero-model-eval serving,
+//! cross-client and in-flight coalescing (with its deadline rule and
+//! no state left by a shed miss), store-backed zero-model-eval serving,
 //! input-order answers when hits overtake misses, spliced store answers
 //! for any echoed id, oversized-line rejection, backpressure shedding,
 //! and arrival-anchored deadlines.
@@ -216,6 +217,131 @@ fn coalesced_duplicates_are_byte_identical_and_computed_once() {
     let snap = rec.snapshot();
     assert_eq!(snap.counter("advisor.queries"), 1, "evaluated once");
     assert_eq!(snap.counter("advisor.coalesced"), 3, "three duplicates");
+}
+
+/// A cold validated query: validation runs the executor over the
+/// within-band set, so its computation outlasts the parsing of the
+/// lines sent with it.
+fn validated_line(id: &str, extra: &str) -> String {
+    format!(
+        "{{\"id\": \"{id}\", \"device\": \"GTX 980\", \"stencil\": \"Heat2D\", \
+         \"size\": [128, 128], \"time\": 16, \"validate\": true{extra}}}"
+    )
+}
+
+/// `line`'s answer with the id and the measured winner cleared: the
+/// winner of a validation run is a wall-clock measurement, so two runs
+/// of one query may pick different ones.
+fn without_measurements(line: &str) -> advisor::Advice {
+    let mut a = advisor::Advice::from_value(&serde_json::from_str(line).unwrap()).unwrap();
+    a.id = None;
+    a.validation.as_mut().expect("validated").best = None;
+    a
+}
+
+#[test]
+fn duplicates_coalesce_in_flight_under_the_default_config() {
+    let _g = lock_obs();
+    let rec = Arc::new(obs::ShardedRecorder::new(obs::Level::Quiet));
+    obs::install(rec.clone());
+    // No batch window: the three duplicates parsed while the first is
+    // computing attach to its flight.
+    let server = start_server(Advisor::with_defaults(), ServerConfig::default());
+    let lines: Vec<String> = (0..4)
+        .map(|i| validated_line(&format!("v{i}"), ""))
+        .collect();
+    let responses = roundtrip(&server, &lines);
+    server.shutdown();
+    obs::uninstall();
+
+    assert_eq!(responses.len(), 4);
+    let snap = rec.snapshot();
+    assert_eq!(snap.counter("advisor.queries"), 1, "evaluated once");
+    assert_eq!(snap.counter("advisor.coalesced"), 3, "three duplicates");
+    // One computation: the answers are byte-identical bar the id...
+    for (i, r) in responses.iter().enumerate() {
+        assert_eq!(
+            *r,
+            responses[0].replace("\"id\":\"v0\"", &format!("\"id\":\"v{i}\"")),
+            "line {i}"
+        );
+    }
+    // ...and agree with a serial evaluation in all but measurement.
+    let serial = Advisor::with_defaults()
+        .advise(&Query::parse_line(&lines[0]).unwrap())
+        .to_json_line();
+    assert_eq!(
+        without_measurements(&responses[0]),
+        without_measurements(&serial)
+    );
+}
+
+#[test]
+fn a_patient_duplicate_never_inherits_a_hurried_flights_degraded_answer() {
+    let _g = lock_obs();
+    let server = start_server(Advisor::with_defaults(), ServerConfig::default());
+    // The first line's deadline expires at parse, so its flight
+    // degrades; the second has none, so it may not attach to that
+    // flight, however the two overlap.
+    let lines = [
+        validated_line("hurried", ", \"timeout_ms\": 0"),
+        validated_line("patient", ""),
+    ];
+    let responses = roundtrip(&server, &lines);
+    server.shutdown();
+    assert_eq!(responses.len(), 2);
+    assert!(
+        responses[0].contains("\"degraded\":true"),
+        "{}",
+        responses[0]
+    );
+    assert!(
+        responses[1].contains("\"id\":\"patient\"") && !responses[1].contains("\"degraded\":true"),
+        "{}",
+        responses[1]
+    );
+}
+
+#[test]
+fn a_shed_miss_leaves_no_in_flight_state_behind() {
+    let _g = lock_obs();
+    // A queue of 1 on one worker, and the default per-connection cap: a
+    // burst of distinct cold queries sheds at the queue, not the cap.
+    let server = start_server(
+        Advisor::with_defaults(),
+        ServerConfig {
+            workers: 1,
+            queue_cap: 1,
+            batch_window: Duration::ZERO,
+            max_batch: 1,
+            ..ServerConfig::default()
+        },
+    );
+    let lines: Vec<String> = (0..20)
+        .map(|i| query_line(&format!("b{i}"), "Heat2D", 64 + 2 * i))
+        .collect();
+    let responses = roundtrip(&server, &lines);
+    let shed = responses
+        .iter()
+        .position(|r| r.contains("\"error\":\"overloaded\""))
+        .expect("burst over a queue of 1 must shed");
+    // Were the shed line still registered as in flight, its re-send
+    // would attach to a computation nobody runs and never be answered:
+    // the read timeout turns that hang into a failure.
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    writeln!(stream, "{}", lines[shed]).unwrap();
+    let mut again = String::new();
+    BufReader::new(stream)
+        .read_line(&mut again)
+        .expect("the re-sent line is answered");
+    server.shutdown();
+    assert!(
+        again.contains(&format!("\"id\":\"b{shed}\"")) && again.contains("\"candidates\":"),
+        "{again}"
+    );
 }
 
 #[test]

@@ -411,7 +411,8 @@ flags! {
     QUEUE_CAP: usize = "--queue-cap" "N" positive, "shared admission queue bound (default: 1024)";
     CONN_QUEUE_CAP: usize = "--conn-queue-cap" "N" positive,
         "per-connection outstanding-line bound (default: 128)";
-    WINDOW_US: u64 = "--window-us" "N" int, "miss coalescing window in us (default: 500)";
+    WINDOW_US: u64 = "--window-us" "N" int,
+        "miss batch top-up wait in us (default: 0; duplicates coalesce in flight)";
     MAX_BATCH: usize = "--max-batch" "N" positive, "max requests per worker batch (default: 64)";
 
     DEVICES: Vec<DeviceConfig> = "--devices" "a,b" devices, "device presets";
