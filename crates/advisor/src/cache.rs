@@ -4,7 +4,7 @@
 //! [`fnv64`] picks a memory-cache shard and fingerprints the device and
 //! enumerated space inside every canonical key; [`current_git_rev`] is
 //! the revision an answer store is bound to, and the one every
-//! `experiments` run manifest records. [`Memo`] holds the per-advisor
+//! `experiments` run manifest records. `Memo` holds the per-advisor
 //! intermediate results a miss would otherwise rebuild.
 
 use parking_lot::Mutex;
@@ -38,7 +38,7 @@ pub fn current_git_rev() -> String {
     format!("{}{}", rev.trim(), if dirty { "-dirty" } else { "" })
 }
 
-/// Entries a [`Memo`] keeps. Its keys come off the wire (every
+/// Entries a `Memo` keeps. Its keys come off the wire (every
 /// distinct inline device or stencil is a new one), so the bound is
 /// what keeps a long-running server's memos from growing with its
 /// traffic; the paper's workloads need a handful of entries.

@@ -100,7 +100,7 @@ impl AnswerStore {
     /// it under the usual rules, or, when it does not exist, create it
     /// with a header-only [`write`](Self::write) for the current tree,
     /// calibration revision `calib`, `seed` and `citer_samples`. Answers
-    /// the advisor computes on a miss are then [`append`](Self::append)ed
+    /// the advisor computes on a miss are then appended
     /// to the file — unless its header does not match this server (a
     /// stale store loaded with `allow_stale`, or another seed or
     /// `citer_samples`), in which case a note on stderr says appending

@@ -1,12 +1,13 @@
-//! Executor hot-path benchmarks: the three storage/kernel configurations
-//! of the tiled executor (seed baseline, rolling window only, rolling
-//! window + row kernels) and the memoized vs cold strategy evaluation.
+//! Executor hot-path benchmarks: the sequential modes of the tiled
+//! executor (the seed baseline, then the rolling window with scalar and
+//! with vectorized row kernels) and the memoized vs cold strategy
+//! evaluation.
 //! Companion to `experiments --bench-exec`, which times the same paths on
 //! larger workloads and persists `BENCH_exec.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gpu_sim::DeviceConfig;
-use hhc_tiling::{run_tiled_with, ExecOptions, TileSizes};
+use hhc_tiling::{run_tiled_with, ExecMode, ScratchPool, TileSizes};
 use microbench::measured_params_sampled;
 use std::hint::black_box;
 use stencil_core::{init, ProblemSize, StencilDescriptor};
@@ -22,42 +23,23 @@ fn bench_exec_paths(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("exec_hotpath");
     g.sample_size(10);
-    // Seed implementation: full space-time storage, generic per-point loop.
-    g.bench_function("jacobi2d_generic_full_storage", |b| {
-        b.iter(|| {
-            let (out, _) =
-                run_tiled_with(&spec, &size, tiles, &grid, ExecOptions::BASELINE).unwrap();
-            black_box(out.len())
-        })
-    });
-    // Rolling window alone (storage win, same arithmetic path).
-    let window_only = ExecOptions {
-        checked: false,
-        rolling_window: true,
-        row_kernels: false,
-        simd: false,
-    };
-    g.bench_function("jacobi2d_generic_rolling_window", |b| {
-        b.iter(|| {
-            let (out, _) = run_tiled_with(&spec, &size, tiles, &grid, window_only).unwrap();
-            black_box(out.len())
-        })
-    });
-    // Rolling window + scalar row kernels (the pre-SIMD fast path).
-    g.bench_function("jacobi2d_row_kernel_scalar", |b| {
-        b.iter(|| {
-            let (out, _) =
-                run_tiled_with(&spec, &size, tiles, &grid, ExecOptions::FAST_SCALAR).unwrap();
-            black_box(out.len())
-        })
-    });
-    // The full fast path: rolling window + vectorized row kernels.
-    g.bench_function("jacobi2d_row_kernel_simd", |b| {
-        b.iter(|| {
-            let (out, _) = run_tiled_with(&spec, &size, tiles, &grid, ExecOptions::FAST).unwrap();
-            black_box(out.len())
-        })
-    });
+    for (name, mode) in [
+        // Seed implementation: full space-time storage, generic per-point
+        // loop.
+        ("jacobi2d_generic_full_storage", ExecMode::Baseline),
+        // Rolling window + scalar row kernels (the pre-SIMD fast path).
+        ("jacobi2d_row_kernel_scalar", ExecMode::FastScalar),
+        // The full fast path: rolling window + vectorized row kernels.
+        ("jacobi2d_row_kernel_simd", ExecMode::Fast),
+    ] {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let pool = ScratchPool::new();
+                let (out, _) = run_tiled_with(&spec, &size, tiles, &grid, mode, &pool).unwrap();
+                black_box(out.len())
+            })
+        });
+    }
     g.finish();
 }
 

@@ -15,7 +15,7 @@
 //! regression when the disabled path drifts.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hhc_tiling::{run_tiled_with, ExecOptions, TileSizes};
+use hhc_tiling::{run_tiled_with, ExecMode, ScratchPool, TileSizes};
 use std::hint::black_box;
 use std::sync::Arc;
 use stencil_core::{init, ProblemSize, StencilDescriptor};
@@ -34,7 +34,9 @@ fn bench_exec_with_and_without_telemetry(c: &mut Criterion) {
     obs::uninstall();
     g.bench_function("exec_fast_telemetry_disabled", |b| {
         b.iter(|| {
-            let (out, _) = run_tiled_with(&spec, &size, tiles, &grid, ExecOptions::FAST).unwrap();
+            let pool = ScratchPool::new();
+            let (out, _) =
+                run_tiled_with(&spec, &size, tiles, &grid, ExecMode::Fast, &pool).unwrap();
             black_box(out.len())
         })
     });
@@ -44,7 +46,9 @@ fn bench_exec_with_and_without_telemetry(c: &mut Criterion) {
     obs::install(Arc::new(obs::ShardedRecorder::new(obs::Level::Quiet)));
     g.bench_function("exec_fast_telemetry_recording", |b| {
         b.iter(|| {
-            let (out, _) = run_tiled_with(&spec, &size, tiles, &grid, ExecOptions::FAST).unwrap();
+            let pool = ScratchPool::new();
+            let (out, _) =
+                run_tiled_with(&spec, &size, tiles, &grid, ExecMode::Fast, &pool).unwrap();
             black_box(out.len())
         })
     });

@@ -16,12 +16,12 @@ use gpu_sim::{
 };
 use hhc_tiling::plan::{AxisClass, BlockClass, WavefrontPlan};
 use hhc_tiling::{
-    run_tiled_parallel_with_stats, run_tiled_with, ExecOptions, HexagonRows, LaunchConfig,
-    PlanGeometry, ScratchPool, TileSizes, TilingPlan,
+    run_tiled_parallel_into, run_tiled_with, ExecMode, HexagonRows, LaunchConfig, PlanGeometry,
+    ScratchPool, TileSizes, TilingPlan,
 };
 use std::hint::black_box;
 use std::sync::Arc;
-use stencil_core::{init, ProblemSize, StencilDescriptor, StencilDim};
+use stencil_core::{init, Grid, ProblemSize, StencilDescriptor, StencilDim};
 use tile_opt::strategy::baseline_tiles;
 use tile_opt::SpaceConfig;
 
@@ -169,16 +169,19 @@ fn bench_parallel_executor(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("jacobi2d_sequential_fast", |b| {
         b.iter(|| {
-            let (out, _) = run_tiled_with(&spec, &size, tiles, &grid, ExecOptions::FAST).unwrap();
+            let pool = ScratchPool::new();
+            let (out, _) =
+                run_tiled_with(&spec, &size, tiles, &grid, ExecMode::Fast, &pool).unwrap();
             black_box(out.len())
         })
     });
     // One pool for the whole measurement: after the first iteration every
     // run is allocation-free.
     let pool = ScratchPool::new();
+    let mut out = Grid::zeros(size.space_extents());
     g.bench_function("jacobi2d_parallel_pooled", |b| {
         b.iter(|| {
-            let (out, _) = run_tiled_parallel_with_stats(&spec, &size, tiles, &grid, &pool);
+            run_tiled_parallel_into(&spec, &size, tiles, &grid, &pool, &mut out);
             black_box(out.len())
         })
     });

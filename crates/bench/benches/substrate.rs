@@ -6,7 +6,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gpu_sim::{simulate, DeviceConfig, SimWorkload};
-use hhc_tiling::{exec, HexTiling, LaunchConfig, TileSizes, TilingPlan};
+use hhc_tiling::{
+    run_tiled_with, ExecMode, HexTiling, LaunchConfig, ScratchPool, TileSizes, TilingPlan,
+};
 use std::hint::black_box;
 use stencil_core::{reference, Grid, ProblemSize, StencilDescriptor};
 use time_model::{DimSpec, MeasuredParams, ModelParams};
@@ -64,7 +66,12 @@ fn bench(c: &mut Criterion) {
     let vtiles = TileSizes::new_2d(4, 6, 8);
     let init = Grid::filled(vsize.space_extents(), 1.0);
     g.bench_function("tiled_exec_64sq_T16", |b| {
-        b.iter(|| black_box(exec::run_tiled_unchecked(&spec, &vsize, vtiles, &init).len()))
+        b.iter(|| {
+            let pool = ScratchPool::new();
+            let (out, _) =
+                run_tiled_with(&spec, &vsize, vtiles, &init, ExecMode::Fast, &pool).unwrap();
+            black_box(out.len())
+        })
     });
     g.bench_function("reference_exec_64sq_T16", |b| {
         b.iter(|| black_box(reference::run(&spec, &vsize, &init).len()))

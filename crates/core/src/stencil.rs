@@ -245,7 +245,8 @@ impl RowKernel {
     }
 
     /// [`Self::apply_span`] when `simd` is true, the scalar oracle
-    /// otherwise — the executor's `ExecOptions::simd` switch.
+    /// otherwise — what separates the executor's `Fast` and `FastScalar`
+    /// modes.
     #[inline]
     pub fn apply_span_mode(&self, simd: bool, src: &[f32], dst: &mut [f32], lo: usize, hi: usize) {
         if simd {

@@ -11,8 +11,8 @@ use crate::context::{ExperimentScale, Lab};
 use gpu_sim::{kernel_time, kernel_time_dealing, occupancy, DeviceConfig, SimWorkload};
 use hhc_tiling::plan::{BlockClass, WavefrontPlan};
 use hhc_tiling::{
-    rolling_window_depth, run_tiled_parallel_with_stats, run_tiled_with, ExecOptions, LaunchConfig,
-    ScratchPool, TileSizes, TilingPlan,
+    rolling_window_depth, run_tiled_with, ExecMode, LaunchConfig, ScratchPool, TileSizes,
+    TilingPlan,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -30,13 +30,13 @@ pub struct ExecBenchRow {
     pub size: String,
     pub tiles: TileSizes,
     /// Seconds, best of `reps`, full-storage generic path
-    /// ([`ExecOptions::BASELINE`] — the seed implementation).
+    /// ([`ExecMode::Baseline`] — the seed implementation).
     pub baseline_s: f64,
     /// Seconds, best of `reps`, rolling-window + scalar row kernels
-    /// ([`ExecOptions::FAST_SCALAR`] — the pre-SIMD fast path).
+    /// ([`ExecMode::FastScalar`] — the pre-SIMD fast path).
     pub fast_scalar_s: f64,
     /// Seconds, best of `reps`, rolling-window + vectorized row kernels
-    /// ([`ExecOptions::FAST`]).
+    /// ([`ExecMode::Fast`]).
     pub fast_s: f64,
     /// `baseline_s / fast_s`.
     pub speedup: f64,
@@ -72,10 +72,10 @@ pub struct ParallelBenchRow {
     pub tiles: TileSizes,
     /// Rayon worker threads used for the parallel runs.
     pub threads: usize,
-    /// Seconds, best of `reps`, sequential [`ExecOptions::FAST`] path.
+    /// Seconds, best of `reps`, sequential [`ExecMode::Fast`] path.
     pub seq_fast_s: f64,
-    /// Seconds, best of `reps`, pooled parallel executor (warm pool
-    /// after the first rep).
+    /// Seconds, best of `reps`, pooled [`ExecMode::Auto`] executor (warm
+    /// pool after the first rep).
     pub parallel_s: f64,
     /// `seq_fast_s / parallel_s`.
     pub speedup: f64,
@@ -191,16 +191,15 @@ fn bench_one(
 ) -> ExecBenchRow {
     let spec = stencil.spec();
     let grid = init::random(size.space_extents(), 0x42);
-    let (baseline_s, (base_grid, base_stats)) = time_best_of(reps, || {
-        run_tiled_with(&spec, &size, tiles, &grid, ExecOptions::BASELINE).expect("baseline run")
-    });
-    let (fast_scalar_s, (scalar_grid, _)) = time_best_of(reps, || {
-        run_tiled_with(&spec, &size, tiles, &grid, ExecOptions::FAST_SCALAR)
-            .expect("scalar fast run")
-    });
-    let (fast_s, (fast_grid, fast_stats)) = time_best_of(reps, || {
-        run_tiled_with(&spec, &size, tiles, &grid, ExecOptions::FAST).expect("fast run")
-    });
+    // A fresh pool per rep: every timed run allocates its planes.
+    let run = |mode| {
+        time_best_of(reps, || {
+            run_tiled_with(&spec, &size, tiles, &grid, mode, &ScratchPool::new()).expect("runs")
+        })
+    };
+    let (baseline_s, (base_grid, base_stats)) = run(ExecMode::Baseline);
+    let (fast_scalar_s, (scalar_grid, _)) = run(ExecMode::FastScalar);
+    let (fast_s, (fast_grid, fast_stats)) = run(ExecMode::Fast);
     let identical =
         base_grid.max_abs_diff(&fast_grid) == 0.0 && scalar_grid.max_abs_diff(&fast_grid) == 0.0;
     assert!(
@@ -245,17 +244,24 @@ fn bench_parallel_one(
     let spec = stencil.spec();
     let grid = init::random(size.space_extents(), 0x42);
     let (seq_fast_s, (fast_grid, _)) = time_best_of(reps, || {
-        run_tiled_with(&spec, &size, tiles, &grid, ExecOptions::FAST).expect("fast run")
+        run_tiled_with(
+            &spec,
+            &size,
+            tiles,
+            &grid,
+            ExecMode::Fast,
+            &ScratchPool::new(),
+        )
+        .expect("fast run")
     });
     // One pool shared across reps: an untimed first run warms it (and is
     // the source of the cold-pool stats), then every timed rep runs
     // allocation-free — the steady state `run_candidates` sees. A warm
     // rep's acquires == reuses is expected, not a bug.
     let pool = ScratchPool::new();
-    let (_, cold) = run_tiled_parallel_with_stats(&spec, &size, tiles, &grid, &pool);
-    let (parallel_s, (par_grid, par_stats)) = time_best_of(reps, || {
-        run_tiled_parallel_with_stats(&spec, &size, tiles, &grid, &pool)
-    });
+    let auto = || run_tiled_with(&spec, &size, tiles, &grid, ExecMode::Auto, &pool).expect("runs");
+    let (_, cold) = auto();
+    let (parallel_s, (par_grid, par_stats)) = time_best_of(reps, auto);
     let identical = fast_grid.max_abs_diff(&par_grid) == 0.0;
     assert!(
         identical,

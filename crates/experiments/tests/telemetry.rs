@@ -7,11 +7,14 @@
 use experiments::context::{ExperimentScale, Lab};
 use gpu_sim::cost::{self, BlockSegments, Pipe};
 use gpu_sim::{occupancy, simulate, simulate_launches, SimWorkload};
-use hhc_tiling::{run_tiled_with, ExecOptions, LaunchConfig, PlanGeometry, TileSizes, TilingPlan};
+use hhc_tiling::{
+    run_tiled_parallel_into, run_tiled_with, ExecMode, ExecStats, LaunchConfig, PlanGeometry,
+    ScratchPool, TileSizes, TilingPlan,
+};
 use serde::Value;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::{Arc, Mutex, MutexGuard};
-use stencil_core::{init, ProblemSize, StencilDescriptor, StencilDim};
+use stencil_core::{init, Grid, ProblemSize, StencilDescriptor, StencilDim};
 use tile_opt::strategy::{
     baseline_points, baseline_tiles, evaluate_points, study, DataPoint, Strategy, StrategyContext,
 };
@@ -354,6 +357,40 @@ fn families_and_shared_row_passes_are_counted() {
     assert_eq!((tiles.len(), families.len(), shared), (85, 45, 606));
 }
 
+/// The `exec.*` counters one run must emit: one per [`ExecStats`]
+/// count, plus `exec.seq_fallbacks` when the run fell back.
+fn expected_exec_counters(stats: &ExecStats) -> BTreeMap<String, u64> {
+    let mut counters: BTreeMap<String, u64> = [
+        ("exec.runs", 1),
+        ("exec.halo_cells", stats.halo_cells),
+        ("exec.kernel_points", stats.kernel_points),
+        ("exec.generic_points", stats.generic_points),
+        ("exec.kernel_rows", stats.kernel_rows),
+        ("exec.generic_rows", stats.generic_rows),
+        ("exec.simd_rows", stats.simd_rows),
+        ("exec.plane_copy_bytes", stats.plane_copy_bytes),
+        ("exec.scratch_acquires", stats.scratch_acquires),
+        ("exec.scratch_reuses", stats.scratch_reuses),
+        ("exec.batch_dispatches", stats.batch_dispatches),
+    ]
+    .into_iter()
+    .map(|(name, v)| (name.to_string(), v))
+    .collect();
+    if stats.seq_fallback {
+        counters.insert("exec.seq_fallbacks".to_string(), 1);
+    }
+    counters
+}
+
+/// The `exec.*` counters a snapshot recorded.
+fn exec_counters(snap: &obs::Snapshot) -> BTreeMap<String, u64> {
+    snap.counters
+        .iter()
+        .filter(|(name, _)| name.starts_with("exec."))
+        .map(|(name, &v)| (name.clone(), v))
+        .collect()
+}
+
 #[test]
 fn exec_counters_match_execstats() {
     let _g = obs_lock();
@@ -366,20 +403,13 @@ fn exec_counters_match_execstats() {
             &size,
             TileSizes::new_2d(8, 32, 128),
             &grid,
-            ExecOptions::FAST,
+            ExecMode::Fast,
+            &ScratchPool::new(),
         )
         .expect("executes")
     });
 
-    assert_eq!(snap.counter("exec.runs"), 1);
-    assert_eq!(snap.counter("exec.kernel_points"), stats.kernel_points);
-    assert_eq!(snap.counter("exec.generic_points"), stats.generic_points);
-    assert_eq!(snap.counter("exec.kernel_rows"), stats.kernel_rows);
-    assert_eq!(snap.counter("exec.generic_rows"), stats.generic_rows);
-    assert_eq!(
-        snap.counter("exec.plane_copy_bytes"),
-        stats.plane_copy_bytes
-    );
+    assert_eq!(exec_counters(&snap), expected_exec_counters(&stats));
     // Halo cost: a ring of min(t_t + 1, T + 1) = 9 planes, each padded by
     // Jacobi2D's reach of 1 on both axes: 258² − 256² = 1028 halo cells.
     assert_eq!(stats.halo_cells, 9 * 1028);
@@ -388,6 +418,32 @@ fn exec_counters_match_execstats() {
     assert_eq!(occ.count, 1);
     let expect = stats.resident_planes as f64 / stats.logical_planes as f64;
     assert!((occ.sum - expect).abs() < 1e-12, "{} vs {expect}", occ.sum);
+}
+
+/// The pooled runs `run_candidates` makes, sequential and staged, emit
+/// the same `exec.*` counters as `run_tiled_with`, each equal to the
+/// run's own [`ExecStats`].
+#[test]
+fn pooled_runs_emit_the_same_exec_counters() {
+    let _g = obs_lock();
+    let spec = StencilDescriptor::jacobi2d().spec();
+    let size = ProblemSize::new_2d(256, 256, 32);
+    let tiles = TileSizes::new_2d(8, 32, 128);
+    let grid = init::random(size.space_extents(), 0x42);
+    let pool = ScratchPool::new();
+    let mut out = Grid::zeros(size.space_extents());
+    for _ in 0..2 {
+        let (stats, snap) =
+            record(|| run_tiled_parallel_into(&spec, &size, tiles, &grid, &pool, &mut out));
+        assert_eq!(exec_counters(&snap), expected_exec_counters(&stats));
+        assert!(stats.kernel_points > 0 && stats.scratch_acquires > 0);
+        assert_eq!(stats.seq_fallback, stats.batch_dispatches == 0);
+    }
+    let ((_, stats), snap) = record(|| {
+        run_tiled_with(&spec, &size, tiles, &grid, ExecMode::Staged, &pool).expect("executes")
+    });
+    assert_eq!(exec_counters(&snap), expected_exec_counters(&stats));
+    assert!(stats.batch_dispatches > 0 && !stats.seq_fallback);
 }
 
 #[test]

@@ -20,7 +20,7 @@
 //! tile's widest extents.
 //! Blocks enter the scheduler in their periodic form (one chunk of
 //! segments repeated `chunks` times, see [`cost::lower_block`]);
-//! [`schedule_wave`] is the one two-pipe scheduler, shared with
+//! `schedule_wave` is the one two-pipe scheduler, shared with
 //! [`crate::trace`] through an observer. Each distinct wave (sequence of
 //! lowered blocks) is scheduled once per wave-cost table, and
 //! [`simulate_launches`] shares one table among a tile's launches.
@@ -33,12 +33,12 @@
 //! is at most the guard, and only otherwise is a parked block (the
 //! earliest, lowest index on ties) looked up. Each step thus costs what a
 //! two-block step costs, whatever the wave's size, and still places the
-//! globally earliest start ([`active_pair`]).
+//! globally earliest start (`active_pair`).
 //!
 //! Scheduling is closed-form: round-robin dealing of class runs is
 //! periodic, so every kernel schedule derives each SM's wave sequence
 //! directly from the class prefix sums in O(distinct classes)
-//! ([`schedule_steady`]), once per group of SMs that receive the same
+//! (`schedule_steady`), once per group of SMs that receive the same
 //! blocks, whatever the mix of blocks in a wave. The one loop that deals
 //! blocks one by one is the tracer's replay ([`crate::trace`]); it
 //! schedules every wave afresh, and [`kernel_time_dealing`] times a

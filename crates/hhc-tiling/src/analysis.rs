@@ -75,7 +75,7 @@ pub fn analyze(plan: &TilingPlan) -> PlanStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{LaunchConfig, TileSizes};
+    use crate::{LaunchConfig, TileSizes};
     use stencil_core::{ProblemSize, StencilDescriptor};
 
     fn plan(tiles: TileSizes, s: usize, t: usize) -> TilingPlan {

@@ -1,93 +1,70 @@
-//! Functional tiled execution with dependence checking.
+//! Tiled execution of the hybrid hexagonal/classical schedule.
 //!
-//! This module *runs* the hybrid hexagonal/classical schedule over a
-//! space-time array: wavefront by wavefront, tile by tile, sub-tile by
-//! sub-tile, hexagon row by hexagon row — exactly the order the GPU
-//! kernels execute. Every value read is checked to have been written
+//! This module *runs* the schedule over a space-time array: wavefront by
+//! wavefront, tile by tile, sub-tile by sub-tile, hexagon row by hexagon
+//! row — exactly the order the GPU kernels execute. One driver serves
+//! every [`ExecMode`]: the mode picks the storage (the full space-time
+//! history or a rolling-window ring), the per-row arithmetic (the generic
+//! per-point path or a specialized [`RowKernel`]) and whether each
+//! wavefront's tiles are staged across the thread pool.
+//!
+//! [`ExecMode::Checked`] validates that every value read was written
 //! already **by an earlier wavefront or by the same tile**, which proves
-//! the schedule legal (any dependence violation panics in
-//! [`run_tiled_checked`] / returns an error in [`try_run_tiled`]).
+//! the schedule legal: [`run_tiled_with`] returns the first violation and
+//! [`run_tiled_checked`] panics on it. Every mode's final plane equals
+//! `stencil_core::reference::run` bit for bit, because the per-point
+//! arithmetic is shared. These two properties are the ground-truth
+//! validation of the tiling substrate; the simulator's timing paths
+//! consume the same geometry, lowered by [`crate::plan::PlanGeometry`].
 //!
-//! The final plane must equal `stencil_core::reference::run` bit-for-bit
-//! because the per-point arithmetic is shared. These two properties are
-//! the ground-truth validation of the whole tiling substrate; the
-//! simulator's timing paths consume the same geometry via
-//! [`crate::plan::TilingPlan`].
-//!
-//! Every path stores its planes in one halo-padded layout: each plane is
+//! Every mode stores its planes in one halo-padded layout: each plane is
 //! the domain grown by the stencil's per-axis reach, with the boundary
-//! value in the halo. The unchecked paths therefore sweep every row,
+//! value in the halo. The row-kernel modes therefore sweep every row,
 //! boundary rows included, with one branch-free [`RowKernel`] call; only
-//! the checked and baseline runs keep the generic per-point path.
+//! the checked and baseline modes keep the generic per-point path.
 
-use crate::config::TileSizes;
 use crate::hex::{HexTiling, RowSpan, TileId};
 use crate::inner::SkewedAxis;
+use crate::TileSizes;
 use stencil_core::{Grid, ProblemSize, RowKernel, StencilSpec};
 
 mod parallel;
 pub mod scratch;
 
-pub use parallel::{
-    run_tiled_parallel, run_tiled_parallel_into, run_tiled_parallel_into_with,
-    run_tiled_parallel_with_stats, DispatchPolicy, MIN_BATCH_POINTS,
-};
 pub use scratch::ScratchPool;
 
-/// Knobs for [`run_tiled_with`]: dependence checking, rolling-window
-/// storage, and specialized row kernels.
-///
-/// The presets cover the three executions the workspace needs; mixing
-/// `checked` with `rolling_window` is rejected (checking requires the full
-/// write history).
+/// How [`run_tiled_with`] executes the schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecOptions {
-    /// Track and validate every read's producer (memory: `O(T·N)`).
-    pub checked: bool,
-    /// Store only a ring of `min(t_t + 1, T + 1)` planes instead of all
-    /// `T + 1` (legal for unchecked runs; see [`rolling_window_depth`]).
-    pub rolling_window: bool,
-    /// Sweep interior rows with the specialized [`RowKernel`] instead of
-    /// the generic per-point path.
-    pub row_kernels: bool,
-    /// Sweep kernel rows with the vectorized blocked kernel
-    /// (`stencil_core::simd`) instead of the scalar oracle. Results are
-    /// bit-identical either way; this is a performance/observability
-    /// switch (ignored when `row_kernels` is off).
-    pub simd: bool,
+pub enum ExecMode {
+    /// Full space-time storage, the generic per-point path, and every
+    /// read's producer validated (memory: `O(T · N)`). The validator.
+    Checked,
+    /// [`Self::Checked`] without the validation: the seed
+    /// implementation, kept as the `--bench-exec` baseline.
+    Baseline,
+    /// The rolling-window ring swept by the scalar row kernels: the
+    /// pre-SIMD fast path, kept as the `--bench-exec` SIMD reference.
+    FastScalar,
+    /// The rolling-window ring swept by the vectorized row kernels
+    /// (`stencil_core::simd`), on the calling thread: the sequential
+    /// engine. Bit-identical to [`Self::FastScalar`].
+    Fast,
+    /// [`Self::Staged`] when the pool has at least two threads and the
+    /// batch estimate says staging pays for its dispatch, [`Self::Fast`]
+    /// otherwise (recorded in [`ExecStats::seq_fallback`]). What
+    /// [`run_tiled_parallel`] runs.
+    Auto,
+    /// The fast path with each wavefront's tiles staged in batches across
+    /// the thread pool, even on one thread.
+    Staged,
 }
 
-impl ExecOptions {
-    /// Full space-time storage with dependence checking (the validator).
-    pub const CHECKED: ExecOptions = ExecOptions {
-        checked: true,
-        rolling_window: false,
-        row_kernels: false,
-        simd: false,
-    };
-    /// Rolling-window storage + vectorized row kernels (the fast path).
-    pub const FAST: ExecOptions = ExecOptions {
-        checked: false,
-        rolling_window: true,
-        row_kernels: true,
-        simd: true,
-    };
-    /// [`Self::FAST`] with the scalar row kernels — the pre-SIMD fast
-    /// path, kept as the `--bench-exec` SIMD-speedup reference.
-    pub const FAST_SCALAR: ExecOptions = ExecOptions {
-        checked: false,
-        rolling_window: true,
-        row_kernels: true,
-        simd: false,
-    };
-    /// Unchecked but with full storage and the generic per-point path —
-    /// the seed implementation, kept as the `--bench-exec` baseline.
-    pub const BASELINE: ExecOptions = ExecOptions {
-        checked: false,
-        rolling_window: false,
-        row_kernels: false,
-        simd: false,
-    };
+impl ExecMode {
+    /// Whether the mode keeps all `T + 1` planes and computes point by
+    /// point; every other mode sweeps a ring with the row kernel.
+    fn full_history(self) -> bool {
+        matches!(self, ExecMode::Checked | ExecMode::Baseline)
+    }
 }
 
 /// Observability for one tiled execution: storage footprint and which
@@ -115,19 +92,18 @@ pub struct ExecStats {
     /// Halo cells written with the boundary value: every resident
     /// plane's padding, rewritten at each checkout.
     pub halo_cells: u64,
-    /// Pool buffer checkouts during this run (parallel executor only;
-    /// zero on the sequential paths).
+    /// [`ScratchPool`] checkouts during this run: the planes, plus one
+    /// scratch box and one write log per staged batch.
     pub scratch_acquires: u64,
     /// Checkouts served from the pool without allocating.
     pub scratch_reuses: u64,
     /// Kernel rows whose interior span was long enough to engage the
     /// blocked SIMD sweep (≥ `stencil_core::simd::BLOCK_WIDTH` points).
     pub simd_rows: u64,
-    /// Work batches handed to the thread pool by the parallel executor
-    /// (zero on sequential paths and on sequential fallback).
+    /// Work batches handed to the thread pool (zero unless staged).
     pub batch_dispatches: u64,
-    /// Whether a parallel-executor call decided parallelism could not pay
-    /// and ran the sequential fast path instead.
+    /// Whether an [`ExecMode::Auto`] run decided staging could not pay
+    /// and ran the sequential engine instead.
     pub seq_fallback: bool,
 }
 
@@ -285,20 +261,19 @@ struct SpaceTime {
 }
 
 impl SpaceTime {
-    /// Build the ring from `depth` planes checked out of `take_plane`
-    /// (called with the padded cell count): halos hold `init`'s boundary
-    /// value, plane 0 holds `init`.
+    /// Build the ring from `depth` planes checked out of `pool`: halos
+    /// hold `init`'s boundary value, plane 0 holds `init`.
     fn new(
         spec: &StencilSpec,
         init: &Grid,
         checked: bool,
         depth: usize,
-        mut take_plane: impl FnMut(usize) -> Vec<f32>,
+        pool: &ScratchPool,
     ) -> Self {
         let lay = Layout::new(spec, init.sizes());
         let mut planes: Vec<Vec<f32>> = (0..depth)
             .map(|_| {
-                let mut p = take_plane(lay.cells());
+                let mut p = pool.take_plane(lay.cells());
                 lay.fill_halo(&mut p, init.boundary());
                 p
             })
@@ -357,110 +332,157 @@ impl SpaceTime {
     }
 }
 
-/// Run the tiled schedule; panics on any dependence violation.
-///
-/// See [`try_run_tiled`] for the non-panicking variant and
-/// [`run_tiled_unchecked`] for the fast rolling-window path.
+/// One run's tile geometry: hexagons on `(t, s1)` and time-skewed tiles
+/// on the used inner axes, clipped to `size`.
+struct Schedule<'a> {
+    size: &'a ProblemSize,
+    hex: HexTiling,
+    ax2: Option<SkewedAxis>,
+    ax3: Option<SkewedAxis>,
+}
+
+impl<'a> Schedule<'a> {
+    fn new(spec: &StencilSpec, size: &'a ProblemSize, tiles: TileSizes) -> Self {
+        // Hexagon slopes and inner skews scale with the stencil order
+        // (paper Section 7's generality note).
+        let slope = spec.order().max(1) as usize;
+        let axis = |d: usize| {
+            (spec.dim.rank() > d)
+                .then(|| SkewedAxis::with_slope(tiles.t_s[d], size.space[d], slope))
+        };
+        Schedule {
+            size,
+            hex: HexTiling::with_slope(tiles.t_s[0], tiles.t_t, slope),
+            ax2: axis(1),
+            ax3: axis(2),
+        }
+    }
+
+    fn wavefronts(&self) -> usize {
+        self.hex.wavefront_count(self.size.time)
+    }
+
+    /// The tiles of wavefront `w`, in execution order.
+    fn tiles(&self, w: usize) -> impl Iterator<Item = TileId> {
+        let (phase, q) = self.hex.wavefront_phase(w);
+        let js = self
+            .hex
+            .wavefront_tiles(w, self.size.space[0], self.size.time);
+        js.map(move |j| TileId { q, phase, j })
+    }
+
+    /// The in-domain hexagon rows of tile `id`, bottom to top.
+    fn rows(&self, id: TileId) -> impl Iterator<Item = RowSpan> + '_ {
+        self.hex.tile_rows(id, self.size.space[0], self.size.time)
+    }
+}
+
+/// Run the tiled schedule in `mode`, with planes from `pool`, returning
+/// the result grid and the execution's [`ExecStats`]. Only
+/// [`ExecMode::Checked`] can fail.
+pub fn run_tiled_with(
+    spec: &StencilSpec,
+    size: &ProblemSize,
+    tiles: TileSizes,
+    init: &Grid,
+    mode: ExecMode,
+    pool: &ScratchPool,
+) -> Result<(Grid, ExecStats), DependenceViolation> {
+    let mut out = Grid::zeros(size.space_extents());
+    let stats = run(spec, size, tiles, init, mode, pool, &mut out)?;
+    Ok((out, stats))
+}
+
+/// Run the tiled schedule in [`ExecMode::Checked`]; panics on any
+/// dependence violation.
 pub fn run_tiled_checked(
     spec: &StencilSpec,
     size: &ProblemSize,
     tiles: TileSizes,
     init: &Grid,
 ) -> Grid {
-    match try_run_tiled(spec, size, tiles, init, true) {
-        Ok(g) => g,
+    match run_tiled_with(
+        spec,
+        size,
+        tiles,
+        init,
+        ExecMode::Checked,
+        &ScratchPool::new(),
+    ) {
+        Ok((g, _)) => g,
         Err(v) => panic!("dependence violation: {v}"),
     }
 }
 
-/// Run the tiled schedule without dependence tracking, using the
-/// rolling-window plane ring and specialized row kernels
-/// ([`ExecOptions::FAST`]): memory is `O(window · N)`, not `O(T · N)`.
-pub fn run_tiled_unchecked(
+/// Run the tiled schedule in [`ExecMode::Auto`] with a run-local pool.
+pub fn run_tiled_parallel(
     spec: &StencilSpec,
     size: &ProblemSize,
     tiles: TileSizes,
     init: &Grid,
 ) -> Grid {
-    try_run_tiled(spec, size, tiles, init, false).expect("unchecked execution cannot fail")
+    let mut out = Grid::zeros(size.space_extents());
+    run_tiled_parallel_into(spec, size, tiles, init, &ScratchPool::new(), &mut out);
+    out
 }
 
-/// [`run_tiled_unchecked`] plus the execution's [`ExecStats`], so callers
-/// (and tests) can assert the storage footprint and kernel coverage.
-pub fn run_tiled_unchecked_with_stats(
+/// Run the tiled schedule in [`ExecMode::Auto`] into a caller-owned
+/// output grid, so repeated runs (candidate sweeps, benchmarks) allocate
+/// nothing once `pool` is warm.
+pub fn run_tiled_parallel_into(
     spec: &StencilSpec,
     size: &ProblemSize,
     tiles: TileSizes,
     init: &Grid,
-) -> (Grid, ExecStats) {
-    run_tiled_with(spec, size, tiles, init, ExecOptions::FAST)
+    pool: &ScratchPool,
+    out: &mut Grid,
+) -> ExecStats {
+    run(spec, size, tiles, init, ExecMode::Auto, pool, out)
         .expect("unchecked execution cannot fail")
 }
 
-/// Run the tiled schedule over a space-time array.
-///
-/// With `checked`, every read validates that its producer was written by
-/// an earlier wavefront or the same tile; the first violation aborts the
-/// run (memory: `O(T · S1 · S2 · S3)`). Unchecked runs take the
-/// [`ExecOptions::FAST`] path.
-pub fn try_run_tiled(
+/// The one driver behind every entry point: set up the schedule and the
+/// planes, run every wavefront (sequentially or staged), extract the
+/// final plane into `out`, return the planes to `pool` and emit the
+/// run's telemetry.
+fn run(
     spec: &StencilSpec,
     size: &ProblemSize,
     tiles: TileSizes,
     init: &Grid,
-    checked: bool,
-) -> Result<Grid, DependenceViolation> {
-    let opts = if checked {
-        ExecOptions::CHECKED
-    } else {
-        ExecOptions::FAST
-    };
-    run_tiled_with(spec, size, tiles, init, opts).map(|(g, _)| g)
-}
-
-/// Run the tiled schedule with explicit [`ExecOptions`], returning the
-/// result grid and the execution's [`ExecStats`].
-pub fn run_tiled_with(
-    spec: &StencilSpec,
-    size: &ProblemSize,
-    tiles: TileSizes,
-    init: &Grid,
-    opts: ExecOptions,
-) -> Result<(Grid, ExecStats), DependenceViolation> {
-    assert!(
-        !(opts.checked && opts.rolling_window),
-        "dependence checking requires the full space-time history"
-    );
+    mode: ExecMode,
+    pool: &ScratchPool,
+    out: &mut Grid,
+) -> Result<ExecStats, DependenceViolation> {
     tiles.validate(spec.dim).expect("invalid tile sizes");
-    assert_eq!(
-        init.sizes(),
-        size.space_extents(),
-        "init grid shape mismatch"
-    );
-    let rank = spec.dim.rank();
+    let extents = size.space_extents();
+    assert_eq!(init.sizes(), extents, "init grid shape mismatch");
+    assert_eq!(out.sizes(), extents, "out grid shape mismatch");
     let _run_span = obs::span("exec.run_tiled", "exec");
-    // Hexagon slopes and inner skews scale with the stencil order
-    // (paper Section 7's generality note).
-    let slope = spec.order().max(1) as usize;
-    let hex = HexTiling::with_slope(tiles.t_s[0], tiles.t_t, slope);
-    let ax2 = (rank >= 2).then(|| SkewedAxis::with_slope(tiles.t_s[1], size.space[1], slope));
-    let ax3 = (rank >= 3).then(|| SkewedAxis::with_slope(tiles.t_s[2], size.space[2], slope));
-
-    let depth = if opts.rolling_window {
-        rolling_window_depth(tiles, size)
-    } else {
-        size.time + 1
+    let sched = Schedule::new(spec, size, tiles);
+    let staged = match mode {
+        ExecMode::Staged => true,
+        ExecMode::Auto => parallel::staging_pays(&sched),
+        _ => false,
     };
-    debug_assert!(depth >= 2.min(size.time + 1) && depth <= size.time + 1);
-    let mut st = SpaceTime::new(spec, init, opts.checked, depth, |cells| vec![0.0; cells]);
-    let kernel = opts.row_kernels.then(|| spec.row_kernel(st.lay.ext));
+
+    let (acquires, reuses) = (pool.acquires(), pool.reuses());
+    let depth = if mode.full_history() {
+        size.time + 1
+    } else {
+        rolling_window_depth(tiles, size)
+    };
+    let mut st = SpaceTime::new(spec, init, mode == ExecMode::Checked, depth, pool);
+    let kernel = (!mode.full_history()).then(|| spec.row_kernel(st.lay.ext));
+    let simd = mode != ExecMode::FastScalar;
     let plane_bytes = std::mem::size_of_val(init.as_slice()) as u64;
     let mut stats = ExecStats {
-        resident_planes: st.planes.len(),
+        resident_planes: depth,
         logical_planes: size.time + 1,
-        // The initial-plane load into the space-time array.
-        plane_copy_bytes: plane_bytes,
+        // The initial-plane load and the final extraction.
+        plane_copy_bytes: 2 * plane_bytes,
         halo_cells: st.halo_cells(),
+        seq_fallback: mode == ExecMode::Auto && !staged,
         ..ExecStats::default()
     };
 
@@ -469,91 +491,140 @@ pub fn run_tiled_with(
         // track: the setup/teardown around it becomes the outer span's
         // self-time in the Chrome export.
         let _sweep_span = obs::span("exec.wavefront_sweep", "exec");
-        for w in 0..hex.wavefront_count(size.time) {
-            let (phase, q) = hex.wavefront_phase(w);
-            for j in hex.wavefront_tiles(w, size.space[0], size.time) {
-                let id = TileId { q, phase, j };
-                execute_tile(
-                    spec,
-                    size,
-                    &hex,
-                    ax2,
-                    ax3,
-                    id,
-                    &mut st,
-                    kernel.as_ref(),
-                    opts.simd,
-                    &mut stats,
-                )?;
+        match &kernel {
+            Some(k) if staged => parallel::run_staged(&sched, &mut st, k, pool, &mut stats),
+            _ => {
+                for w in 0..sched.wavefronts() {
+                    for id in sched.tiles(w) {
+                        execute_tile(spec, &sched, id, &mut st, kernel.as_ref(), simd, &mut stats)?;
+                    }
+                }
             }
         }
     }
 
-    // Final plane is the result.
-    let mut out = Grid::zeros(size.space_extents());
     out.set_boundary(init.boundary());
     let final_slot = st.slot(size.time as i64);
     st.lay.extract(&st.planes[final_slot], out.as_mut_slice());
-    stats.plane_copy_bytes += plane_bytes;
-
-    if obs::active() {
-        obs::counter("exec.runs", 1);
-        obs::counter("exec.halo_cells", stats.halo_cells);
-        obs::counter("exec.kernel_points", stats.kernel_points);
-        obs::counter("exec.generic_points", stats.generic_points);
-        obs::counter("exec.kernel_rows", stats.kernel_rows);
-        obs::counter("exec.generic_rows", stats.generic_rows);
-        obs::counter("exec.simd_rows", stats.simd_rows);
-        obs::counter("exec.plane_copy_bytes", stats.plane_copy_bytes);
-        // Rolling-window occupancy: how much of the full space-time
-        // history stays resident (1.0 = classic full storage).
-        obs::histogram(
-            "exec.window_occupancy",
-            stats.resident_planes as f64 / stats.logical_planes as f64,
-        );
-        obs::event(
-            obs::Level::Debug,
-            "exec.run",
-            &[
-                ("resident_planes", stats.resident_planes.into()),
-                ("logical_planes", stats.logical_planes.into()),
-                ("kernel_points", stats.kernel_points.into()),
-                ("generic_points", stats.generic_points.into()),
-                ("rolling_window", opts.rolling_window.into()),
-                ("checked", opts.checked.into()),
-            ],
-        );
+    for p in st.planes {
+        pool.put_plane(p);
     }
-    Ok((out, stats))
+    stats.scratch_acquires = pool.acquires() - acquires;
+    stats.scratch_reuses = pool.reuses() - reuses;
+    if obs::active() {
+        emit(&stats, mode);
+    }
+    Ok(stats)
+}
+
+/// One run's telemetry: an `exec.*` counter per [`ExecStats`] count, the
+/// window occupancy, and a debug event.
+fn emit(stats: &ExecStats, mode: ExecMode) {
+    obs::counter("exec.runs", 1);
+    obs::counter("exec.halo_cells", stats.halo_cells);
+    obs::counter("exec.kernel_points", stats.kernel_points);
+    obs::counter("exec.generic_points", stats.generic_points);
+    obs::counter("exec.kernel_rows", stats.kernel_rows);
+    obs::counter("exec.generic_rows", stats.generic_rows);
+    obs::counter("exec.simd_rows", stats.simd_rows);
+    obs::counter("exec.plane_copy_bytes", stats.plane_copy_bytes);
+    obs::counter("exec.scratch_acquires", stats.scratch_acquires);
+    obs::counter("exec.scratch_reuses", stats.scratch_reuses);
+    obs::counter("exec.batch_dispatches", stats.batch_dispatches);
+    if stats.seq_fallback {
+        obs::counter("exec.seq_fallbacks", 1);
+    }
+    // Rolling-window occupancy: how much of the full space-time history
+    // stays resident (1.0 = classic full storage).
+    obs::histogram(
+        "exec.window_occupancy",
+        stats.resident_planes as f64 / stats.logical_planes as f64,
+    );
+    obs::event(
+        obs::Level::Debug,
+        "exec.run",
+        &[
+            ("resident_planes", stats.resident_planes.into()),
+            ("logical_planes", stats.logical_planes.into()),
+            ("kernel_points", stats.kernel_points.into()),
+            ("generic_points", stats.generic_points.into()),
+            ("mode", format!("{mode:?}").into()),
+        ],
+    );
 }
 
 /// Execute one hexagonal tile (thread block): walk its sub-tiles in the
 /// sequential order of the schedule, computing rows bottom-to-top.
-#[allow(clippy::too_many_arguments)]
 fn execute_tile(
     spec: &StencilSpec,
-    size: &ProblemSize,
-    hex: &HexTiling,
-    ax2: Option<SkewedAxis>,
-    ax3: Option<SkewedAxis>,
+    sched: &Schedule,
     id: TileId,
     st: &mut SpaceTime,
     kernel: Option<&RowKernel>,
     simd: bool,
     stats: &mut ExecStats,
 ) -> Result<(), DependenceViolation> {
-    let rows: Vec<_> = hex.tile_rows(id, size.space[0], size.time).collect();
+    let rows: Vec<_> = sched.rows(id).collect();
     if rows.is_empty() {
         return Ok(());
     }
     let (t_lo, t_hi) = (rows[0].t, rows[rows.len() - 1].t);
     let (mut r2, mut r3) = (Vec::new(), Vec::new());
-    subtiles(ax2, t_lo, t_hi, &mut r2);
-    subtiles(ax3, t_lo, t_hi, &mut r3);
+    subtiles(sched.ax2, t_lo, t_hi, &mut r2);
+    subtiles(sched.ax3, t_lo, t_hi, &mut r3);
     let wf = id.wavefront();
-    for_each_row(&rows, (ax2, &r2), (ax3, &r3), |t, fixed, span| {
-        compute_row(spec, hex, id, wf, st, kernel, simd, stats, t, fixed, span)
-    })
+    let axis = st.lay.sweep;
+    for_each_row(
+        &rows,
+        (sched.ax2, &r2),
+        (sched.ax3, &r3),
+        |t, fixed, (lo, hi)| {
+            let Some(k) = kernel else {
+                for s in lo..=hi {
+                    let mut p = fixed;
+                    p[axis] = s;
+                    compute_point(spec, &sched.hex, id, wf, st, t, p)?;
+                }
+                stats.generic_points += (hi - lo + 1) as u64;
+                stats.generic_rows += 1;
+                return Ok(());
+            };
+            // The sweep coordinate in `fixed` is 0 (see `for_each_row`), so
+            // `base` is the row's sweep origin.
+            let base = st.lay.idx(fixed);
+            let (src, dst) = st.rw_planes(t);
+            sweep_row(
+                k,
+                simd,
+                src,
+                dst,
+                base + lo as usize,
+                base + hi as usize,
+                stats,
+            );
+            Ok(())
+        },
+    )
+}
+
+/// Sweep `dst[lo..=hi]` with the row kernel (the halo supplies the
+/// boundary value wherever a tap leaves the domain) and count the row.
+fn sweep_row(
+    k: &RowKernel,
+    simd: bool,
+    src: &[f32],
+    dst: &mut [f32],
+    lo: usize,
+    hi: usize,
+    stats: &mut ExecStats,
+) {
+    k.apply_span_mode(simd, src, dst, lo, hi);
+    let len = hi - lo + 1;
+    stats.kernel_points += len as u64;
+    stats.kernel_rows += 1;
+    if simd && len >= stencil_core::simd::BLOCK_WIDTH {
+        stats.simd_rows += 1;
+    }
 }
 
 /// Sub-tile indices of the skewed axis `ax` that meet time levels
@@ -608,53 +679,8 @@ fn for_each_row<E>(
     Ok(())
 }
 
-/// Compute one contiguous row `(t, fixed-coords, sweep ∈ [lo, hi])`.
-///
-/// With a [`RowKernel`] the whole row is one branch-free sweep over the
-/// padded planes: the halo supplies the boundary value wherever a tap
-/// leaves the domain. Without one (checked and baseline runs) every
-/// point takes the generic [`compute_point`] path.
-#[allow(clippy::too_many_arguments)]
-fn compute_row(
-    spec: &StencilSpec,
-    hex: &HexTiling,
-    id: TileId,
-    wf: i64,
-    st: &mut SpaceTime,
-    kernel: Option<&RowKernel>,
-    simd: bool,
-    stats: &mut ExecStats,
-    t: i64,
-    fixed: [i64; 3],
-    (lo, hi): (i64, i64),
-) -> Result<(), DependenceViolation> {
-    let axis = st.lay.sweep;
-    let Some(k) = kernel else {
-        for s in lo..=hi {
-            let mut p = fixed;
-            p[axis] = s;
-            compute_point(spec, hex, id, wf, st, t, p)?;
-            stats.generic_points += 1;
-        }
-        stats.generic_rows += 1;
-        return Ok(());
-    };
-    // The sweep coordinate in `fixed` is 0 (see `for_each_row`), so
-    // `base` is the row's sweep origin.
-    debug_assert_eq!(fixed[axis], 0);
-    let base = st.lay.idx(fixed);
-    let (src, dst) = st.rw_planes(t);
-    k.apply_span_mode(simd, src, dst, base + lo as usize, base + hi as usize);
-    let len = (hi - lo + 1) as u64;
-    stats.kernel_points += len;
-    stats.kernel_rows += 1;
-    if simd && len as usize >= stencil_core::simd::BLOCK_WIDTH {
-        stats.simd_rows += 1;
-    }
-    Ok(())
-}
-
-/// Compute iteration `(t, s)`: read plane `t`, write plane `t + 1`.
+/// Compute iteration `(t, s)` on the generic path: read plane `t`, write
+/// plane `t + 1`, validating every producer when the run is checked.
 #[inline]
 fn compute_point(
     spec: &StencilSpec,
@@ -715,6 +741,15 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             ((state >> 33) as f32 / (1u64 << 31) as f32) - 0.5
         })
+    }
+
+    fn run_fast(
+        spec: &StencilSpec,
+        size: &ProblemSize,
+        tiles: TileSizes,
+        init: &Grid,
+    ) -> (Grid, ExecStats) {
+        run_tiled_with(spec, size, tiles, init, ExecMode::Fast, &ScratchPool::new()).unwrap()
     }
 
     fn check(stencil: StencilDescriptor, size: ProblemSize, tiles: TileSizes) {
@@ -785,17 +820,6 @@ mod tests {
     }
 
     #[test]
-    fn unchecked_matches_checked() {
-        let spec = StencilDescriptor::heat2d().spec();
-        let size = ProblemSize::new_2d(17, 13, 8);
-        let tiles = TileSizes::new_2d(4, 4, 8);
-        let init = random_grid(size.space_extents(), 7);
-        let a = run_tiled_checked(&spec, &size, tiles, &init);
-        let b = run_tiled_unchecked(&spec, &size, tiles, &init);
-        assert_eq!(a.max_abs_diff(&b), 0.0);
-    }
-
-    #[test]
     fn nonzero_boundary_values_propagate_identically() {
         let spec = StencilDescriptor::jacobi2d().spec();
         let size = ProblemSize::new_2d(9, 11, 6);
@@ -839,7 +863,7 @@ mod tests {
         let tiles = TileSizes::new_2d(4, 5, 6);
         let init = random_grid(size.space_extents(), 13);
         let expect = reference::run(&spec, &size, &init);
-        let (got, stats) = run_tiled_unchecked_with_stats(&spec, &size, tiles, &init);
+        let (got, stats) = run_fast(&spec, &size, tiles, &init);
         assert_eq!(expect.max_abs_diff(&got), 0.0);
         assert_eq!(stats.resident_planes, rolling_window_depth(tiles, &size));
         assert_eq!(stats.resident_planes, tiles.t_t + 1);
@@ -867,7 +891,7 @@ mod tests {
         assert_eq!(rolling_window_depth(tiles, &size), 4);
         let init = random_grid(size.space_extents(), 21);
         let expect = reference::run(&spec, &size, &init);
-        let (got, stats) = run_tiled_unchecked_with_stats(&spec, &size, tiles, &init);
+        let (got, stats) = run_fast(&spec, &size, tiles, &init);
         assert_eq!(expect.max_abs_diff(&got), 0.0);
         assert_eq!(stats.resident_planes, 4);
     }
@@ -886,63 +910,70 @@ mod tests {
             let spec = stencil.spec();
             let init = random_grid(size.space_extents(), 17);
             let expect = reference::run(&spec, &size, &init);
-            let got = run_tiled_unchecked(&spec, &size, tiles, &init);
+            let (got, _) = run_fast(&spec, &size, tiles, &init);
             assert_eq!(expect.max_abs_diff(&got), 0.0, "{}", stencil.name);
         }
     }
 
+    /// Every mode on Jacobi2D, Heat3D and radius-2 Lap4_2D: the same
+    /// bits, every iteration point computed once on the mode's path, the
+    /// mode's plane count, and one plane copied in and one out.
     #[test]
-    fn baseline_options_match_fast_options() {
-        let spec = StencilDescriptor::heat3d().spec();
-        let size = ProblemSize::new_3d(7, 6, 8, 7);
-        let tiles = TileSizes::new_3d(4, 3, 3, 4);
-        let init = random_grid(size.space_extents(), 29);
-        let (base, bstats) =
-            run_tiled_with(&spec, &size, tiles, &init, ExecOptions::BASELINE).unwrap();
-        let (fast, fstats) = run_tiled_with(&spec, &size, tiles, &init, ExecOptions::FAST).unwrap();
-        assert_eq!(base.max_abs_diff(&fast), 0.0);
-        assert_eq!(bstats.kernel_points, 0);
-        assert_eq!(bstats.resident_planes, size.time + 1);
-        assert!(fstats.resident_planes <= tiles.t_t + 1);
-        assert_eq!(
-            bstats.generic_points,
-            fstats.kernel_points + fstats.generic_points
-        );
-    }
-
-    #[test]
-    fn stats_count_rows_and_plane_copies() {
-        let spec = StencilDescriptor::jacobi2d().spec();
-        let size = ProblemSize::new_2d(19, 15, 6);
-        let tiles = TileSizes::new_2d(4, 5, 6);
-        let init = random_grid(size.space_extents(), 31);
-        let (_, fast) = run_tiled_with(&spec, &size, tiles, &init, ExecOptions::FAST).unwrap();
-        // Every row, boundary rows included, sweeps through the kernel.
-        assert!(fast.kernel_rows > 0);
-        assert!(fast.generic_rows == 0);
-        assert!(fast.kernel_points >= fast.kernel_rows, "{fast:?}");
-        // One plane in (init), one plane out (result), 4 bytes per cell.
-        let plane = (size.space[0] * size.space[1] * 4) as u64;
-        assert_eq!(fast.plane_copy_bytes, 2 * plane);
-        // The baseline path never uses the kernel: every row is generic.
-        let (_, base) = run_tiled_with(&spec, &size, tiles, &init, ExecOptions::BASELINE).unwrap();
-        assert_eq!(base.kernel_rows, 0);
-        assert_eq!(base.generic_rows, fast.kernel_rows + fast.generic_rows);
-    }
-
-    #[test]
-    #[should_panic(expected = "full space-time history")]
-    fn checked_rolling_window_is_rejected() {
-        let spec = StencilDescriptor::jacobi1d().spec();
-        let size = ProblemSize::new_1d(9, 4);
-        let init = random_grid(size.space_extents(), 1);
-        let opts = ExecOptions {
-            checked: true,
-            rolling_window: true,
-            row_kernels: false,
-            simd: false,
-        };
-        let _ = run_tiled_with(&spec, &size, TileSizes::new_1d(2, 2), &init, opts);
+    fn every_mode_agrees_and_counts_its_path() {
+        use ExecMode::*;
+        for (stencil, size, tiles) in [
+            (
+                StencilDescriptor::jacobi2d(),
+                ProblemSize::new_2d(19, 15, 6),
+                TileSizes::new_2d(4, 5, 6),
+            ),
+            (
+                StencilDescriptor::heat3d(),
+                ProblemSize::new_3d(7, 6, 8, 7),
+                TileSizes::new_3d(4, 3, 3, 4),
+            ),
+            (
+                StencilDescriptor::lap4_2d(),
+                ProblemSize::new_2d(17, 14, 9),
+                TileSizes::new_2d(4, 5, 6),
+            ),
+        ] {
+            let spec = stencil.spec();
+            let init = random_grid(size.space_extents(), 29);
+            let expect = reference::run(&spec, &size, &init);
+            let plane_bytes = 4 * size.space_extents().iter().product::<usize>() as u64;
+            let mut rows = None;
+            for mode in [Checked, Baseline, FastScalar, Fast, Auto, Staged] {
+                let what = format!("{} {mode:?}", stencil.name);
+                let (got, stats) =
+                    run_tiled_with(&spec, &size, tiles, &init, mode, &ScratchPool::new()).unwrap();
+                let bits = |g: &Grid| g.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&expect), "{what}");
+                assert_eq!(
+                    stats.kernel_points + stats.generic_points,
+                    size.iter_points(),
+                    "{what}"
+                );
+                assert_eq!(stats.plane_copy_bytes, 2 * plane_bytes, "{what}");
+                // Every mode sweeps the same rows, on its own path.
+                let mode_rows = stats.kernel_rows + stats.generic_rows;
+                assert_eq!(*rows.get_or_insert(mode_rows), mode_rows, "{what}");
+                if mode.full_history() {
+                    assert_eq!(stats.resident_planes, size.time + 1, "{what}");
+                    assert_eq!((stats.kernel_points, stats.kernel_rows), (0, 0), "{what}");
+                } else {
+                    assert_eq!(
+                        stats.resident_planes,
+                        rolling_window_depth(tiles, &size),
+                        "{what}"
+                    );
+                    // Every row, boundary rows included, sweeps through
+                    // the kernel.
+                    assert_eq!(stats.generic_rows, 0, "{what}");
+                    assert!(stats.kernel_points >= stats.kernel_rows, "{what}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1042,8 +1073,8 @@ mod higher_order_tests {
 
     #[test]
     fn plan_builds_higher_order_with_scaled_slopes() {
-        use crate::config::LaunchConfig;
         use crate::plan::TilingPlan;
+        use crate::LaunchConfig;
         let spec = order2_2d();
         let size = ProblemSize::new_2d(64, 64, 8);
         let plan = TilingPlan::build(

@@ -1,12 +1,12 @@
-//! Reusable scratch buffers for the parallel tiled executor.
+//! Reusable buffers for the tiled executor.
 //!
-//! Every tile computed by [`super::run_tiled_parallel_into`] needs a
-//! dense local box (its padded slice of the space-time state), a row
-//! list, sub-tile ranges, and a write log. Allocating those per tile
-//! dominated the old write-log runner; the pool hands buffers out to
-//! worker threads and takes them back when the tile completes, so a
-//! steady-state run allocates nothing. The ring planes of the shared
-//! state are pooled too, which is what lets `tile_opt::run_candidates`
+//! Every run takes its planes from a pool, and every tile of a staged
+//! run ([`super::ExecMode::Staged`]) needs a dense local box (its padded
+//! slice of the space-time state), a row list, sub-tile ranges, and a
+//! write log. Allocating those per tile dominated the old write-log
+//! runner; the pool hands buffers out to worker threads and takes them
+//! back when the batch completes, so a steady-state run allocates
+//! nothing. Pooled planes are what let `tile_opt::run_candidates`
 //! execute a whole candidate set with one warm-up's worth of
 //! allocations.
 
@@ -53,7 +53,7 @@ impl TileWrites {
     }
 }
 
-/// Thread-safe buffer pool shared by the parallel executor's workers.
+/// Thread-safe buffer pool shared by a run's planes and its workers.
 ///
 /// `acquires` counts every checkout; `reuses` counts the checkouts that
 /// were served from the pool instead of a fresh allocation, so
@@ -125,9 +125,14 @@ impl ScratchPool {
     pub(crate) fn take_plane(&self, cells: usize) -> Vec<f32> {
         let got = self.planes.lock().unwrap().pop();
         self.count(got.as_ref().is_some_and(|p| p.capacity() >= cells));
-        let mut p = got.unwrap_or_default();
-        p.resize(cells, 0.0);
-        p
+        match got {
+            Some(mut p) => {
+                p.resize(cells, 0.0);
+                p
+            }
+            // Zeroed by the allocator, not by a fill.
+            None => vec![0.0; cells],
+        }
     }
 
     pub(crate) fn put_plane(&self, p: Vec<f32>) {

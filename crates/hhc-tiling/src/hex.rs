@@ -123,7 +123,7 @@ pub struct HexTiling {
 impl HexTiling {
     /// Create a hexagonal tiling; panics unless `t_t` is even and both
     /// extents are positive (the validated-config path in
-    /// [`crate::config::TileSizes`] reports errors instead).
+    /// [`crate::TileSizes`] reports errors instead).
     pub fn new(t_s: usize, t_t: usize) -> Self {
         Self::with_slope(t_s, t_t, 1)
     }

@@ -29,7 +29,6 @@
 //! counts.
 
 pub mod analysis;
-pub mod config;
 pub mod exec;
 pub mod hex;
 pub mod inner;
@@ -38,13 +37,11 @@ pub mod regs;
 pub mod wavefront;
 
 pub use analysis::{analyze, PlanStats};
-pub use config::{LaunchConfig, TileSizes};
 pub use exec::{
     rolling_window_depth, run_tiled_checked, run_tiled_parallel, run_tiled_parallel_into,
-    run_tiled_parallel_into_with, run_tiled_parallel_with_stats, run_tiled_unchecked,
-    run_tiled_unchecked_with_stats, run_tiled_with, try_run_tiled, DispatchPolicy, ExecOptions,
-    ExecStats, ScratchPool, MIN_BATCH_POINTS,
+    run_tiled_with, ExecMode, ExecStats, ScratchPool,
 };
 pub use hex::HexTiling;
 pub use plan::{AxisClass, BlockClass, HexagonRows, PlanGeometry, TilingPlan, WavefrontPlan};
+pub use stencil_core::tiling::{LaunchConfig, TileSizes};
 pub use wavefront::{SpaceBlock, WavefrontSchedule};

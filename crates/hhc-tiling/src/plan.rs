@@ -25,10 +25,10 @@
 //! work and the memory traffic of the real schedule, including the
 //! ragged partial tiles the paper's steady-state model ignores.
 
-use crate::config::{LaunchConfig, TileSizes};
 use crate::hex::{HexTiling, Phase, TileId};
 use crate::inner::SkewedAxis;
 use crate::regs;
+use crate::{LaunchConfig, TileSizes};
 use serde::{Deserialize, Serialize};
 use std::ops::RangeInclusive;
 use std::sync::Arc;

@@ -16,8 +16,8 @@
 //! schedules run on the same machine (`gpu_sim::SimWorkload::from_wavefront`
 //! times it; `experiments --compare-wavefront` reports the comparison).
 
-use crate::config::LaunchConfig;
 use crate::plan::{AxisClass, BlockClass, WavefrontPlan};
+use crate::LaunchConfig;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use stencil_core::{ProblemSize, StencilSpec};

@@ -9,9 +9,8 @@
 //! and boundary values.
 
 use hhc_tiling::{
-    rolling_window_depth, run_tiled_checked, run_tiled_parallel_into_with,
-    run_tiled_parallel_with_stats, run_tiled_unchecked_with_stats, run_tiled_with, DispatchPolicy,
-    ExecOptions, HexTiling, ScratchPool, TileSizes,
+    rolling_window_depth, run_tiled_checked, run_tiled_with, ExecMode, HexTiling, ScratchPool,
+    TileSizes,
 };
 use proptest::prelude::*;
 use stencil_core::{init, reference, Grid, ProblemSize, StencilDescriptor};
@@ -48,8 +47,9 @@ fn assert_bits_eq(expect: &Grid, got: &Grid, what: &str) {
     }
 }
 
-/// `FAST`, `FAST_SCALAR` and the pooled executor under both forced
-/// dispatch policies must each equal `reference::run` bit for bit.
+/// `Fast`, `FastScalar` and the pooled executor in `Staged` and `Auto`
+/// (sequential on these sizes) must each equal `reference::run` bit for
+/// bit.
 fn assert_fast_paths_match_reference(
     stencil: &StencilDescriptor,
     size: &ProblemSize,
@@ -68,21 +68,18 @@ fn assert_fast_paths_match_reference(
             size.label()
         )
     };
-    for (path, opts) in [
-        ("FAST", ExecOptions::FAST),
-        ("FAST_SCALAR", ExecOptions::FAST_SCALAR),
+    for (path, mode) in [
+        ("FAST", ExecMode::Fast),
+        ("FAST_SCALAR", ExecMode::FastScalar),
     ] {
-        let (got, stats) = run_tiled_with(&spec, size, tiles, &grid, opts).expect("fast run");
+        let (got, stats) =
+            run_tiled_with(&spec, size, tiles, &grid, mode, &ScratchPool::new()).expect("fast run");
         assert_bits_eq(&expect, &got, &what(path));
         assert_eq!(stats.generic_points, 0, "{}", what(path));
     }
     let pool = ScratchPool::new();
-    for policy in [
-        DispatchPolicy::ForceParallel,
-        DispatchPolicy::ForceSequential,
-    ] {
-        let mut got = Grid::zeros(size.space_extents());
-        run_tiled_parallel_into_with(&spec, size, tiles, &grid, &pool, &mut got, policy);
+    for policy in [ExecMode::Staged, ExecMode::Auto] {
+        let (got, _) = run_tiled_with(&spec, size, tiles, &grid, policy, &pool).unwrap();
         assert_bits_eq(&expect, &got, &what(&format!("{policy:?}")));
     }
 }
@@ -135,7 +132,9 @@ proptest! {
         let grid = init::random(size.space_extents(), seed);
         let expect = reference::run(&spec, &size, &grid);
         let checked = run_tiled_checked(&spec, &size, tiles, &grid);
-        let (fast, stats) = run_tiled_unchecked_with_stats(&spec, &size, tiles, &grid);
+        let (fast, stats) =
+            run_tiled_with(&spec, &size, tiles, &grid, ExecMode::Fast, &ScratchPool::new())
+                .unwrap();
         prop_assert_eq!(
             expect.max_abs_diff(&checked), 0.0,
             "checked vs reference: {} {} {:?}", stencil.name, size.label(), tiles
@@ -163,7 +162,9 @@ proptest! {
         let tiles = TileSizes::new_2d(16, 32, 64);
         let grid = init::random(size.space_extents(), seed);
         let expect = reference::run(&spec, &size, &grid);
-        let (fast, stats) = run_tiled_unchecked_with_stats(&spec, &size, tiles, &grid);
+        let (fast, stats) =
+            run_tiled_with(&spec, &size, tiles, &grid, ExecMode::Fast, &ScratchPool::new())
+                .unwrap();
         prop_assert_eq!(expect.max_abs_diff(&fast), 0.0, "S1={s1} S2={s2} T={t}");
         // t_t + 1 > T + 1, so the ring clamps to the full logical depth.
         prop_assert_eq!(stats.resident_planes, t + 1);
@@ -182,7 +183,9 @@ proptest! {
         };
         let grid = init::random(size.space_extents(), seed);
         let expect = reference::run(&spec, &size, &grid);
-        let (fast, stats) = run_tiled_unchecked_with_stats(&spec, &size, tiles, &grid);
+        let (fast, stats) =
+            run_tiled_with(&spec, &size, tiles, &grid, ExecMode::Fast, &ScratchPool::new())
+                .unwrap();
         prop_assert_eq!(expect.max_abs_diff(&fast), 0.0, "{} T={t}", stencil.name);
         prop_assert_eq!(stats.kernel_points, t as u64);
         prop_assert_eq!(stats.generic_points, 0);
@@ -223,9 +226,12 @@ proptest! {
         let spec = stencil.spec();
         let mut grid = init::random(size.space_extents(), seed);
         grid.set_boundary(boundary as f32 * 0.75);
-        let (fast, fstats) = run_tiled_unchecked_with_stats(&spec, &size, tiles, &grid);
+        let (fast, fstats) =
+            run_tiled_with(&spec, &size, tiles, &grid, ExecMode::Fast, &ScratchPool::new())
+                .unwrap();
         let pool = ScratchPool::new();
-        let (par, pstats) = run_tiled_parallel_with_stats(&spec, &size, tiles, &grid, &pool);
+        let (par, pstats) =
+            run_tiled_with(&spec, &size, tiles, &grid, ExecMode::Auto, &pool).unwrap();
         prop_assert_eq!(
             fast.max_abs_diff(&par), 0.0,
             "parallel vs fast: {} {} {:?}", stencil.name, size.label(), tiles
@@ -239,7 +245,8 @@ proptest! {
         prop_assert_eq!(pstats.generic_rows, fstats.generic_rows);
         prop_assert_eq!(pstats.resident_planes, rolling_window_depth(tiles, &size));
         // A second run against the warm pool allocates (almost) nothing.
-        let (par2, pstats2) = run_tiled_parallel_with_stats(&spec, &size, tiles, &grid, &pool);
+        let (par2, pstats2) =
+            run_tiled_with(&spec, &size, tiles, &grid, ExecMode::Auto, &pool).unwrap();
         prop_assert_eq!(par.max_abs_diff(&par2), 0.0);
         prop_assert!(pstats2.scratch_reuses >= pstats.scratch_reuses);
         prop_assert!(pstats2.scratch_reuses > 0);
@@ -257,10 +264,12 @@ proptest! {
         let spec = stencil.spec();
         let mut grid = init::random(size.space_extents(), seed);
         grid.set_boundary(boundary as f32 * 0.5);
-        let (scalar, _) = run_tiled_with(&spec, &size, tiles, &grid, ExecOptions::FAST_SCALAR)
-            .expect("scalar fast run");
-        let (simd, _) = run_tiled_with(&spec, &size, tiles, &grid, ExecOptions::FAST)
-            .expect("simd fast run");
+        let (scalar, _) =
+            run_tiled_with(&spec, &size, tiles, &grid, ExecMode::FastScalar, &ScratchPool::new())
+                .expect("scalar fast run");
+        let (simd, _) =
+            run_tiled_with(&spec, &size, tiles, &grid, ExecMode::Fast, &ScratchPool::new())
+                .expect("simd fast run");
         for (a, b) in scalar.as_slice().iter().zip(simd.as_slice()) {
             prop_assert_eq!(
                 a.to_bits(), b.to_bits(),
@@ -269,9 +278,9 @@ proptest! {
         }
     }
 
-    /// `ForceParallel` (the batched path, even on a 1-thread pool) ==
-    /// `ForceSequential` (the pooled fallback) == the sequential fast
-    /// path, bit for bit.
+    /// `Staged` (the batched path, even on a 1-thread pool) == `Auto`
+    /// (the pooled sequential engine on these sizes) == the sequential
+    /// fast path, bit for bit.
     #[test]
     fn dispatch_policies_agree_bitwise(
         (stencil, size, tiles) in case(),
@@ -279,18 +288,16 @@ proptest! {
     ) {
         let spec = stencil.spec();
         let grid = init::random(size.space_extents(), seed);
-        let (fast, _) = run_tiled_unchecked_with_stats(&spec, &size, tiles, &grid);
+        let (fast, _) =
+            run_tiled_with(&spec, &size, tiles, &grid, ExecMode::Fast, &ScratchPool::new())
+                .unwrap();
         let pool = ScratchPool::new();
-        let mut forced = Grid::zeros(size.space_extents());
-        let fstats = run_tiled_parallel_into_with(
-            &spec, &size, tiles, &grid, &pool, &mut forced, DispatchPolicy::ForceParallel,
-        );
+        let (forced, fstats) =
+            run_tiled_with(&spec, &size, tiles, &grid, ExecMode::Staged, &pool).unwrap();
         prop_assert!(!fstats.seq_fallback);
         prop_assert!(fstats.batch_dispatches > 0);
-        let mut seq = Grid::zeros(size.space_extents());
-        let sstats = run_tiled_parallel_into_with(
-            &spec, &size, tiles, &grid, &pool, &mut seq, DispatchPolicy::ForceSequential,
-        );
+        let (seq, sstats) =
+            run_tiled_with(&spec, &size, tiles, &grid, ExecMode::Auto, &pool).unwrap();
         prop_assert!(sstats.seq_fallback);
         prop_assert_eq!(sstats.batch_dispatches, 0);
         for (a, b) in fast.as_slice().iter().zip(forced.as_slice()) {
@@ -342,10 +349,24 @@ fn simd_matches_scalar_for_all_lane_remainders() {
         for (stencil, size, tiles) in cases(r) {
             let spec = stencil.spec();
             let grid = init::random(size.space_extents(), 0xC0FFEE + r as u64);
-            let (scalar, _) = run_tiled_with(&spec, &size, tiles, &grid, ExecOptions::FAST_SCALAR)
-                .expect("scalar fast run");
-            let (simd, sstats) = run_tiled_with(&spec, &size, tiles, &grid, ExecOptions::FAST)
-                .expect("simd fast run");
+            let (scalar, _) = run_tiled_with(
+                &spec,
+                &size,
+                tiles,
+                &grid,
+                ExecMode::FastScalar,
+                &ScratchPool::new(),
+            )
+            .expect("scalar fast run");
+            let (simd, sstats) = run_tiled_with(
+                &spec,
+                &size,
+                tiles,
+                &grid,
+                ExecMode::Fast,
+                &ScratchPool::new(),
+            )
+            .expect("simd fast run");
             for (i, (a, b)) in scalar.as_slice().iter().zip(simd.as_slice()).enumerate() {
                 assert_eq!(
                     a.to_bits(),
@@ -361,15 +382,15 @@ fn simd_matches_scalar_for_all_lane_remainders() {
     }
 }
 
-/// Exact pool-counter pin for a known schedule, under both dispatch
-/// policies. The workload is small enough that the cost floor makes
-/// every wavefront a single batch (`nb = 1`), so the counter arithmetic
-/// is deterministic on any pool size:
+/// Exact pool-counter pin for a known schedule, staged and not. The
+/// workload is small enough that the cost floor makes every wavefront a
+/// single batch (`nb = 1`), so the counter arithmetic is deterministic
+/// on any pool size:
 ///
-/// * `ForceParallel`, cold pool: `depth` ring-plane checkouts (all
+/// * `Staged`, cold pool: `depth` ring-plane checkouts (all
 ///   misses) plus one scratch + one write log per active wavefront; from
 ///   the second active wavefront on, both are recycled within the run.
-/// * `ForceSequential` (the fallback): ring planes only — no write logs,
+/// * `Auto` (the sequential engine here): ring planes only — no write logs,
 ///   no per-batch scratch.
 /// * Warm pool, second run: every checkout is a reuse.
 #[test]
@@ -387,52 +408,24 @@ fn scratch_counters_pin_exact_values_for_known_schedule() {
     assert!(active >= 2, "schedule too small to pin reuse arithmetic");
 
     let pool = ScratchPool::new();
-    let mut out = Grid::zeros(size.space_extents());
-    let cold = run_tiled_parallel_into_with(
-        &spec,
-        &size,
-        tiles,
-        &grid,
-        &pool,
-        &mut out,
-        DispatchPolicy::ForceParallel,
-    );
+    let run = |mode, pool| {
+        run_tiled_with(&spec, &size, tiles, &grid, mode, pool)
+            .unwrap()
+            .1
+    };
+    let cold = run(ExecMode::Staged, &pool);
     assert_eq!(cold.batch_dispatches, active, "one batch per wavefront");
     assert_eq!(cold.scratch_acquires, depth + 2 * active);
     assert_eq!(cold.scratch_reuses, 2 * (active - 1));
-    let warm = run_tiled_parallel_into_with(
-        &spec,
-        &size,
-        tiles,
-        &grid,
-        &pool,
-        &mut out,
-        DispatchPolicy::ForceParallel,
-    );
+    let warm = run(ExecMode::Staged, &pool);
     assert_eq!(warm.scratch_acquires, depth + 2 * active);
     assert_eq!(warm.scratch_reuses, warm.scratch_acquires);
 
     let pool2 = ScratchPool::new();
-    let fb = run_tiled_parallel_into_with(
-        &spec,
-        &size,
-        tiles,
-        &grid,
-        &pool2,
-        &mut out,
-        DispatchPolicy::ForceSequential,
-    );
+    let fb = run(ExecMode::Auto, &pool2);
     assert_eq!(fb.scratch_acquires, depth);
     assert_eq!(fb.scratch_reuses, 0);
-    let fb2 = run_tiled_parallel_into_with(
-        &spec,
-        &size,
-        tiles,
-        &grid,
-        &pool2,
-        &mut out,
-        DispatchPolicy::ForceSequential,
-    );
+    let fb2 = run(ExecMode::Auto, &pool2);
     assert_eq!(fb2.scratch_acquires, depth);
     assert_eq!(fb2.scratch_reuses, depth);
 }
@@ -486,19 +479,14 @@ fn recycled_planes_get_fresh_halos() {
         (StencilDescriptor::jacobi1d(), [40, 1, 1], -0.75),
     ];
     let pool = ScratchPool::new();
-    for policy in [
-        DispatchPolicy::ForceParallel,
-        DispatchPolicy::ForceSequential,
-    ] {
+    for policy in [ExecMode::Staged, ExecMode::Auto] {
         for (i, (stencil, s, boundary)) in runs.iter().enumerate() {
             let spec = stencil.spec();
             let (size, tiles) = shape(spec.dim.rank(), *s, [3, 4, 5], 5, 4);
             let mut grid = init::random(size.space_extents(), 0x5EED + i as u64);
             grid.set_boundary(*boundary);
             let expect = reference::run(&spec, &size, &grid);
-            let mut got = Grid::zeros(size.space_extents());
-            let stats =
-                run_tiled_parallel_into_with(&spec, &size, tiles, &grid, &pool, &mut got, policy);
+            let (got, stats) = run_tiled_with(&spec, &size, tiles, &grid, policy, &pool).unwrap();
             assert_bits_eq(
                 &expect,
                 &got,
